@@ -101,18 +101,15 @@ def _parse_range(text):
 
 # --- correctness runners --------------------------------------------------
 
-def _classical_run(scheme, x, poly, k, source, gamma, k_prime):
-    if scheme == "4":
-        return run_scheme4(x, poly, k, source)[0]
-    if scheme == "7":
-        return run_scheme7(x, poly, k, source)[0]
-    if scheme == "8":
-        return run_scheme8(x, poly, k, source)[0]
-    if scheme == "9":
-        return run_scheme9(x, poly, gamma, k_prime, source)[0]
-    if scheme == "10":
-        return run_scheme10(x, poly, k, source)[0]
-    raise ValueError(f"scheme {scheme} has no classical runner")
+# scheme id -> runner(x, poly, k, source, gamma, k_prime) -> (output, transcript)
+_CLASSICAL = {
+    "4": lambda x, poly, k, src, *_: run_scheme4(x, poly, k, src),
+    "7": lambda x, poly, k, src, *_: run_scheme7(x, poly, k, src),
+    "8": lambda x, poly, k, src, *_: run_scheme8(x, poly, k, src),
+    "9": lambda x, poly, k, src, gamma, k_prime: run_scheme9(
+        x, poly, gamma, k_prime, src),
+    "10": lambda x, poly, k, src, *_: run_scheme10(x, poly, k, src),
+}
 
 
 def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
@@ -120,6 +117,7 @@ def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
     """One grid point of the classical-output schemes: count failing cases
     over all (x, a, c), either exhausting the hidden randomness per case or
     running seeded trials."""
+    run = _CLASSICAL[scheme]
     failures = cases = 0
     rng = np.random.default_rng(seed)
     for xv in range(2 ** n):
@@ -131,15 +129,15 @@ def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
                 want = poly.evaluate(x)
                 if exhaustive:
                     for _, got in enumerate_hidden_adaptive(
-                            lambda src: _classical_run(scheme, x, poly, k,
-                                                       src, gamma, k_prime),
+                            lambda src: run(x, poly, k, src, gamma,
+                                            k_prime)[0],
                             max_bits=max_bits):
                         cases += 1
                         failures += int(got != want)
                 else:
                     for _ in range(trials):
-                        got = _classical_run(scheme, x, poly, k,
-                                             _as_source(rng), gamma, k_prime)
+                        got = run(x, poly, k, _as_source(rng), gamma,
+                                  k_prime)[0]
                         cases += 1
                         failures += int(got != want)
     return failures, cases
@@ -273,6 +271,15 @@ def _audit_point(spec):
     return rows
 
 
+# closed-form Bob->Alice bit counts of one run, as functions of (n, k)
+_COMM_BOB_TO_ALICE = {
+    "4": lambda n, k: n * k + 1,
+    "7": lambda n, k: k + 1,
+    "8": lambda n, k: k + 2,
+    "10": lambda n, k: k + 1,
+}
+
+
 def _comm_audit(scheme, n, k, seed, spec):
     """Bob->Alice bit counts of one live run versus the closed forms."""
     rng = np.random.default_rng(seed)
@@ -298,23 +305,13 @@ def _comm_audit(scheme, n, k, seed, spec):
                          "key-variables", 2 * n + 4 * spec.get("R", 1),
                          run.report.nvars, 0, seed, "protocol-audit"))
         return rows
+    if scheme not in _COMM_BOB_TO_ALICE:
+        raise ValueError(f"no communication audit for scheme {scheme}")
     x = [int(b) for b in rng.integers(0, 2, size=n)]
     poly = LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
                             int(rng.integers(0, 2)))
-    if scheme == "4":
-        _, tr = run_scheme4(x, poly, k, rng)
-        expected = n * k + 1
-    elif scheme == "7":
-        _, tr = run_scheme7(x, poly, k, rng)
-        expected = k + 1
-    elif scheme == "8":
-        _, tr = run_scheme8(x, poly, k, rng)
-        expected = k + 2
-    elif scheme == "10":
-        _, tr = run_scheme10(x, poly, k, rng)
-        expected = k + 1
-    else:
-        raise ValueError(f"no communication audit for scheme {scheme}")
+    _, tr = _CLASSICAL[scheme](x, poly, k, rng)
+    expected = _COMM_BOB_TO_ALICE[scheme](n, k)
     obs = comm_audit(tr, "Bob->Alice")
     rows.append(_row(scheme, {"n": n, "k": k}, "comm-bob-to-alice", expected,
                      obs, 0, seed, "protocol-audit"))

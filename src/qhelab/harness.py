@@ -10,6 +10,7 @@ into a message" into a loud test failure instead of a silent privacy bug.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,15 +57,6 @@ class Message:
 
 class ProtocolError(Exception):
     pass
-
-
-class Abort(Exception):
-    """Raised by a party to abort the protocol; recorded in the transcript."""
-
-    def __init__(self, party: str, reason: str = ""):
-        self.party = party
-        self.reason = reason
-        super().__init__(f"{party} aborted: {reason}")
 
 
 class Transcript:
@@ -183,7 +175,6 @@ class CountingBits(RandomBits):
 
 def hidden_bit_count(run_fn, rng=None) -> int:
     """Probe how many hidden random bits one run of a protocol consumes."""
-    import numpy as np
     src = CountingBits(rng or np.random.default_rng(0))
     run_fn(src)
     return src.count
@@ -194,8 +185,7 @@ def enumerate_hidden(run_fn, num_bits: int):
     `num_bits`, yielding (bits, result) per realizable branch.  Branches
     forced onto zero-probability measurement outcomes are skipped (their
     weight is zero)."""
-    import itertools as _it
-    for bits in _it.product((0, 1), repeat=num_bits):
+    for bits in itertools.product((0, 1), repeat=num_bits):
         src = FixedBits(bits)
         try:
             result = run_fn(src)
@@ -292,6 +282,8 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         st = qsim.apply_gate(st, qsim.Z, [qubit])
     if a:
         st = qsim.apply_gate(st, qsim.X, [qubit])
+    if st is state:  # never hand back (or relabel) the caller's object
+        st = state.copy()
     st.owners[qubit] = new_owner
     disclosed = []
     if "x" not in withhold:
@@ -333,36 +325,3 @@ def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
     st.owners[qubit] = new_owner
     residual = (mx if "x" in withhold else 0, mz if "z" in withhold else 0)
     return st, residual
-
-
-def run_protocol(alice_program, bob_program, shared=None, rng=None):
-    """Alternating-step engine.
-
-    Programs are lists of callables step(ctx, incoming_bits) -> bits to send
-    (possibly []); a step may raise Abort.  ctx is a per-party dict holding
-    "shared", "rng", and whatever state the program stores (an "output" key
-    becomes that party's output).  Steps alternate Alice, Bob, Alice, ...
-    """
-    transcript = Transcript()
-    ctxs = {ALICE: {"shared": shared, "rng": rng},
-            BOB: {"shared": shared, "rng": rng}}
-    programs = {ALICE: list(alice_program), BOB: list(bob_program)}
-    pending = {ALICE: [], BOB: []}
-    order = []
-    for i in range(max(len(programs[ALICE]), len(programs[BOB]))):
-        for party in (ALICE, BOB):
-            if i < len(programs[party]):
-                order.append((party, programs[party][i]))
-    try:
-        for party, step in order:
-            incoming, pending[party] = pending[party], []
-            out = step(ctxs[party], incoming)
-            out = list(out) if out else []
-            if out:
-                transcript.record(party, out, tag=f"step")
-                other = BOB if party == ALICE else ALICE
-                pending[other].extend(out)
-    except Abort as ab:
-        transcript.record_abort(ab.party, ab.reason)
-    outputs = {p: ctxs[p].get("output") for p in (ALICE, BOB)}
-    return outputs, transcript

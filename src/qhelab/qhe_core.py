@@ -8,11 +8,14 @@ Bell-outcome bits per T gate.  Clifford gates update only Bob's
 coefficients; a T gate leaves an unwanted P^{f_a} which is removed by a
 distributed linear-polynomial evaluation (scheme 4, distributed mode)
 feeding a two-party garden-hose gadget that applies P-dagger exactly when
-the shares XOR to 1.  At the end Bob teleports the state back and one more
-distributed evaluation per key bit hands Alice her Pauli corrections.
+the shares XOR to 1.  The gadget runs as its equivalent channel, as
+teleportation does; its literal 4-EPR-pair version is a test reference.
+At the end Bob teleports the state back and one more distributed
+evaluation per key bit hands Alice her Pauli corrections.
 
-run_scheme6 wraps a run with Bob-side trap qubits whose checkpoint
-measurements catch a cheating Alice with constant probability per trap.
+Scheme 6 is the same evaluation with Bob-side trap qubits whose checkpoint
+measurements catch a cheating Alice with constant probability per trap;
+one evaluator runs both schemes.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qsim
-from .harness import (ALICE, BOB, Transcript, bell_measure_with,
-                      measure_with, teleport_symbolic)
+from .harness import ALICE, BOB, Transcript, measure_with, teleport_symbolic
 from .linpoly import LinearPolynomial, run_scheme4
 from . import linpoly as _linpoly
 
@@ -185,62 +187,35 @@ def random_clifford_t(n: int, r: int, rng, clifford_per_stage: int = 3):
 # --- the garden-hose gadget -----------------------------------------------
 
 def garden_hose(state, qubit, p, q, source):
-    """Two-party P-dagger-if-(p XOR q) gadget over 4 EPR pairs.
+    """Two-party P-dagger-if-(p XOR q) gadget, run as its equivalent channel.
 
-    Bob Bell-measures (data, pair A's half) if p=0 else (data, pair B's
-    half).  Alice always Bell-measures the pairs {A, C} and {B, D} on her
-    side; q only selects which of the two measurements gets a P-dagger on
-    its potential carrier (pair B's half when q=0, pair A's half when q=1).
-    The data ends on Bob's half of pair C (p=0) or D (p=1) and is swapped
-    back into the original slot.
+    The literal gadget (Dulek, Schaffner and Speelman, arXiv:1603.09717)
+    routes the data through 4 EPR pairs; tests/test_qhe_core.py keeps it as
+    a reference.  Its seven measurement outcomes are uniform, so the channel
+    draws them in the same order (Bob's bz, bx; Alice's m1z, m1x, m2z, m2x;
+    the spare pair's bit) and applies X^{ax} Z^{az} (P-dagger)^{p^q}
+    X^{bx} Z^{bz} to a copy of the state, where (ax, az) is the half of
+    Alice's bits on the route that p selects.
 
     Returns (state, alice_bits, bob_bits, out_label) with alice_bits =
-    (m1x, m1z, m2x, m2z) for her {A,C} then {B,D} measurements and
-    bob_bits = his single measurement's (mx, mz).
+    (m1x, m1z, m2x, m2z) for her two Bell measurements and bob_bits = his
+    single measurement's (mx, mz).
     """
+    bz, bx, m1z, m1x, m2z, m2x, _spare = [source.outcome(0.5)
+                                          for _ in range(7)]
+    ax, az = (m1x, m1z) if p == 0 else (m2x, m2z)
     st = state
-    n0 = st.num_qubits
-    half = {}
-    for name in "ABCD":
-        st, left, right = qsim.epr_extend(st, owner_a=BOB, owner_b=ALICE)
-        half[name] = (left, right)   # (Bob's half, Alice's half)
-
-    route = "A" if p == 0 else "B"
-    (bx, bz), st = bell_measure_with(source, st, qubit, half[route][0])
-
-    if q == 1:
-        st = qsim.apply_gate(st, qsim.P_DAG, [half["A"][1]])
-    (m1x, m1z), st = bell_measure_with(source, st, half["A"][1], half["C"][1])
-    if q == 0:
-        st = qsim.apply_gate(st, qsim.P_DAG, [half["B"][1]])
-    (m2x, m2z), st = bell_measure_with(source, st, half["B"][1], half["D"][1])
-
-    out_label = "out1" if p == 0 else "out2"
-    out_idx = half["C"][0] if p == 0 else half["D"][0]
-    # the off-route chain leaves Bob's two spare halves in a Bell state;
-    # Bob measures them out so the register shrinks back to n0 qubits
-    spare = [half["B"][0], half["D"][0]] if p == 0 else [half["A"][0], half["C"][0]]
-    sp0, st = measure_with(source, st, "Z", spare[0])
-    sp1, st = measure_with(source, st, "Z", spare[1])
-
-    st = qsim.apply_gate(st, qsim.Gate("SWAP", np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), 2),
-        [qubit, out_idx])
-    known = {
-        half[route][0]: bx,
-        half["A"][1]: m1z, half["C"][1]: m1x,
-        half["B"][1]: m2z, half["D"][1]: m2x,
-        spare[0]: sp0, spare[1]: sp1,
-        out_idx: bz,  # post-swap: the slot holds the measured data qubit
-    }
-    for idx in sorted(known, reverse=True):
-        st = qsim.remove_qubit(st, idx, known[idx])
-    assert st.num_qubits == n0
+    for gate, bit in ((qsim.Z, bz), (qsim.X, bx), (qsim.P_DAG, p ^ q),
+                      (qsim.Z, az), (qsim.X, ax)):
+        if bit:
+            st = qsim.apply_gate(st, gate, [qubit])
+    if st is state:  # never hand back (or relabel) the caller's object
+        st = state.copy()
     st.owners[qubit] = BOB
-    return st, (m1x, m1z, m2x, m2z), (bx, bz), out_label
+    return st, (m1x, m1z, m2x, m2z), (bx, bz), "out1" if p == 0 else "out2"
 
 
-# --- scheme 5 -------------------------------------------------------------
+# --- schemes 5 and 6 ------------------------------------------------------
 
 @dataclass
 class Scheme5Report:
@@ -257,10 +232,21 @@ class Scheme5Report:
 
 
 @dataclass
+class TrapRecord:
+    trap_qubit: int
+    expected: int
+    observed: int
+    passed: bool
+
+
+@dataclass
 class Scheme5Run:
-    state: qsim.QuantumState
+    """One interactive evaluation; `state` is None after an abort."""
+
+    state: qsim.QuantumState | None
     transcript: Transcript
     report: Scheme5Report
+    traps: list = field(default_factory=list)  # TrapRecords, scheme 6 only
     aborted: str | None = None
 
 
@@ -318,16 +304,23 @@ def _masked_fidelity(state, keys, alice_bits, ideal):
     return qsim.fidelity(st, ideal)
 
 
-def run_scheme5(circuit, input_state, k, rng, check_soundness=False):
-    """Full interactive evaluation; returns Scheme5Run with the output on
-    Alice's side.  With check_soundness=True an omniscient observer
-    verifies the key polynomials against the ideal state after every gate.
-    """
-    source = _linpoly._as_source(rng)
-    n, r_cap = circuit.n, circuit.r_count
+def trap_plan(n, traps, rng):
+    """Bob's trap layout: per trap, a decorative conjugate CNOT pair onto a
+    random data qubit (net identity, so the trap's checkpoint state stays
+    data independent) followed by H, T, T which drives |0> to the +1 Y
+    eigenstate; the checkpoint measures the trap in the Y basis."""
+    return [{"data_qubit": int(rng.integers(n))} for _ in range(traps)]
+
+
+def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
+              alice_strategy=None, check_soundness=False):
+    """The interactive evaluation behind schemes 5 and 6; with traps=0 it
+    is scheme 5 exactly."""
+    n = circuit.n
+    r_cap = circuit.r_count + 2 * traps
     transcript = Transcript()
     report = Scheme5Report(n=n, r_cap=r_cap, nvars=2 * n + 4 * r_cap)
-    keys = PauliKeyPolynomial.initial(n, r_cap)
+    keys = PauliKeyPolynomial.initial(n, r_cap, extra_qubits=traps)
     alice_bits = [0] * keys.nvars
 
     # step 1: Alice teleports her data to Bob, withholding every correction
@@ -337,119 +330,15 @@ def run_scheme5(circuit, input_state, k, rng, check_soundness=False):
                                     sender=ALICE, tag="input")
         alice_bits[2 * i] = rec.mask_x.reveal()
         alice_bits[2 * i + 1] = rec.mask_z.reveal()
-
-    ideal = circuit.apply(input_state.copy()) if not check_soundness else None
-    running_ideal = input_state.copy()
+    # Bob's trap ancillas join the register unmasked, in |0>
+    for _ in range(traps):
+        st = qsim.QuantumState(np.kron([1, 0], st.vec),
+                               owners=st.owners + [BOB])
+    plan = trap_plan(n, traps, plan_rng)
 
     # step 2: Bob evaluates, correcting each T via the distributed gadget.
     # Pauli gates are absorbed into the mask (constant flips), never applied.
-    t_index = 0
-    for name, targets in circuit.gates:
-        if name == "T":
-            st = t_gate_step(st, targets[0], keys, alice_bits, t_index, k,
-                             source, report)
-            t_index += 1
-        else:
-            if name not in ("X", "Y", "Z"):
-                st = qsim.apply_gate(st, _GATES[name], list(targets))
-            effective_key_update(keys, name, targets)
-        if check_soundness:
-            running_ideal = qsim.apply_gate(running_ideal, _GATES[name],
-                                            list(targets))
-            report.soundness.append(
-                _masked_fidelity(st, keys, alice_bits, running_ideal))
-    if check_soundness:
-        ideal = running_ideal
-
-    # step 3: Bob teleports the data back, withholding his outcomes
-    bob_return = []
-    for i in range(n):
-        st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
-                                    sender=BOB, new_owner=ALICE, tag="return")
-        bob_return.append((rec.mask_x.reveal(), rec.mask_z.reveal()))
-
-    # step 4: 2n distributed evaluations; Bob folds his return-teleport bit
-    # into his share before sending it, so Alice's combined bit is directly
-    # the physical correction for the qubit she now holds
-    for i in range(n):
-        for which, form, fold in (("a", keys.f_a[i], bob_return[i][0]),
-                                  ("b", keys.f_b[i], bob_return[i][1])):
-            a_share, b_share = _distributed_eval(form, alice_bits, k, source,
-                                                 report)
-            b_share ^= fold
-            transcript.record(BOB, [b_share], tag=f"key-{i}")
-            # step 5: Alice applies the Pauli correction
-            if a_share ^ b_share:
-                st = qsim.apply_gate(st, qsim.X if which == "a" else qsim.Z,
-                                     [i])
-
-    run = Scheme5Run(state=st, transcript=transcript, report=report)
-    if check_soundness:
-        report.soundness.append(qsim.fidelity(st, ideal))
-    return run
-
-
-# --- scheme 6 -------------------------------------------------------------
-
-@dataclass
-class TrapRecord:
-    trap_qubit: int
-    expected: int
-    observed: int
-    passed: bool
-
-
-@dataclass
-class Scheme6Run:
-    state: qsim.QuantumState | None
-    transcript: Transcript
-    report: Scheme5Report
-    traps: list
-    aborted: str | None
-
-
-def trap_plan(n, traps, rng):
-    """Bob's trap layout: per trap, a decorative conjugate CNOT pair onto a
-    random data qubit (net identity, so the trap's checkpoint state stays
-    data independent) followed by H, T, T which drives |0> to the +1 Y
-    eigenstate; the checkpoint measures the trap in the Y basis."""
-    plan = []
-    for t in range(traps):
-        d = int(rng.integers(n))
-        plan.append({"data_qubit": d})
-    return plan
-
-
-def run_scheme6(circuit, input_state, k, traps, rng,
-                alice_strategy=None, rng_bob=None):
-    """Verification wrapper: Bob appends `traps` ancilla qubits in |0>,
-    runs the evaluation with each trap routed through [CNOT(d,t)]^2, H, T,
-    T, then checks each trap's Y-basis checkpoint against the mask share
-    Alice must send; any mismatch aborts.  traps=0 reduces to run_scheme5.
-    """
-    source = _linpoly._as_source(rng)
-    plan_rng = rng_bob if rng_bob is not None else np.random.default_rng(0)
-    n, r_data = circuit.n, circuit.r_count
-    r_cap = r_data + 2 * traps
-    transcript = Transcript()
-    report = Scheme5Report(n=n, r_cap=r_cap, nvars=2 * n + 4 * r_cap)
-    keys = PauliKeyPolynomial.initial(n, r_cap, extra_qubits=traps)
-    alice_bits = [0] * keys.nvars
-
-    st = input_state.copy()
-    for i in range(n):
-        st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
-                                    sender=ALICE, tag="input")
-        alice_bits[2 * i] = rec.mask_x.reveal()
-        alice_bits[2 * i + 1] = rec.mask_z.reveal()
-    # Bob's trap ancillas join the register unmasked
-    for t in range(traps):
-        extra = qsim.basis_state(1, 0, owners=[BOB])
-        joined = np.kron(extra.vec, st.vec)
-        owners = list(st.owners) + [BOB]
-        st = qsim.QuantumState(joined, owners=owners)
-
-    plan = trap_plan(n, traps, plan_rng)
+    ideal = input_state
     t_index = 0
     for name, targets in circuit.gates:
         if name == "T":
@@ -460,6 +349,10 @@ def run_scheme6(circuit, input_state, k, traps, rng,
             if name not in ("X", "Y", "Z"):
                 st = qsim.apply_gate(st, _GATES[name], list(targets))
             effective_key_update(keys, name, targets)
+        if check_soundness:
+            ideal = qsim.apply_gate(ideal, _GATES[name], list(targets))
+            report.soundness.append(
+                _masked_fidelity(st, keys, alice_bits, ideal))
 
     trap_records = []
     for t in range(traps):
@@ -490,30 +383,58 @@ def run_scheme6(circuit, input_state, k, traps, rng,
         trap_records.append(rec)
         if not rec.passed:
             transcript.record_abort(BOB, f"trap {t} mismatch")
-            return Scheme6Run(None, transcript, report, trap_records, BOB)
+            return Scheme5Run(None, transcript, report, trap_records, BOB)
 
-    # no abort: finish as in the plain interactive scheme, but first strip
-    # the measured trap qubits (their post-measurement state is known to
-    # Bob and independent of the data)
+    # strip the measured trap qubits: each sits in a Y eigenstate known to
+    # Bob and independent of the data, which Wy maps to |observed>
     for t in range(traps - 1, -1, -1):
         tq = n + t
-        # the measured trap sits in a Y eigenstate; Wy maps it to |observed>
         st = qsim.apply_gate(st, qsim._BASIS_ROT["Y"], [tq])
         st = qsim.remove_qubit(st, tq, trap_records[t].observed)
 
+    # step 3: Bob teleports the data back, withholding his outcomes
     bob_return = []
     for i in range(n):
         st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
                                     sender=BOB, new_owner=ALICE, tag="return")
         bob_return.append((rec.mask_x.reveal(), rec.mask_z.reveal()))
+
+    # step 4: 2n distributed evaluations; Bob folds his return-teleport bit
+    # into his share before sending it, so Alice's combined bit is directly
+    # the physical correction for the qubit she now holds
     for i in range(n):
-        for which, fold in (("a", bob_return[i][0]), ("b", bob_return[i][1])):
-            form = keys.f_a[i] if which == "a" else keys.f_b[i]
+        for gate, form, fold in ((qsim.X, keys.f_a[i], bob_return[i][0]),
+                                 (qsim.Z, keys.f_b[i], bob_return[i][1])):
             a_share, b_share = _distributed_eval(form, alice_bits, k, source,
                                                  report)
             b_share ^= fold
             transcript.record(BOB, [b_share], tag=f"key-{i}")
+            # step 5: Alice applies the Pauli correction
             if a_share ^ b_share:
-                st = qsim.apply_gate(st, qsim.X if which == "a" else qsim.Z,
-                                     [i])
-    return Scheme6Run(st, transcript, report, trap_records, None)
+                st = qsim.apply_gate(st, gate, [i])
+
+    if check_soundness:
+        report.soundness.append(qsim.fidelity(st, ideal))
+    return Scheme5Run(st, transcript, report, trap_records)
+
+
+def run_scheme5(circuit, input_state, k, rng, check_soundness=False):
+    """Full interactive evaluation; returns Scheme5Run with the output on
+    Alice's side.  With check_soundness=True an omniscient observer
+    verifies the key polynomials against the ideal state after every gate.
+    """
+    return _evaluate(circuit, input_state, k, _linpoly._as_source(rng),
+                     check_soundness=check_soundness)
+
+
+def run_scheme6(circuit, input_state, k, traps, rng,
+                alice_strategy=None, rng_bob=None):
+    """Verification wrapper: Bob appends `traps` ancilla qubits in |0>,
+    runs the evaluation with each trap routed through [CNOT(d,t)]^2, H, T,
+    T, then checks each trap's Y-basis checkpoint against the mask share
+    Alice must send; any mismatch aborts.  traps=0 reduces to run_scheme5.
+    """
+    plan_rng = rng_bob if rng_bob is not None else np.random.default_rng(0)
+    return _evaluate(circuit, input_state, k, _linpoly._as_source(rng),
+                     traps=traps, plan_rng=plan_rng,
+                     alice_strategy=alice_strategy)

@@ -57,7 +57,6 @@ H = Gate("H", _H, 1)
 P = Gate("P", np.diag([1, 1j]), 1)           # phase gate, P|1> = i|1>
 P_DAG = Gate("Pdg", np.diag([1, -1j]), 1)
 T = Gate("T", np.diag([1, cmath.exp(1j * math.pi / 4)]), 1)
-T_DAG = Gate("Tdg", np.diag([1, cmath.exp(-1j * math.pi / 4)]), 1)
 
 
 def ry(theta: float) -> Gate:
@@ -91,9 +90,6 @@ CNOT = controlled(_X, "CNOT")
 CZ = controlled(_Z, "CZ")
 C_IY = controlled(1j * _Y, "C-iY")            # controlled i*sigma_y
 F_HALF = controlled(ry(math.pi).matrix, "F")  # controlled R_y(pi)
-T_Y = ry(math.pi / 4)
-
-PAULI = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
 
 
 class QuantumState:

@@ -37,6 +37,7 @@ import numpy as np
 from . import qsim
 from .harness import ALICE, BOB, bell_measure_with, measure_with
 from .linpoly import LinearPolynomial, run_scheme4
+from .qhe_core import run_scheme6
 
 DIM_CAP = 2 ** 12
 
@@ -489,20 +490,17 @@ class HonestAlice(AdversaryStrategy):
 
 
 class MeasuringBob(AdversaryStrategy):
-    """Measure every received pair in the fixed Z-first/X-second basis and
-    guess the pad bit, then continue the protocol on the collapsed state."""
+    """Measure every received pair in the fixed Z-first/X-second basis,
+    whose pad-bit guess rate bob_guess_rate gives exactly, then continue
+    the protocol on the collapsed state."""
 
     def __init__(self):
         super().__init__(BOB, "measure",
                          "pair measurement in the fixed optimal basis", {})
-        self.guesses = {}
 
     def intercept(self, state, i, j, source):
-        o1, st = measure_with(source, state, "Z", 0)
-        o2, st = measure_with(source, st, "X", 1)
-        # outcomes 00/11 scream x=0, 10/01 scream x=1; ties broken toward
-        # the Z outcome, which is optimal for the actual view
-        self.guesses[i, j] = o1 if o1 == o2 else o1
+        _, st = measure_with(source, state, "Z", 0)
+        _, st = measure_with(source, st, "X", 1)
         return st
 
 
@@ -596,7 +594,6 @@ def scheme6_detection(circuit, input_state, k, traps, rng, trials,
                       strategy_factory=ProbeAlice):
     """Fraction of trap-augmented runs that abort when every distributed
     evaluation is probed by the given Alice strategy (None = honest)."""
-    from .qhe_core import run_scheme6  # local import to avoid a cycle
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     aborts = 0
     for _ in range(trials):

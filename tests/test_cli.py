@@ -1,5 +1,6 @@
 """Batch runner: report rows, grids, reproducibility, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -159,3 +160,29 @@ def test_usage_errors_exit_2(capsys):
     assert json.loads(err)["error"]
     assert cli.main(["audit", "--metric", "trace-distance", "--scheme", "10",
                      "--seed", "0"]) == 2
+
+
+# sha256 of seeded reports whose rows hold only counts and ratios, so they
+# must stay byte-identical across refactors of the protocol code
+_GOLDEN = [
+    (["adversary", "--scheme", "6", "--strategy", "probe", "--traps", "4",
+      "--trials", "20", "--seed", "3"],
+     "c3bd04541bb14a5c346f2a11a2942c6816570c77b28e35d2db895bb990da607d"),
+    (["adversary", "--scheme", "6", "--strategy", "honest", "--traps", "4",
+      "--trials", "3", "--seed", "5"],
+     "0dc14f10bf666f257e590032f54b2c2b1ad3842acf96415670122b203ce54bcd"),
+    (["audit", "--metric", "comm", "--scheme", "5", "--n", "2", "--k", "2",
+      "--R", "2", "--seed", "1"],
+     "772819ce44901b409484b2eb4e3e95aac2d74dda6384928f414fba04c0d92dfd"),
+    (["run", "--scheme", "10", "--n", "1..2", "--k", "1..2", "--exhaustive",
+      "--seed", "7"],
+     "732a4c562eca437613b7143d2f6acbde6cf8d6aad95822d05305d536d79462ad"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[
+    "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive"])
+def test_golden_seeded_reports(tmp_path, argv, digest):
+    out = tmp_path / "r.jsonl"
+    assert cli.main(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

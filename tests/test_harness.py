@@ -1,5 +1,7 @@
 """Protocol-harness tests: transcripts, bit sources, symbolic teleports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ def test_symbolic_teleport_withheld_masks_reveal():
     if mz:
         st = qsim.apply_gate(st, qsim.Z, [0])
     assert qsim.fidelity(st, psi) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("withhold", [set(), {"x"}, {"z"}, {"x", "z"}])
+def test_symbolic_teleport_leaves_input_untouched(withhold):
+    psi = qsim.random_state(2, np.random.default_rng(9))
+    vec, owners = psi.vec.copy(), list(psi.owners)
+    for a, b in itertools.product((0, 1), repeat=2):
+        forced = [a] * ("x" in withhold) + [b] * ("z" in withhold)
+        out, _ = teleport_symbolic(psi, 0, withhold, FixedBits(forced))
+        assert out is not psi and out.owners[0] == BOB
+        assert np.array_equal(psi.vec, vec) and psi.owners == owners
 
 
 def test_teleport_transfers_ownership():

@@ -7,7 +7,8 @@ import pytest
 
 from qhelab import qhe_core as qc
 from qhelab import qsim
-from qhelab.harness import RandomBits
+from qhelab.harness import (ALICE, BOB, RandomBits, bell_measure_with,
+                            enumerate_hidden, measure_with)
 
 
 def test_linear_form_algebra():
@@ -102,6 +103,59 @@ def test_random_clifford_t_structure():
     assert circ.n == 2
 
 
+_SWAP = qsim.Gate("SWAP", np.array([[1, 0, 0, 0], [0, 0, 1, 0],
+                                    [0, 1, 0, 0], [0, 0, 0, 1]]), 2)
+
+
+def garden_hose_literal(state, qubit, p, q, source):
+    """Reference implementation of qc.garden_hose through 4 explicit EPR
+    pairs A-D, each split (Bob's half, Alice's half); same return value.
+
+    Bob Bell-measures (data, A's half) if p=0 else (data, B's half).  Alice
+    always Bell-measures {A, C} and {B, D} on her side; q only selects which
+    of the two gets a P-dagger on its potential carrier (B's half when q=0,
+    A's half when q=1).  The data ends on Bob's half of C (p=0) or D (p=1)
+    and is swapped back into the original slot.
+    """
+    st = state
+    n0 = st.num_qubits
+    half = {}
+    for name in "ABCD":
+        st, left, right = qsim.epr_extend(st, owner_a=BOB, owner_b=ALICE)
+        half[name] = (left, right)
+
+    route = "A" if p == 0 else "B"
+    (bx, bz), st = bell_measure_with(source, st, qubit, half[route][0])
+    if q == 1:
+        st = qsim.apply_gate(st, qsim.P_DAG, [half["A"][1]])
+    (m1x, m1z), st = bell_measure_with(source, st, half["A"][1], half["C"][1])
+    if q == 0:
+        st = qsim.apply_gate(st, qsim.P_DAG, [half["B"][1]])
+    (m2x, m2z), st = bell_measure_with(source, st, half["B"][1], half["D"][1])
+
+    out_idx = half["C"][0] if p == 0 else half["D"][0]
+    # the off-route chain leaves Bob's two spare halves in a Bell state;
+    # Bob measures them out so the register shrinks back to n0 qubits
+    spare = [half["B"][0], half["D"][0]] if p == 0 else [half["A"][0],
+                                                          half["C"][0]]
+    sp0, st = measure_with(source, st, "Z", spare[0])
+    sp1, st = measure_with(source, st, "Z", spare[1])
+
+    st = qsim.apply_gate(st, _SWAP, [qubit, out_idx])
+    known = {
+        half[route][0]: bx,
+        half["A"][1]: m1z, half["C"][1]: m1x,
+        half["B"][1]: m2z, half["D"][1]: m2x,
+        spare[0]: sp0, spare[1]: sp1,
+        out_idx: bz,  # post-swap: the slot holds the measured data qubit
+    }
+    for idx in sorted(known, reverse=True):
+        st = qsim.remove_qubit(st, idx, known[idx])
+    assert st.num_qubits == n0
+    st.owners[qubit] = BOB
+    return st, (m1x, m1z, m2x, m2z), (bx, bz), "out1" if p == 0 else "out2"
+
+
 @pytest.mark.parametrize("p,q", list(itertools.product((0, 1), repeat=2)))
 def test_garden_hose_contract(p, q):
     """The gadget output is X^{ax} Z^{az} (Pdag)^{p^q} X^{bx} Z^{bz} psi,
@@ -124,6 +178,34 @@ def test_garden_hose_contract(p, q):
         if bz:
             st = qsim.apply_gate(st, qsim.Z, [0])
         assert qsim.fidelity(st, psi) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("p,q", list(itertools.product((0, 1), repeat=2)))
+def test_garden_hose_channel_matches_literal_gadget(p, q):
+    """Branch by branch over all 2^7 hidden-bit strings, on one qubit of an
+    entangled 3-qubit register, the channel and the literal EPR gadget
+    consume the same 7 bits and return the same bits, label and state."""
+    psi = qsim.random_state(3, np.random.default_rng(40 + 2 * p + q))
+    channel = list(enumerate_hidden(
+        lambda src: qc.garden_hose(psi, 1, p, q, src), 7))
+    literal = list(enumerate_hidden(
+        lambda src: garden_hose_literal(psi, 1, p, q, src), 7))
+    assert len(channel) == len(literal) == 2 ** 7
+    for (bits_c, out_c), (bits_l, out_l) in zip(channel, literal):
+        assert bits_c == bits_l
+        assert out_c[1:] == out_l[1:]
+        assert out_c[0].owners == out_l[0].owners
+        assert qsim.fidelity(out_c[0], out_l[0]) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("p,q", list(itertools.product((0, 1), repeat=2)))
+def test_garden_hose_leaves_input_untouched(p, q):
+    psi = qsim.random_state(2, np.random.default_rng(2 * p + q))
+    vec, owners = psi.vec.copy(), list(psi.owners)
+    for _, (st, *_) in enumerate_hidden(
+            lambda src: qc.garden_hose(psi, 0, p, q, src), 7):
+        assert st is not psi
+        assert np.array_equal(psi.vec, vec) and psi.owners == owners
 
 
 @pytest.mark.parametrize("a,b", list(itertools.product((0, 1), repeat=2)))
@@ -186,7 +268,22 @@ def test_scheme6_honest_run(traps):
     assert qsim.fidelity(run.state, ideal) > 1 - 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_scheme6_without_traps_is_scheme5(seed):
+    circ = qc.random_clifford_t(2, 2, np.random.default_rng(seed))
+    psi = qsim.random_state(2, np.random.default_rng(100 + seed))
+    five = qc.run_scheme5(circ, psi, 2, np.random.default_rng(200 + seed))
+    six = qc.run_scheme6(circ, psi, 2, 0, np.random.default_rng(200 + seed))
+    assert six.aborted is None and six.traps == []
+    assert six.transcript.serialize() == five.transcript.serialize()
+    assert ([tr.serialize() for tr in six.report.instance_transcripts]
+            == [tr.serialize() for tr in five.report.instance_transcripts])
+    assert six.report.t_audit == five.report.t_audit
+    assert np.array_equal(six.state.vec, five.state.vec)
+
+
 def test_trap_plan_is_data_local():
     plan = qc.trap_plan(3, 4, np.random.default_rng(0))
     assert len(plan) == 4
     assert all(0 <= p["data_qubit"] < 3 for p in plan)
+    assert qc.trap_plan(3, 0, None) == []  # no traps, no draws
