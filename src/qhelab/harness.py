@@ -230,14 +230,14 @@ def measure_with(source, state, basis, qubit):
     Deterministic outcomes (probability within 1e-12 of 0 or 1) consume no
     hidden bit; this keeps exhaustive branch enumeration tight.
     """
-    p0, _ = qsim.outcome_probability(state, qubit, basis)
-    if p0 > 1 - 1e-12:
-        out = 0
-    elif p0 < 1e-12:
-        out = 1
-    else:
-        out = source.outcome(p0)
-    return qsim.measure(state, basis, qubit, force=out)
+    def pick(p0):
+        if p0 > 1 - 1e-12:
+            return 0
+        if p0 < 1e-12:
+            return 1
+        return source.outcome(p0)
+
+    return qsim.measure(state, basis, qubit, force=pick)
 
 
 def bell_measure_with(source, state, q1, q2):

@@ -205,6 +205,9 @@ def _apply_rows(m: np.ndarray, n: int, u: np.ndarray, targets) -> np.ndarray:
 
 _BASIS_ROT = {"Z": None, "X": H, "Y": Gate("Wy", _H @ np.diag([1, -1j]), 1)}
 # Wy maps the sigma_y eigenbasis to the computational basis: Wy|y+> = |0>.
+_BASIS_ROT_INV = {basis: None if rot is None
+                  else Gate("rot_inv", rot.matrix.conj().T, 1)
+                  for basis, rot in _BASIS_ROT.items()}
 
 
 def outcome_probability(state: QuantumState, qubit: int, basis: str = "Z"):
@@ -224,12 +227,13 @@ def outcome_probability(state: QuantumState, qubit: int, basis: str = "Z"):
 def measure(state: QuantumState, basis: str, qubit: int, rng=None, force=None):
     """Projective measurement; returns (outcome_bit, post_state).
 
-    `force` pins the outcome (used when enumerating hidden randomness); it
-    raises ZeroProbabilityBranch if that branch cannot occur.
+    `force` pins the outcome (used when enumerating hidden randomness): a
+    bit, or a callable that receives p0 and returns the bit.  It raises
+    ZeroProbabilityBranch if that branch cannot occur.
     """
     p0, st = outcome_probability(state, qubit, basis)
     if force is not None:
-        outcome = int(force)
+        outcome = int(force(p0) if callable(force) else force)
         p = p0 if outcome == 0 else 1 - p0
         if p < 1e-12:
             raise ZeroProbabilityBranch(f"qubit {qubit} basis {basis} outcome {outcome}")
@@ -250,9 +254,9 @@ def measure(state: QuantumState, basis: str, qubit: int, rng=None, force=None):
         m = _apply_rows(st.rho, n, proj, [qubit])
         m = _apply_rows(m.conj().T, n, proj, [qubit]).conj().T
         post = QuantumState(m / p, st.owners, st.tags)
-    rot = _BASIS_ROT[basis]
-    if rot is not None:  # rotate back so the register stays in its own frame
-        post = apply_gate(post, Gate("rot_inv", rot.matrix.conj().T, 1), [qubit])
+    rot_inv = _BASIS_ROT_INV[basis]
+    if rot_inv is not None:  # rotate back so the register stays in its own frame
+        post = apply_gate(post, rot_inv, [qubit])
     return outcome, post
 
 
@@ -345,10 +349,17 @@ def partial_trace(state: QuantumState, keep) -> QuantumState:
 
 
 def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of rho - sigma.
+
+    Two 1-D arguments are the diagonals of two states that share an
+    eigenbasis (two probability vectors); their distance is 1/2 ||p - q||_1.
+    """
     rho = rho.density() if isinstance(rho, QuantumState) else np.asarray(rho)
     sigma = sigma.density() if isinstance(sigma, QuantumState) else np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
+    if rho.ndim == 1:
+        return 0.5 * float(np.sum(np.abs(rho - sigma)))
     eig = np.linalg.eigvalsh(rho - sigma)
     return 0.5 * float(np.sum(np.abs(eig)))
 

@@ -24,10 +24,18 @@ product basis, so this measurement is optimal and its classical mutual
 information equals the Holevo quantity); the Hadamard eigenbasis per qubit
 for the one-way scheme (the optimal axis for distinguishing the per-bit
 views, which are not co-diagonalizable).
+
+Because the round-trip views share that eigenbasis, their trace distances
+are total-variation distances between rows of the pair-measurement outcome
+table.  A row is a tensor product of one-variable outcome laws and holds
+4^(nk) entries, so it reaches sizes whose 2^(2nk)-dimensional densities
+could never be eigensolved.  Dense views (`bob_view`) remain for the
+one-way scheme, whose views do not commute, and for cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -204,8 +212,46 @@ def _check_dim(qubits):
                          f"cap {DIM_CAP}")
 
 
+def _check_row(pairs):
+    """An outcome row over `pairs` pad pairs has 4^pairs entries; refuse
+    rows larger than one capped view density (DIM_CAP^2 entries)."""
+    if 4 ** pairs > DIM_CAP ** 2:
+        raise ValueError(f"outcome row over {pairs} pad pairs exceeds "
+                         f"{DIM_CAP ** 2} entries")
+
+
+def _view_row(scheme, params, x):
+    """Diagonal of bob_view(scheme, params, x) for the round-trip schemes in
+    the pair basis, i.e. the law of Bob's pair-measurement outcomes."""
+    k = int(params["k"])
+    n = int(params.get("n", 1))
+    if x == "uniform":
+        inputs = [_bits(v, n) for v in range(2 ** n)]
+    elif isinstance(x, (int, np.integer)):
+        inputs = [[int(x) & 1]]
+    else:
+        inputs = [[int(b) & 1 for b in x]]
+        if len(inputs[0]) != n:
+            raise ValueError(f"input length {len(inputs[0])} != n={n}")
+    _check_row(len(inputs[0]) * k)
+    row = sum(_pair_row(xbits, k, shared_s=(scheme == "7"))
+              for xbits in inputs) / len(inputs)
+    if row.min() < -1e-9 or abs(row.sum() - 1.0) > 1e-9:
+        raise ValueError("outcome row is not a probability distribution")
+    return row
+
+
 def privacy_distance(scheme, params, input_a, input_b) -> float:
-    """Trace distance between Bob's views for two inputs."""
+    """Trace distance between Bob's views for two inputs.
+
+    The round-trip schemes' views are diagonal in the shared pair basis, so
+    their distance is that of two outcome rows; the one-way scheme's views
+    do not commute and are compared as dense densities.
+    """
+    scheme = str(scheme)
+    if scheme in ("4", "7"):
+        return qsim.trace_distance(_view_row(scheme, params, input_a),
+                                   _view_row(scheme, params, input_b))
     va = bob_view(scheme, params, input_a)
     vb = bob_view(scheme, params, input_b)
     return qsim.trace_distance(va.density, vb.density)
@@ -213,13 +259,13 @@ def privacy_distance(scheme, params, input_a, input_b) -> float:
 
 def theorem6_constants(n, k, inputs=None):
     """Pairwise view distances of the shared-basis scheme from the all-zero
-    string to other inputs; they should all agree.  `inputs` limits which
-    nonzero strings are checked (the large k*n cases are eigensolver-bound)."""
+    string to other inputs (default: every nonzero string); they should all
+    agree.  Each distance compares two outcome rows."""
     params = {"n": n, "k": k}
-    zero = tuple([0] * n)
+    zero = _view_row("7", params, tuple([0] * n))
     if inputs is None:
         inputs = [tuple(_bits(v, n)) for v in range(1, 2 ** n)]
-    vals = [privacy_distance("7", params, zero, tuple(other))
+    vals = [qsim.trace_distance(zero, _view_row("7", params, tuple(other)))
             for other in inputs]
     return {"values": vals, "spread": max(vals) - min(vals), "c0": vals[0]}
 
@@ -253,30 +299,50 @@ def _pair_outcome_vec(b, s):
     return v
 
 
+# _PAIR_OUTCOMES[pad, s] is one pair's outcome law
+_PAIR_OUTCOMES = np.array([[_pair_outcome_vec(b, s) for s in (0, 1)]
+                           for b in (0, 1)])
+
+
+def _variable_outcomes(k, keep_s):
+    """Outcome law of one variable's k pad pairs, averaged over its pad
+    splits: q[b, s, m] with the basis bits s in itertools.product order, or
+    its mean over s, q[b, m], when keep_s is false.
+
+    A variable of value b splits as (pads of value b^p, p) for p uniform,
+    so each extra pad pair is one kron with the pair law of p."""
+    step = _PAIR_OUTCOMES if keep_s else _PAIR_OUTCOMES.mean(axis=1)
+    q = step
+    for _ in range(k - 1):
+        q = np.stack([(np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1]))
+                      / 2 for b in (0, 1)])
+    return q
+
+
+def _pair_row(xbits, k, shared_s, with_s=False):
+    """Outcome law of the pair measurement on all n*k pad pairs for input
+    bits xbits, as a tensor product of one-variable laws (variable 0
+    outermost); with_s=True puts the basis bits in front of the outcome in
+    the column index (s, m)."""
+    if not with_s and not (shared_s and len(xbits) > 1):
+        q = _variable_outcomes(k, keep_s=False)
+        return functools.reduce(np.kron, [q[x] for x in xbits])
+    q = _variable_outcomes(k, keep_s=True)
+    count = 2 ** k  # basis-bit settings of one variable
+    if not shared_s:  # independent s per variable: s and m both factor
+        return functools.reduce(np.kron, [q[x] / count
+                                          for x in xbits]).reshape(-1)
+    per_s = (functools.reduce(np.kron, [q[x, si] for x in xbits]) / count
+             for si in range(count))
+    return np.concatenate(list(per_s)) if with_s else sum(per_s)
+
+
 def _pair_table(n, k, shared_s, with_s=False):
     """p[x, m] for the round-trip schemes under the pair measurement; with
     with_s=True the column index becomes (s, m) so that conditioning on the
     basis bits is a plain mutual-information computation."""
-    s_space = list(itertools.product((0, 1),
-                                     repeat=k if shared_s else n * k))
-    cols = 4 ** (n * k)
-    table = np.zeros((2 ** n, len(s_space) * cols if with_s else cols))
-    for xv in range(2 ** n):
-        xbits = _bits(xv, n)
-        for si, s in enumerate(s_space):
-            for pads in itertools.product(*[_splits(xi, k) for xi in xbits]):
-                vec = np.array([1.0])
-                for i in range(n):
-                    s_vec = s if shared_s else s[i * k:(i + 1) * k]
-                    for j in range(k):
-                        vec = np.kron(vec,
-                                      _pair_outcome_vec(pads[i][j], s_vec[j]))
-                if with_s:
-                    table[xv, si * cols:(si + 1) * cols] += vec
-                else:
-                    table[xv] += vec
-        table[xv] /= len(s_space) * 2 ** (n * (k - 1))
-    return table
+    return np.array([_pair_row(_bits(xv, n), k, shared_s, with_s)
+                     for xv in range(2 ** n)])
 
 
 def _oneway_table(n, k):

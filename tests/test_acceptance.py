@@ -192,9 +192,7 @@ def test_criterion5_scheme2_pair_indistinguishability_and_witness():
 
 def test_criterion5_theorem6_distance_equality():
     for (n, k), inputs in [((2, 1), None), ((2, 2), None), ((3, 1), None),
-                           # (3, 2) is eigensolver-bound (~15 s per input),
-                           # so its equality check uses a two-input sample
-                           ((3, 2), [(1, 0, 0), (1, 1, 1)])]:
+                           ((3, 2), None)]:
         out = seclab.theorem6_constants(n, k, inputs=inputs)
         assert out["spread"] < TOL, (n, k)
 

@@ -98,6 +98,24 @@ def test_audit_trace_distance(tmp_path):
     assert [r["expected"] for r in rows] == [0.5, 0.25, 0.125]
 
 
+def test_audit_theorem6_past_the_view_cap(tmp_path, capsys):
+    """(n, k) = (4, 2) has 16-qubit views, beyond any dense eigensolve; its
+    outcome rows are small enough to audit."""
+    out = tmp_path / "r.jsonl"
+    rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
+                   "--n", "4", "--k", "2", "--seed", "0",
+                   "--output", str(out)])
+    assert rc == 0
+    c0, spread = _rows(out)
+    assert c0["metric"] == "trace-distance-c0" and c0["observed"] == 0.82421875
+    assert spread["metric"] == "trace-distance-spread" and spread["pass"]
+    assert spread["observed"] == 0.0
+    rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
+                   "--n", "4", "--k", "4", "--seed", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+
+
 def test_audit_cmi_and_comm(tmp_path):
     out = tmp_path / "r.jsonl"
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "2",

@@ -94,6 +94,26 @@ def test_measure_with_deterministic_outcomes_free():
     assert src.count == 1
 
 
+@pytest.mark.parametrize("basis", ["Z", "X", "Y"])
+def test_measure_with_computes_each_probability_once(monkeypatch, basis):
+    calls = []
+    original = qsim.outcome_probability
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qsim, "outcome_probability", counted)
+    rng = np.random.default_rng(11)
+    psi = qsim.random_state(2, rng)
+    for bit in (0, 1):
+        calls.clear()
+        out, post = measure_with(FixedBits([bit]), psi, basis, 1)
+        assert len(calls) == 1 and out == bit
+        _, want = qsim.measure(psi, basis, 1, force=bit)
+        assert np.array_equal(post.vec, want.vec)
+
+
 @pytest.mark.parametrize("withhold", [set(), {"x"}, {"z"}, {"x", "z"}])
 def test_symbolic_teleport_matches_literal_channel(withhold):
     """Averaged over the hidden bits, the symbolic teleport's masked output

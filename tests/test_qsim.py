@@ -139,6 +139,18 @@ def test_partial_trace_of_product():
     assert np.allclose(rho_b.rho, b.density(), atol=1e-10)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
+@settings(deadline=None, max_examples=50)
+def test_trace_distance_of_diagonals_matches_dense(seed, dim):
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.full(dim, 0.5)), rng.dirichlet(np.full(dim, 0.5))
+    got = qsim.trace_distance(p, q)
+    assert abs(got - qsim.trace_distance(np.diag(p), np.diag(q))) < 1e-12
+    assert qsim.trace_distance(p, p) == 0.0
+    with pytest.raises(ValueError):
+        qsim.trace_distance(p, np.append(q, 0.0))
+
+
 def test_trace_distance_extremes():
     z0, z1 = qsim.basis_state(1, 0), qsim.basis_state(1, 1)
     assert abs(qsim.trace_distance(z0, z1) - 1) < 1e-12

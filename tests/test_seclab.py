@@ -1,5 +1,6 @@
 """Privacy analyzer: exact view constants, information measures, benches."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,90 @@ from qhelab import qhe_core as qc
 from qhelab import qsim, seclab
 
 
+def pair_table_literal(n, k, shared_s, with_s=False):
+    """Reference outcome table: enumerate the joint pad product of every
+    input and basis setting and accumulate the kron of the pair laws."""
+    s_space = list(itertools.product((0, 1),
+                                     repeat=k if shared_s else n * k))
+    cols = 4 ** (n * k)
+    table = np.zeros((2 ** n, len(s_space) * cols if with_s else cols))
+    for xv in range(2 ** n):
+        xbits = seclab._bits(xv, n)
+        for si, s in enumerate(s_space):
+            for pads in itertools.product(*[seclab._splits(xi, k)
+                                            for xi in xbits]):
+                vec = np.array([1.0])
+                for i in range(n):
+                    s_vec = s if shared_s else s[i * k:(i + 1) * k]
+                    for j in range(k):
+                        vec = np.kron(vec, seclab._pair_outcome_vec(
+                            pads[i][j], s_vec[j]))
+                if with_s:
+                    table[xv, si * cols:(si + 1) * cols] += vec
+                else:
+                    table[xv] += vec
+        table[xv] /= len(s_space) * 2 ** (n * (k - 1))
+    return table
+
+
 # --- exact view distances -------------------------------------------------
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                 (2, 3), (3, 1), (3, 2)])
+def test_pair_table_equals_joint_enumeration(n, k):
+    for shared_s in (True, False):
+        for with_s in (False, True):
+            got = seclab._pair_table(n, k, shared_s, with_s)
+            want = pair_table_literal(n, k, shared_s, with_s)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (shared_s, with_s)
+
+
+@pytest.mark.parametrize("scheme", ["4", "7"])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                 (3, 1)])
+def test_row_distances_match_dense_views(scheme, n, k):
+    """Every pair of inputs, the uniform mixture included: the outcome-row
+    distance equals the eigensolved distance of the dense view densities."""
+    params = {"n": n, "k": k}
+    inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
+    inputs.append("uniform")
+    dense = {x: seclab.bob_view(scheme, params, x).density for x in inputs}
+    for a, b in itertools.combinations(inputs, 2):
+        want = qsim.trace_distance(dense[a], dense[b])
+        got = seclab.privacy_distance(scheme, params, a, b)
+        assert abs(got - want) < 1e-12, (a, b)
+
+
+@pytest.mark.parametrize("scheme", ["4", "7"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_per_variable_row_distance_matches_dense_view(scheme, k):
+    dense = [seclab.bob_view(scheme, {"k": k}, b).density for b in (0, 1)]
+    got = seclab.privacy_distance(scheme, {"k": k}, 0, 1)
+    assert abs(got - qsim.trace_distance(*dense)) < 1e-12
+    assert got == 0.5 ** k
+
+
+def test_view_row_size_guard_and_validation(monkeypatch):
+    seclab._check_row(12)  # 4^12 entries: one capped view's worth
+    with pytest.raises(ValueError):
+        seclab._check_row(13)
+    # refused before any row is built
+    with pytest.raises(ValueError):
+        seclab.privacy_distance("7", {"n": 4, "k": 4}, (0,) * 4, (1,) * 4)
+    with pytest.raises(ValueError):
+        seclab.theorem6_constants(4, 4)
+    with pytest.raises(ValueError):
+        seclab.privacy_distance("7", {"n": 2, "k": 1}, (0, 0), (0, 0, 0))
+    with pytest.raises(ValueError):
+        seclab.privacy_distance("5", {"k": 1}, 0, 1)
+    # each route checks the pair count of the row it is about to build
+    checked = []
+    monkeypatch.setattr(seclab, "_check_row", checked.append)
+    seclab.privacy_distance("7", {"n": 3, "k": 2}, (0, 0, 0), "uniform")
+    seclab.privacy_distance("4", {"k": 5}, 0, 1)
+    assert checked == [6, 6, 5, 5]
+
 
 @pytest.mark.parametrize("scheme", ["4", "7"])
 @pytest.mark.parametrize("k,want", [(1, 0.5), (2, 0.25), (3, 0.125)])
@@ -25,10 +109,15 @@ def test_oneway_per_variable_distance(k, want):
 
 
 def test_theorem6_constants_are_input_independent():
-    for (n, k), want in [((2, 1), 0.75), ((2, 2), 0.4375), ((3, 1), 0.875)]:
+    for (n, k), want in [((2, 1), 0.75), ((2, 2), 0.4375), ((3, 1), 0.875),
+                         ((3, 2), 0.671875), ((3, 3), 0.412109375),
+                         ((4, 2), 0.82421875)]:
         out = seclab.theorem6_constants(n, k)
         assert abs(out["c0"] - want) < 1e-9
         assert out["spread"] < 1e-9
+        assert len(out["values"]) == 2 ** n - 1
+        if n * k >= 6:  # exact dyadic arithmetic: no spread at all
+            assert out["spread"] == 0.0
 
 
 def test_factorization_gap():
