@@ -241,6 +241,11 @@ def measure_with(source, state, basis, qubit):
 
 
 def bell_measure_with(source, state, q1, q2):
+    """Bell measurement on (q1, q2); returns ((m_x, m_z), post_state).
+
+    The measured pair is left in |m_z>|m_x> inside the register; a qubit
+    teleported through the pair needs the correction X^{m_x} Z^{m_z}.
+    """
     st = qsim.apply_gate(state, qsim.CNOT, [q1, q2])
     st = qsim.apply_gate(st, qsim.H, [q1])
     mz, st = measure_with(source, st, "Z", q1)

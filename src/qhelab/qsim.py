@@ -7,8 +7,8 @@ Conventions used throughout the package:
   right to left.
 - R_y(theta) = exp(-i theta sigma_y / 2), so R_y(pi) = -i sigma_y.
 - Global phase is never compared; state equality means fidelity >= 1 - tol.
-- Bell measurement outcome (m_x, m_z) means the teleported qubit needs the
-  correction X^{m_x} Z^{m_z}.
+- Bell measurement outcome (m_x, m_z) (`harness.bell_measure_with`) means
+  the teleported qubit needs the correction X^{m_x} Z^{m_z}.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ F_HALF = controlled(ry(math.pi).matrix, "F")  # controlled R_y(pi)
 
 
 class QuantumState:
-    """Statevector or density matrix over an ordered register.
+    """Statevector over an ordered register.
 
     Each qubit carries an owner label ("Alice" or "Bob") plus a free-form
     role tag; ownership is plumbing for the protocol harness and has no
@@ -102,38 +102,25 @@ class QuantumState:
 
     def __init__(self, data, owners=None, tags=None):
         data = np.asarray(data, dtype=complex)
-        if data.ndim == 1:
-            n = int(round(math.log2(data.size)))
-            if 2 ** n != data.size:
-                raise ValueError("statevector length is not a power of 2")
-            if abs(np.linalg.norm(data) - 1) > 1e-8:
-                raise ValueError("statevector is not normalized")
-            self.vec, self.rho = data, None
-        elif data.ndim == 2:
-            n = int(round(math.log2(data.shape[0])))
-            if data.shape != (2 ** n, 2 ** n):
-                raise ValueError("density matrix has bad shape")
-            self.vec, self.rho = None, data
-        else:
-            raise ValueError("expected a vector or matrix")
+        if data.ndim != 1:
+            raise ValueError("expected a statevector")
+        n = int(round(math.log2(data.size)))
+        if 2 ** n != data.size:
+            raise ValueError("statevector length is not a power of 2")
+        if abs(np.linalg.norm(data) - 1) > 1e-8:
+            raise ValueError("statevector is not normalized")
+        self.vec = data
         self.num_qubits = n
         self.owners = list(owners) if owners else ["Alice"] * n
         self.tags = list(tags) if tags else [""] * n
         if len(self.owners) != n:
             raise ValueError("owner list length mismatch")
 
-    @property
-    def is_statevector(self) -> bool:
-        return self.vec is not None
-
     def copy(self) -> "QuantumState":
-        data = self.vec if self.is_statevector else self.rho
-        return QuantumState(data.copy(), self.owners, self.tags)
+        return QuantumState(self.vec.copy(), self.owners, self.tags)
 
     def density(self) -> np.ndarray:
-        if self.is_statevector:
-            return np.outer(self.vec, self.vec.conj())
-        return self.rho
+        return np.outer(self.vec, self.vec.conj())
 
 
 def basis_state(n: int, index: int = 0, owners=None) -> QuantumState:
@@ -182,25 +169,8 @@ def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
         raise IndexError("target qubit out of range")
     if gate.arity != len(targets):
         raise ValueError(f"gate {gate.name} arity {gate.arity} != {len(targets)} targets")
-    if state.is_statevector:
-        arr = _tensor_apply(state.vec.reshape((2,) * n), n, gate.matrix, targets)
-        return QuantumState(arr.reshape(-1), state.owners, state.tags)
-    # density: U rho U^dagger via two row-side applications
-    m = _apply_rows(state.rho, n, gate.matrix, targets)
-    m = _apply_rows(m.conj().T, n, gate.matrix, targets).conj().T
-    return QuantumState(m, state.owners, state.tags)
-
-
-def _apply_rows(m: np.ndarray, n: int, u: np.ndarray, targets) -> np.ndarray:
-    d = m.shape[0]
-    arr = m.reshape((2,) * n + (d,))
-    k = len(targets)
-    ut = u.reshape((2,) * (2 * k))
-    in_axes = [2 * k - 1 - j for j in range(k)]
-    arr_axes = [n - 1 - targets[j] for j in range(k)]
-    res = np.tensordot(ut, arr, axes=(in_axes, arr_axes))
-    res = np.moveaxis(res, range(k), [n - 1 - targets[k - 1 - j] for j in range(k)])
-    return res.reshape(d, d)
+    arr = _tensor_apply(state.vec.reshape((2,) * n), n, gate.matrix, targets)
+    return QuantumState(arr.reshape(-1), state.owners, state.tags)
 
 
 _BASIS_ROT = {"Z": None, "X": H, "Y": Gate("Wy", _H @ np.diag([1, -1j]), 1)}
@@ -215,69 +185,34 @@ def outcome_probability(state: QuantumState, qubit: int, basis: str = "Z"):
     rot = _BASIS_ROT[basis]
     st = apply_gate(state, rot, [qubit]) if rot is not None else state
     n = st.num_qubits
-    if st.is_statevector:
-        arr = st.vec.reshape((2,) * n)
-        p0 = float(np.sum(np.abs(np.take(arr, 0, axis=n - 1 - qubit)) ** 2))
-    else:
-        idx = [i for i in range(2 ** n) if not (i >> qubit) & 1]
-        p0 = float(np.real(np.sum(np.diag(st.rho)[idx])))
+    arr = st.vec.reshape((2,) * n)
+    p0 = float(np.sum(np.abs(np.take(arr, 0, axis=n - 1 - qubit)) ** 2))
     return min(max(p0, 0.0), 1.0), st
 
 
-def measure(state: QuantumState, basis: str, qubit: int, rng=None, force=None):
+def measure(state: QuantumState, basis: str, qubit: int, force):
     """Projective measurement; returns (outcome_bit, post_state).
 
-    `force` pins the outcome (used when enumerating hidden randomness): a
-    bit, or a callable that receives p0 and returns the bit.  It raises
-    ZeroProbabilityBranch if that branch cannot occur.
+    `force` picks the outcome: a bit, or a callable that receives p0 and
+    returns the bit (sampling lives in the hidden-bit sources of
+    `harness`).  It raises ZeroProbabilityBranch if that branch cannot
+    occur.
     """
     p0, st = outcome_probability(state, qubit, basis)
-    if force is not None:
-        outcome = int(force(p0) if callable(force) else force)
-        p = p0 if outcome == 0 else 1 - p0
-        if p < 1e-12:
-            raise ZeroProbabilityBranch(f"qubit {qubit} basis {basis} outcome {outcome}")
-    else:
-        outcome = 0 if rng.random() < p0 else 1
-        p = p0 if outcome == 0 else 1 - p0
+    outcome = int(force(p0) if callable(force) else force)
+    p = p0 if outcome == 0 else 1 - p0
+    if p < 1e-12:
+        raise ZeroProbabilityBranch(f"qubit {qubit} basis {basis} outcome {outcome}")
     n = st.num_qubits
-    axis = n - 1 - qubit
-    if st.is_statevector:
-        arr = st.vec.reshape((2,) * n).copy()
-        sel = [slice(None)] * n
-        sel[axis] = 1 - outcome
-        arr[tuple(sel)] = 0
-        post = QuantumState(arr.reshape(-1) / math.sqrt(p), st.owners, st.tags)
-    else:
-        proj = np.zeros((2, 2))
-        proj[outcome, outcome] = 1
-        m = _apply_rows(st.rho, n, proj, [qubit])
-        m = _apply_rows(m.conj().T, n, proj, [qubit]).conj().T
-        post = QuantumState(m / p, st.owners, st.tags)
+    arr = st.vec.reshape((2,) * n).copy()
+    sel = [slice(None)] * n
+    sel[n - 1 - qubit] = 1 - outcome
+    arr[tuple(sel)] = 0
+    post = QuantumState(arr.reshape(-1) / math.sqrt(p), st.owners, st.tags)
     rot_inv = _BASIS_ROT_INV[basis]
     if rot_inv is not None:  # rotate back so the register stays in its own frame
         post = apply_gate(post, rot_inv, [qubit])
     return outcome, post
-
-
-def bell_measure(state: QuantumState, q1: int, q2: int, rng=None, force=None):
-    """Bell measurement on (q1, q2); returns ((m_x, m_z), post_state).
-
-    The measured pair is left in |m_z>|m_x> (computational basis) inside the
-    register.  Outcome convention: a qubit teleported through the pair needs
-    the correction X^{m_x} Z^{m_z}.
-    """
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    st = apply_gate(state, CNOT, [q1, q2])
-    st = apply_gate(st, H, [q1])
-    if force is not None:
-        fx, fz = force
-    else:
-        fx = fz = None
-    mz, st = measure(st, "Z", q1, rng, force=fz)
-    mx, st = measure(st, "Z", q2, rng, force=fx)
-    return (mx, mz), st
 
 
 def epr_extend(state: QuantumState, owner_a="Alice", owner_b="Bob"):
@@ -288,14 +223,8 @@ def epr_extend(state: QuantumState, owner_a="Alice", owner_b="Bob"):
     """
     n = state.num_qubits
     epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    if state.is_statevector:
-        vec = np.kron(epr, state.vec)
-        out = QuantumState(vec, state.owners + [owner_a, owner_b],
-                           state.tags + ["epr", "epr"])
-    else:
-        rho = np.kron(np.outer(epr, epr.conj()), state.rho)
-        out = QuantumState(rho, state.owners + [owner_a, owner_b],
-                           state.tags + ["epr", "epr"])
+    out = QuantumState(np.kron(epr, state.vec), state.owners + [owner_a, owner_b],
+                       state.tags + ["epr", "epr"])
     return out, n, n + 1
 
 
@@ -305,15 +234,11 @@ def remove_qubit(state: QuantumState, qubit: int, bit: int) -> QuantumState:
     axis = n - 1 - qubit
     owners = [o for i, o in enumerate(state.owners) if i != qubit]
     tags = [t for i, t in enumerate(state.tags) if i != qubit]
-    if state.is_statevector:
-        arr = np.take(state.vec.reshape((2,) * n), bit, axis=axis).reshape(-1)
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1) > 1e-8:
-            raise ValueError("qubit is not definitely in that basis state")
-        return QuantumState(arr / norm, owners, tags)
-    keep = [q for q in range(n) if q != qubit]
-    rho = partial_trace_matrix(state.rho, n, keep)
-    return QuantumState(rho, owners, tags)
+    arr = np.take(state.vec.reshape((2,) * n), bit, axis=axis).reshape(-1)
+    norm = np.linalg.norm(arr)
+    if abs(norm - 1) > 1e-8:
+        raise ValueError("qubit is not definitely in that basis state")
+    return QuantumState(arr / norm, owners, tags)
 
 
 def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:
@@ -340,14 +265,6 @@ def _trace_out_one(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return out.reshape(2 ** (n - 1), 2 ** (n - 1))
 
 
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    keep = sorted(keep)
-    rho = partial_trace_matrix(state.density(), state.num_qubits, keep)
-    owners = [state.owners[q] for q in keep]
-    tags = [state.tags[q] for q in keep]
-    return QuantumState(rho, owners, tags)
-
-
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma.
 
@@ -365,13 +282,9 @@ def trace_distance(rho, sigma) -> float:
 
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for pure states; <a|rho|a> if one side is a density matrix."""
+    """|<a|b>|^2 for two pure states, each a QuantumState or a vector."""
     av = a.vec if isinstance(a, QuantumState) else np.asarray(a)
-    if isinstance(b, QuantumState) and not b.is_statevector:
-        return float(np.real(av.conj() @ b.rho @ av))
     bv = b.vec if isinstance(b, QuantumState) else np.asarray(b)
-    if av is None or bv is None:
-        raise ValueError("fidelity expects at least one pure state")
     return float(abs(np.vdot(av, bv)) ** 2)
 
 

@@ -372,7 +372,10 @@ def cmi_uniform(scheme, n, k) -> float:
     Bob's outcomes under his reference measurement."""
     scheme = str(scheme)
     if scheme == "7":
-        _check_dim(2 * k * n)
+        # only the outcome table is built: 2^n rows of 4^(nk) entries
+        if 2 ** n * 4 ** (n * k) > DIM_CAP ** 2:
+            raise ValueError(f"outcome table of 2^{n} x 4^{n * k} entries "
+                             f"exceeds {DIM_CAP ** 2}")
         table = _pair_table(n, k, shared_s=True)
     elif scheme == "8":
         _check_dim(k * (n + 1))

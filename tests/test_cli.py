@@ -130,6 +130,22 @@ def test_audit_cmi_and_comm(tmp_path):
     assert row["expected"] == 2 + 2 and row["observed"] == 4
 
 
+def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
+    """Scheme 7's CMI builds only the outcome table (2^n x 4^(nk) entries),
+    so it is bounded by the table's size, not by a dense view's qubits."""
+    out = tmp_path / "r.jsonl"
+    rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "2",
+                   "--k", "4..5", "--seed", "0", "--output", str(out)])
+    assert rc == 0
+    rows = _rows(out)
+    assert [r["expected"] for r in rows] == [0.18359375, 0.0927734375]
+    assert all(r["pass"] and r["observed"] == r["expected"] for r in rows)
+    rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "5",
+                   "--k", "2", "--seed", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+
+
 def test_adversary_bob(tmp_path):
     out = tmp_path / "r.jsonl"
     rc = cli.main(["adversary", "--party", "bob", "--scheme", "4",
@@ -195,11 +211,15 @@ _GOLDEN = [
     (["run", "--scheme", "10", "--n", "1..2", "--k", "1..2", "--exhaustive",
       "--seed", "7"],
      "732a4c562eca437613b7143d2f6acbde6cf8d6aad95822d05305d536d79462ad"),
+    (["audit", "--metric", "comm", "--scheme", "2", "--n", "1..3", "--seed",
+      "1"],
+     "55990744d945dd2b1385c84801a7dbca333cf24fa4d6a98cfc3d99817408ad7a"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[
-    "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive"])
+    "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
+    "scheme2-comm"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhelab import qsim
+from qhelab.harness import FixedBits, bell_measure_with
 
 
 def test_little_endian_indexing():
@@ -31,6 +32,15 @@ def test_controlled_slot_convention():
     st = qsim.basis_state(2, 2)  # only the target set: no action
     st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
     assert abs(st.vec[2] - 1) < 1e-12
+
+
+def test_quantum_state_is_statevector_only():
+    with pytest.raises(ValueError):
+        qsim.QuantumState(np.eye(2) / 2)
+    with pytest.raises(ValueError):
+        qsim.QuantumState(np.ones(3) / math.sqrt(3))
+    with pytest.raises(ValueError):
+        qsim.QuantumState(np.ones(2))
 
 
 def test_gate_unitarity_enforced():
@@ -108,8 +118,10 @@ def test_basis_rotated_measurement_stays_in_own_frame():
 
 def test_bell_measure_convention():
     st, a, b = qsim.epr_extend(qsim.basis_state(0))
-    (mx, mz), post = qsim.bell_measure(st, a, b, force=(0, 0))
+    source = FixedBits(())
+    (mx, mz), post = bell_measure_with(source, st, a, b)
     assert (mx, mz) == (0, 0)
+    assert source.pos == 0  # both outcomes are certain: no hidden bit drawn
     # the measured pair is left in |mz>|mx>
     assert abs(post.vec[0] - 1) < 1e-12
 
@@ -119,7 +131,9 @@ def test_teleportation_correction_convention(force):
     rng = np.random.default_rng(7)
     psi = qsim.random_state(1, rng)
     st, a, b = qsim.epr_extend(psi)
-    (mx, mz), post = qsim.bell_measure(st, 0, a, force=force)
+    # bell_measure_with draws m_z (first qubit) before m_x
+    (mx, mz), post = bell_measure_with(FixedBits(force[::-1]), st, 0, a)
+    assert (mx, mz) == force
     if mx:
         post = qsim.apply_gate(post, qsim.X, [b])
     if mz:
@@ -132,11 +146,11 @@ def test_teleportation_correction_convention(force):
 def test_partial_trace_of_product():
     rng = np.random.default_rng(3)
     a, b = qsim.random_state(1, rng), qsim.random_state(2, rng)
-    joint = qsim.QuantumState(np.kron(b.vec, a.vec))
-    rho_a = qsim.partial_trace(joint, [0])
-    assert np.allclose(rho_a.rho, a.density(), atol=1e-10)
-    rho_b = qsim.partial_trace(joint, [1, 2])
-    assert np.allclose(rho_b.rho, b.density(), atol=1e-10)
+    joint = qsim.QuantumState(np.kron(b.vec, a.vec)).density()
+    rho_a = qsim.partial_trace_matrix(joint, 3, [0])
+    assert np.allclose(rho_a, a.density(), atol=1e-10)
+    rho_b = qsim.partial_trace_matrix(joint, 3, [1, 2])
+    assert np.allclose(rho_b, b.density(), atol=1e-10)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
@@ -189,9 +203,3 @@ def test_random_state_normalized(seed):
 def test_ry_composition(t1, t2):
     got = qsim.ry(t1).matrix @ qsim.ry(t2).matrix
     assert np.allclose(got, qsim.ry(t1 + t2).matrix, atol=1e-9)
-
-
-def test_fidelity_against_density():
-    rng = np.random.default_rng(1)
-    psi = qsim.random_state(2, rng)
-    assert abs(qsim.fidelity(psi, qsim.QuantumState(psi.density())) - 1) < 1e-10

@@ -1,13 +1,63 @@
 """Remote Y-diagonal circuit evaluation: correctness, privacy, and audits."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qhelab import qsim, rebit, rebit_schemes as rs
-from qhelab.harness import RandomBits, comm_audit
+from qhelab import cli, qsim, rebit, rebit_schemes as rs
+from qhelab.harness import (ALICE, FixedBits, RandomBits, Transcript,
+                            comm_audit, measure_with)
+
+
+def gadget_layer_literal(state, layer, frames, source, transcript,
+                         bob_local=()):
+    """The literal EPR gadget for one Y-diagonal layer (the reference that
+    rebit_schemes._gadget_layer, its channel, is checked against): per data
+    qubit Alice spends one EPR pair (controlled-i*sigma_y from her half onto
+    the data qubit, R_y(pi/2), Z measurement); Bob applies P or P-dagger per
+    outcome, Z where his frame anticommutes with sigma_y, the joint
+    group-circulant C, and Z measurements whose outcomes extend his frame."""
+    qubits = list(layer.qubits)
+    k = len(qubits)
+    exp = rebit.ydiag_expand(layer.u)
+    c_mat = rebit.build_c_matrix(exp)
+    st = state
+    a_idx, b_idx = [], []
+    for q in qubits:
+        st, a, b = qsim.epr_extend(st)
+        a_idx.append(a)
+        b_idx.append(b)
+        st = qsim.apply_gate(st, qsim.C_IY, [a, q])
+        st = qsim.apply_gate(st, qsim.ry(math.pi / 2), [a])
+    m_bits = []
+    for a in a_idx:
+        m, st = measure_with(source, st, "Z", a)
+        m_bits.append(m)
+    sent = [m for q, m in zip(qubits, m_bits) if q not in bob_local]
+    if transcript is not None and sent:
+        transcript.record(ALICE, sent, tag="gadget-outcomes")
+    # Bob's side
+    for q, b, m in zip(qubits, b_idx, m_bits):
+        st = qsim.apply_gate(st, qsim.P if m == 0 else qsim.P_DAG, [b])
+        x, z = frames[q]
+        if x ^ z:  # X or Z in the list anticommutes with sigma_y
+            st = qsim.apply_gate(st, qsim.Z, [b])
+    st = qsim.apply_gate(st, qsim.Gate("C", c_mat, k), b_idx)
+    g_bits = []
+    for b in b_idx:
+        g, st = measure_with(source, st, "Z", b)
+        g_bits.append(g)
+    for q, g in zip(qubits, g_bits):
+        if g:  # correction V(g)^dag ~ sigma_y on qubit q
+            x, z = frames[q]
+            frames[q] = (x ^ 1, z ^ 1)
+    # drop measured ancillas, highest index first
+    for idx, bit in sorted(zip(a_idx + b_idx, m_bits + g_bits), reverse=True):
+        st = qsim.remove_qubit(st, idx, bit)
+    return st
 
 
 def _circuit_n2():
@@ -152,3 +202,89 @@ def test_physical_oracle_agrees_with_logical():
     got = rebit.rebit_decode_logical(phys)
     want = rs.logical_oracle(circuit, psi.vec)
     assert abs(abs(np.vdot(got, want)) - 1) < 1e-10
+
+
+class _RecordingBits(FixedBits):
+    """FixedBits that also records the p0 of every drawn outcome."""
+
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.p0s = []
+
+    def outcome(self, p0):
+        self.p0s.append(p0)
+        return super().outcome(p0)
+
+
+# (qubits, generator, require_real)
+_GADGET_LAYERS = [
+    ((2,), rs.named_generator("ry_product", 1, 0.7), True),
+    ((3, 1), rs.named_generator("ry_product", 2, 1.1), True),
+    ((0, 2, 3), rs.named_generator("cos_sin", 3, 0.4), True),
+    ((1, 0), rs.named_generator("exp_yy", 2, 0.3), False),
+]
+
+
+@pytest.mark.parametrize("bob_local", [False, True])
+@pytest.mark.parametrize("qubits,u,real", _GADGET_LAYERS,
+                         ids=["k1", "k2", "k3", "k2-complex"])
+def test_gadget_channel_matches_literal_gadget(qubits, u, real, bob_local):
+    """Over every outcome string and every anticommute mask, the channel
+    draws the same bits, sends the same transcript, leaves the same frames
+    and the same state as the literal EPR gadget, whose outcomes are all
+    uniform."""
+    k = len(qubits)
+    layer = rs.Layer("ydiag", qubits, u=u)
+    rs.AlmostCommutingCircuit(4, [layer], require_real=real)  # a legal layer
+    rng = np.random.default_rng(k + 10 * bob_local)
+    local = {qubits[-1]} if bob_local else set()
+    for anti in itertools.product((0, 1), repeat=k):
+        frames = {q: (0, 0) for q in range(5)}
+        for q, bit in zip(qubits, anti):
+            x = int(rng.integers(2))
+            frames[q] = (x, x ^ bit)
+        psi = qsim.random_state(5, rng)
+        before = psi.vec.copy()
+        for bits in itertools.product((0, 1), repeat=2 * k):
+            src_l, src_c = _RecordingBits(bits), FixedBits(bits)
+            tr_l, tr_c = Transcript(), Transcript()
+            fr_l, fr_c = dict(frames), dict(frames)
+            out_l = gadget_layer_literal(psi, layer, fr_l, src_l, tr_l, local)
+            out_c = rs._gadget_layer(psi, layer, fr_c, src_c, tr_c, local)
+            assert src_l.pos == src_c.pos == 2 * k
+            assert np.allclose(src_l.p0s, 0.5, atol=1e-12)
+            assert tr_l.serialize() == tr_c.serialize()
+            assert fr_l == fr_c
+            assert out_c.owners == out_l.owners and out_c.tags == out_l.tags
+            assert qsim.fidelity(out_c, out_l) >= 1 - 1e-12
+            assert np.array_equal(psi.vec, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rebit_runs_stay_on_the_data_register(monkeypatch, n):
+    """Schemes 1 and 2 and the mask variant add no ancilla: no gate acts on
+    more than the n data qubits plus the phase qubit, and no EPR pair,
+    measurement or ancilla removal happens."""
+    widths = []
+    apply_gate = qsim.apply_gate
+
+    def traced(state, gate, targets):
+        widths.append(state.num_qubits)
+        return apply_gate(state, gate, targets)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the channel needs no ancilla")
+
+    monkeypatch.setattr(qsim, "apply_gate", traced)
+    for name in ("epr_extend", "measure", "remove_qubit"):
+        monkeypatch.setattr(qsim, name, forbidden)
+    rng = np.random.default_rng(n)
+    runners = [("1", rs.run_scheme1), ("2", rs.run_scheme2)]
+    if n >= 2:
+        runners.append(("1", rs.simplified_mask_variant))
+    for scheme, runner in runners:
+        for _ in range(3):
+            circuit = cli.random_accircuit(scheme, n, 4, rng)
+            enc = qsim.QuantumState(rebit.rebit_encode(qsim.random_state(n, rng)))
+            runner(circuit, enc, RandomBits(rng))
+    assert widths and max(widths) == n + 1
