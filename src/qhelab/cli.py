@@ -15,7 +15,8 @@ expected/observed/tolerance/pass/seed/provenance so a report is
 self-describing.  Rows contain no timestamps and all sampling is seeded, so
 identical configurations produce byte-identical reports.  Grid points can
 be dispatched to a process pool via the QHELAB_WORKERS environment
-variable; rows are emitted in grid order either way.
+variable (a positive integer, capped by the number of grid points and of
+cores); rows are emitted in grid order either way.
 """
 
 from __future__ import annotations
@@ -468,6 +469,33 @@ def _grid_specs(args):
     return specs
 
 
+def _apply_config(args):
+    """Override parsed flags with the keys of the JSON object in
+    args.config; a key that names no flag of the command is refused."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} is not a JSON object")
+    flags = set(vars(args)) - {"command"}
+    for key, value in config.items():
+        name = key.replace("-", "_")
+        if name not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        setattr(args, name, value)
+
+
+def _worker_count(points):
+    """QHELAB_WORKERS, bounded by the number of grid points and of cores."""
+    text = os.environ.get("QHELAB_WORKERS", "1")
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValueError(f"QHELAB_WORKERS must be a positive integer, "
+                         f"not {text!r}")
+    return min(int(text), points, os.cpu_count() or 1)
+
+
 def _emit(rows, output):
     text = "".join(r.to_json() + "\n" for r in rows)
     if output:
@@ -484,14 +512,12 @@ def main(argv=None) -> int:
         for sid in sorted(SCHEMES, key=int):
             print(f"{sid}\t{SCHEMES[sid]}")
         return 0
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            for key, value in json.load(fh).items():
-                setattr(args, key.replace("-", "_"), value)
     try:
+        if args.config:
+            _apply_config(args)
         specs = _grid_specs(args)
-        workers = int(os.environ.get("QHELAB_WORKERS", "1"))
-        if workers > 1 and len(specs) > 1:
+        workers = _worker_count(len(specs))
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 per_point = list(pool.map(_execute_point, specs))
         else:

@@ -338,6 +338,5 @@ def view_distance(view_a, view_b) -> float:
         elif rb is None:
             total += pa
         else:
-            eig = np.linalg.eigvalsh(pa * ra - pb * rb)
-            total += 0.5 * float(np.sum(np.abs(eig)))
+            total += qsim.trace_distance(pa * ra, pb * rb)
     return total

@@ -1,6 +1,6 @@
 """Privacy analyzer and adversary bench for the linear-polynomial schemes.
 
-Everything quantitative here comes from exact enumeration of the hidden
+Everything quantitative here comes from exact averages over the hidden
 randomness (pad splits, basis bits, withheld teleport bits), never from
 sampling; the mixtures are small enough that the average density operator
 of the qubits a party receives can be built outright.  Only adversary
@@ -25,12 +25,18 @@ information equals the Holevo quantity); the Hadamard eigenbasis per qubit
 for the one-way scheme (the optimal axis for distinguishing the per-bit
 views, which are not co-diagonalizable).
 
+Every average over the pad splits of an input bit, whether of outcome
+laws, view densities or (s, m) tables, is one kron recursion
+(`_pad_average`): one kron per extra pad, never an enumeration of splits.
+
 Because the round-trip views share that eigenbasis, their trace distances
 are total-variation distances between rows of the pair-measurement outcome
 table.  A row is a tensor product of one-variable outcome laws and holds
 4^(nk) entries, so it reaches sizes whose 2^(2nk)-dimensional densities
-could never be eigensolved.  Dense views (`bob_view`) remain for the
-one-way scheme, whose views do not commute, and for cross-checks.
+could never be eigensolved.  The one-way scheme's outcome tables are
+tensor products of one-variable laws as well.  Dense views (`bob_view`)
+remain for the one-way scheme's distances, whose views do not commute, and
+for cross-checks.  Outcome tables are refused past DIM_CAP^2 entries.
 """
 
 from __future__ import annotations
@@ -57,15 +63,19 @@ _PX = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
 _C8 = math.cos(math.pi / 8) ** 2
 
 
-def _splits(x, k):
-    """All pad tuples of length k XORing to x."""
-    out = []
-    for head in itertools.product((0, 1), repeat=k - 1):
-        last = int(x) & 1
-        for b in head:
-            last ^= b
-        out.append(head + (last,))
-    return out
+def _pad_average(steps):
+    """Average over the pad splits of one bit: steps[j] = (object for pad
+    bit 0, object for pad bit 1) of pad j; returns (average for x = 0,
+    average for x = 1) of the kron of the chosen objects, pad 0 outermost.
+
+    A bit b splits as (pads of value b ^ p, p) for p uniform, so each extra
+    pad is one kron per value.  The objects may be outcome vectors, density
+    matrices or (s, m) tables."""
+    q = tuple(steps[0])
+    for step in steps[1:]:
+        q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
+                  for b in (0, 1))
+    return q
 
 
 def _bits(value, n):
@@ -81,56 +91,32 @@ def _pair_density(b, s):
     return np.kron(_MIX, _PX[b])
 
 
-def _variable_view(xi, k, s_vec):
-    """2k-qubit view of one variable given its basis bits, pads averaged."""
-    acc = np.zeros((4 ** k, 4 ** k))
-    for pads in _splits(xi, k):
-        term = np.array([[1.0]])
-        for j in range(k):
-            term = np.kron(term, _pair_density(pads[j], s_vec[j]))
-        acc += term
-    return acc / 2 ** (k - 1)
+# _STEPS[scheme][s] holds one pad's (pad 0, pad 1) densities in basis s: a
+# pad pair for the round-trip schemes, a qubit for the one-way scheme
+_PAIR_STEP = [(_pair_density(0, s), _pair_density(1, s)) for s in (0, 1)]
+_STEPS = {"4": _PAIR_STEP, "7": _PAIR_STEP, "8": [_PZ, _PX]}
 
 
-def _joint_pair_view(xbits, k, shared_s):
-    """View of all 2kn pair qubits; shared_s picks one s_j per pad index
-    versus independent s_ij per variable."""
-    n = len(xbits)
-    s_space = (itertools.product((0, 1), repeat=k) if shared_s
-               else itertools.product((0, 1), repeat=n * k))
-    acc = np.zeros((4 ** (n * k),) * 2)
-    count = 0
-    for s in s_space:
-        term = np.array([[1.0]])
-        for i in range(n):
-            s_vec = s if shared_s else s[i * k:(i + 1) * k]
-            term = np.kron(term, _variable_view(xbits[i], k, s_vec))
-        acc += term
-        count += 1
-    return acc / count
+def _basis_average(step):
+    """One pad's (pad 0, pad 1) densities averaged over its basis bit."""
+    return tuple((step[0][b] + step[1][b]) / 2 for b in (0, 1))
 
 
-def _bit_view_oneway(xi, k, s_vec):
-    """k-qubit view of one variable in the one-way scheme, pads averaged."""
-    acc = np.zeros((2 ** k, 2 ** k))
-    for pads in _splits(xi, k):
-        term = np.array([[1.0]])
-        for j in range(k):
-            term = np.kron(term, _PZ[pads[j]] if s_vec[j] == 0
-                           else _PX[pads[j]])
-        acc += term
-    return acc / 2 ** (k - 1)
-
-
-def _joint_oneway_view(xbits, k):
-    n = len(xbits)
-    acc = np.zeros((2 ** (k * (n + 1)),) * 2)
-    pad_block = np.eye(2 ** k) / 2 ** k  # the t_j qubits average to I/2
+def _joint_view(scheme, xbits, k):
+    """View of all of Bob's qubits: the kron of the per-variable views,
+    averaged over the basis bits shared by all variables (scheme 4's are
+    independent per variable, so its view factors); the one-way scheme's
+    t_j qubits sit below and average to I/2."""
+    steps = _STEPS[scheme]
+    if scheme == "4":
+        q = _pad_average([_basis_average(steps)] * k)
+        return functools.reduce(np.kron, [q[x] for x in xbits])
+    acc = 0
     for s in itertools.product((0, 1), repeat=k):
-        term = np.array([[1.0]])
-        for i in range(n):
-            term = np.kron(term, _bit_view_oneway(xbits[i], k, s))
-        acc += np.kron(term, pad_block)
+        q = _pad_average([steps[sj] for sj in s])
+        acc = acc + functools.reduce(np.kron, [q[x] for x in xbits])
+    if scheme == "8":
+        acc = np.kron(acc, np.eye(2 ** k) / 2 ** k)
     return acc / 2 ** k
 
 
@@ -188,22 +174,16 @@ def bob_view(scheme, params, x) -> BobView:
         return BobView(scheme, n, k, "uniform", rho)
 
     if isinstance(x, (int, np.integer)):
-        per_var = 2 * k if scheme in ("4", "7") else k
-        _check_dim(per_var)
-        build = _variable_view if scheme in ("4", "7") else _bit_view_oneway
-        acc = sum(build(x, k, s) for s in itertools.product((0, 1), repeat=k))
-        return BobView(scheme, 1, k, int(x), acc / 2 ** k)
+        _check_dim(2 * k if scheme in ("4", "7") else k)
+        step = _basis_average(_STEPS[scheme])
+        rho = _pad_average([step] * k)[int(x) & 1]
+        return BobView(scheme, 1, k, int(x), rho)
 
     xbits = [int(b) & 1 for b in x]
     if len(xbits) != n:
         raise ValueError(f"input length {len(xbits)} != n={n}")
-    if scheme == "8":
-        _check_dim(k * (n + 1))
-        rho = _joint_oneway_view(xbits, k)
-    else:
-        _check_dim(2 * k * n)
-        rho = _joint_pair_view(xbits, k, shared_s=(scheme == "7"))
-    return BobView(scheme, n, k, tuple(xbits), rho)
+    _check_dim(k * (n + 1) if scheme == "8" else 2 * k * n)
+    return BobView(scheme, n, k, tuple(xbits), _joint_view(scheme, xbits, k))
 
 
 def _check_dim(qubits):
@@ -218,6 +198,14 @@ def _check_row(pairs):
     if 4 ** pairs > DIM_CAP ** 2:
         raise ValueError(f"outcome row over {pairs} pad pairs exceeds "
                          f"{DIM_CAP ** 2} entries")
+
+
+def _check_table(rows, cols):
+    """Refuse an outcome table larger than one capped view density
+    (DIM_CAP^2 entries) before it is built."""
+    if rows * cols > DIM_CAP ** 2:
+        raise ValueError(f"outcome table of {rows} x {cols} entries "
+                         f"exceeds {DIM_CAP ** 2}")
 
 
 def _view_row(scheme, params, x):
@@ -307,16 +295,9 @@ _PAIR_OUTCOMES = np.array([[_pair_outcome_vec(b, s) for s in (0, 1)]
 def _variable_outcomes(k, keep_s):
     """Outcome law of one variable's k pad pairs, averaged over its pad
     splits: q[b, s, m] with the basis bits s in itertools.product order, or
-    its mean over s, q[b, m], when keep_s is false.
-
-    A variable of value b splits as (pads of value b^p, p) for p uniform,
-    so each extra pad pair is one kron with the pair law of p."""
+    its mean over s, q[b, m], when keep_s is false."""
     step = _PAIR_OUTCOMES if keep_s else _PAIR_OUTCOMES.mean(axis=1)
-    q = step
-    for _ in range(k - 1):
-        q = np.stack([(np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1]))
-                      / 2 for b in (0, 1)])
-    return q
+    return np.stack(_pad_average([step] * k))
 
 
 def _pair_row(xbits, k, shared_s, with_s=False):
@@ -341,6 +322,8 @@ def _pair_table(n, k, shared_s, with_s=False):
     """p[x, m] for the round-trip schemes under the pair measurement; with
     with_s=True the column index becomes (s, m) so that conditioning on the
     basis bits is a plain mutual-information computation."""
+    settings = 2 ** (k if shared_s else n * k) if with_s else 1
+    _check_table(2 ** n, settings * 4 ** (n * k))
     return np.array([_pair_row(_bits(xv, n), k, shared_s, with_s)
                      for xv in range(2 ** n)])
 
@@ -349,22 +332,15 @@ def _oneway_table(n, k):
     """p[x, m] for the one-way scheme under the per-qubit Hadamard-basis
     measurement; each qubit is a binary symmetric channel with crossover
     sin^2(pi/8) regardless of its encoding basis, and the t_j qubits are
-    uniform noise."""
-    qubits = k * (n + 1)
-    table = np.zeros((2 ** n, 2 ** qubits))
+    uniform noise, so a row is the kron of one pad-averaged law per
+    variable and a flat t_j block."""
+    _check_table(2 ** n, 2 ** (k * (n + 1)))
+    q = _pad_average([(np.array([_C8, 1 - _C8]),
+                       np.array([1 - _C8, _C8]))] * k)
     flat = np.full(2 ** k, 1.0 / 2 ** k)  # t_j outcome block
-    for xv in range(2 ** n):
-        xbits = _bits(xv, n)
-        for pads in itertools.product(*[_splits(xi, k) for xi in xbits]):
-            vec = np.array([1.0])
-            for i in range(n):
-                for j in range(k):
-                    b = pads[i][j]
-                    vec = np.kron(vec, np.array([_C8, 1 - _C8]) if b == 0
-                                  else np.array([1 - _C8, _C8]))
-            table[xv] += np.kron(vec, flat)
-        table[xv] /= 2 ** (n * (k - 1))
-    return table
+    return np.array([functools.reduce(np.kron, [q[x] for x in _bits(xv, n)]
+                                      + [flat])
+                     for xv in range(2 ** n)])
 
 
 def cmi_uniform(scheme, n, k) -> float:
@@ -372,13 +348,8 @@ def cmi_uniform(scheme, n, k) -> float:
     Bob's outcomes under his reference measurement."""
     scheme = str(scheme)
     if scheme == "7":
-        # only the outcome table is built: 2^n rows of 4^(nk) entries
-        if 2 ** n * 4 ** (n * k) > DIM_CAP ** 2:
-            raise ValueError(f"outcome table of 2^{n} x 4^{n * k} entries "
-                             f"exceeds {DIM_CAP ** 2}")
         table = _pair_table(n, k, shared_s=True)
     elif scheme == "8":
-        _check_dim(k * (n + 1))
         table = _oneway_table(n, k)
     else:
         raise ValueError(f"cmi_uniform supports schemes 7 and 8, not {scheme!r}")
@@ -434,9 +405,10 @@ def conditioned_information(scheme, n, k) -> float:
 
     Round-trip scheme: Z/X pair outcomes joined with the s_j values (each
     pair's carrier slot then reveals its pad, so the result is n bits).
-    One-way scheme: Bob CNOTs same-index qubits of consecutive variables,
-    measures control in X and target in Z, and conditions on (s, sum t);
-    each pair group then reveals x_i + x_{i+1}.
+    One-way scheme: Bob CNOTs same-index qubits of the variable pairs
+    (0, 1), (2, 3), ..., measures control in X and target in Z, and
+    conditions on (s, sum t); each pair then reveals x_i + x_{i+1}, and for
+    odd n the last variable with its t_j reveals x_{n-1}: ceil(n/2) bits.
     """
     scheme = str(scheme)
     if scheme == "7":
@@ -451,32 +423,27 @@ def _oneway_pairing_information(n, k):
     """I(X; outcomes, s, sum t) for the CNOT-pairing strategy against the
     one-way scheme.  Per pair and pad index the X outcome on the control
     carries the pad sum when s_j=1 and the Z outcome on the target carries
-    it when s_j=0; the other slot is uniform."""
+    it when s_j=0; the other slot is uniform.
+
+    Given s, the pads of a pair (a, b) XOR to a uniform split of
+    x_a + x_b, and for odd n the last variable's pads XOR the t_j to a
+    uniform split of x_{n-1} + sum t, so each group's law is one pad
+    average and the columns are (s, groups, [sum t, last group])."""
     pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
     odd = n % 2
-    groups = len(pairs) + odd
-    cols_m = 4 ** (groups * k)
-    table = np.zeros((2 ** n, 2 ** k * 2 * cols_m))
-    for xv in range(2 ** n):
-        xbits = _bits(xv, n)
-        for s in itertools.product((0, 1), repeat=k):
-            si = sum(b << j for j, b in enumerate(s))
-            for pads in itertools.product(*[_splits(xi, k) for xi in xbits]):
-                for t in itertools.product((0, 1), repeat=k * odd):
-                    tsum = 0
-                    for tb in t:
-                        tsum ^= tb
-                    vec = np.array([1.0])
-                    for j in range(k):
-                        for a, b in pairs:
-                            vec = np.kron(vec, _pair_outcome_vec(
-                                pads[a][j] ^ pads[b][j], 1 - s[j]))
-                        if odd:
-                            vec = np.kron(vec, _pair_outcome_vec(
-                                pads[n - 1][j] ^ t[j], 1 - s[j]))
-                    col = (si * 2 + tsum) * cols_m
-                    table[xv, col:col + cols_m] += vec
-        table[xv] /= 2 ** (k + n * (k - 1) + k * odd)
+    _check_table(2 ** n, 2 ** (k + odd) * 4 ** ((len(pairs) + odd) * k))
+    blocks = []
+    for s in itertools.product((0, 1), repeat=k):
+        q = _pad_average([_PAIR_OUTCOMES[:, 1 - sj] for sj in s])
+        rows = []
+        for xv in range(2 ** n):
+            x = _bits(xv, n)
+            laws = [q[x[a] ^ x[b]] for a, b in pairs]
+            if odd:  # sum t is uniform: half its mass on each value
+                laws.append(np.concatenate([q[x[-1]], q[1 - x[-1]]]) / 2)
+            rows.append(functools.reduce(np.kron, laws))
+        blocks.append(np.array(rows))
+    table = np.hstack(blocks) / 2 ** k
     return qsim.mutual_information(table / 2 ** n)
 
 

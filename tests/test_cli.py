@@ -131,8 +131,9 @@ def test_audit_cmi_and_comm(tmp_path):
 
 
 def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
-    """Scheme 7's CMI builds only the outcome table (2^n x 4^(nk) entries),
-    so it is bounded by the table's size, not by a dense view's qubits."""
+    """The CMI audits build only the outcome table (2^n x 4^(nk) entries for
+    scheme 7, 2^n x 2^(k(n+1)) for scheme 8), so they are bounded by the
+    table's size, not by a dense view's qubits."""
     out = tmp_path / "r.jsonl"
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "2",
                    "--k", "4..5", "--seed", "0", "--output", str(out)])
@@ -142,6 +143,15 @@ def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
     assert all(r["pass"] and r["observed"] == r["expected"] for r in rows)
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "5",
                    "--k", "2", "--seed", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]
+    rc = cli.main(["audit", "--metric", "cmi", "--scheme", "8", "--n", "3",
+                   "--k", "4", "--seed", "0", "--output", str(out)])
+    assert rc == 0
+    (row,) = _rows(out)
+    assert abs(row["observed"] - 0.13669799) < 1e-8
+    rc = cli.main(["audit", "--metric", "cmi", "--scheme", "8", "--n", "5",
+                   "--k", "4", "--seed", "0"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"]
 
@@ -186,6 +196,61 @@ def test_config_overrides_flags(tmp_path):
     assert rc == 0
     (row,) = _rows(out)
     assert row["params"]["k"] == 2
+
+
+def test_config_errors_exit_2(tmp_path, capsys):
+    """A misspelled key, a missing file, malformed JSON or a non-object is
+    refused with one JSON error line instead of running or a traceback."""
+    argv = ["run", "--scheme", "10", "--n", "1", "--trials", "1", "--seed",
+            "0", "--output", str(tmp_path / "r.jsonl"), "--config"]
+    bad = {"typo.json": json.dumps({"trails": 2}),
+           "command.json": json.dumps({"command": "audit"}),
+           "broken.json": "{\"k\": ",
+           "list.json": "[1, 2]"}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    for name in list(bad) + ["missing.json"]:
+        assert cli.main(argv + [str(tmp_path / name)]) == 2, name
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_worker_count_is_bounded(monkeypatch, capsys):
+    """QHELAB_WORKERS is clamped to the grid size and the core count, and
+    values below 1 are refused; the pool is a stand-in, so nothing spawns."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    argv = ["audit", "--metric", "trace-distance", "--scheme", "4", "--seed",
+            "0", "--k"]
+    for workers, ks, want in [("8", "1..2", [2]), ("8", "1..5", [3]),
+                              ("2", "1..5", [2]), ("1", "1..5", []),
+                              ("5", "1", [])]:
+        monkeypatch.setenv("QHELAB_WORKERS", workers)
+        assert cli.main(argv + [ks]) == 0
+        assert pools == want, (workers, ks)
+        pools.clear()
+    capsys.readouterr()
+    for workers in ("0", "-2", "many"):
+        monkeypatch.setenv("QHELAB_WORKERS", workers)
+        assert cli.main(argv + ["1..2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+    assert pools == []
 
 
 def test_usage_errors_exit_2(capsys):

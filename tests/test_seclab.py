@@ -1,5 +1,6 @@
 """Privacy analyzer: exact view constants, information measures, benches."""
 
+import functools
 import itertools
 import math
 
@@ -8,6 +9,110 @@ import pytest
 
 from qhelab import qhe_core as qc
 from qhelab import qsim, seclab
+
+
+def splits_literal(x, k):
+    """All pad tuples of length k XORing to x."""
+    out = []
+    for head in itertools.product((0, 1), repeat=k - 1):
+        last = int(x) & 1
+        for b in head:
+            last ^= b
+        out.append(head + (last,))
+    return out
+
+
+def pad_average_literal(steps, x):
+    """Reference pad average: the kron of steps[j][pad_j] averaged over
+    every pad split of x."""
+    terms = [functools.reduce(np.kron, [steps[j][p] for j, p in
+                                        enumerate(pads)])
+             for pads in splits_literal(x, len(steps))]
+    return sum(terms) / len(terms)
+
+
+def variable_view_literal(xi, k, s_vec):
+    """Reference 2k-qubit view of one variable: enumerate its pad splits."""
+    acc = np.zeros((4 ** k, 4 ** k))
+    for pads in splits_literal(xi, k):
+        term = np.array([[1.0]])
+        for j in range(k):
+            term = np.kron(term, seclab._pair_density(pads[j], s_vec[j]))
+        acc += term
+    return acc / 2 ** (k - 1)
+
+
+def joint_view_literal(scheme, xbits, k):
+    """Reference joint view: average over every basis setting (shared by
+    all variables, or independent per variable for scheme 4) of the kron of
+    split-enumerated per-variable views; the one-way scheme's t_j qubits
+    add an I/2 block."""
+    n, shared = len(xbits), scheme != "4"
+    settings = list(itertools.product((0, 1), repeat=k if shared else n * k))
+    acc = 0
+    for s in settings:
+        views = []
+        for i, x in enumerate(xbits):
+            s_vec = s if shared else s[i * k:(i + 1) * k]
+            views.append(pad_average_literal(
+                [(seclab._PZ, seclab._PX)[b] for b in s_vec], x)
+                if scheme == "8" else variable_view_literal(x, k, s_vec))
+        term = functools.reduce(np.kron, views)
+        if scheme == "8":
+            term = np.kron(term, np.eye(2 ** k) / 2 ** k)
+        acc = acc + term
+    return acc / len(settings)
+
+
+def oneway_table_literal(n, k):
+    """Reference one-way outcome table: enumerate the joint pad product."""
+    c8 = seclab._C8
+    table = np.zeros((2 ** n, 2 ** (k * (n + 1))))
+    flat = np.full(2 ** k, 1.0 / 2 ** k)
+    for xv in range(2 ** n):
+        xbits = seclab._bits(xv, n)
+        for pads in itertools.product(*[splits_literal(xi, k)
+                                        for xi in xbits]):
+            vec = np.array([1.0])
+            for i in range(n):
+                for j in range(k):
+                    vec = np.kron(vec, np.array([c8, 1 - c8]) if
+                                  pads[i][j] == 0 else
+                                  np.array([1 - c8, c8]))
+            table[xv] += np.kron(vec, flat)
+        table[xv] /= 2 ** (n * (k - 1))
+    return table
+
+
+def oneway_pairing_information_literal(n, k):
+    """Reference CNOT-pairing information: enumerate s, the joint pad
+    product and the t_j bits."""
+    pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
+    odd = n % 2
+    cols_m = 4 ** ((len(pairs) + odd) * k)
+    table = np.zeros((2 ** n, 2 ** k * 2 * cols_m))
+    for xv in range(2 ** n):
+        xbits = seclab._bits(xv, n)
+        for s in itertools.product((0, 1), repeat=k):
+            si = sum(b << j for j, b in enumerate(s))
+            for pads in itertools.product(*[splits_literal(xi, k)
+                                            for xi in xbits]):
+                for t in itertools.product((0, 1), repeat=k * odd):
+                    tsum = 0
+                    for tb in t:
+                        tsum ^= tb
+                    vec = np.array([1.0])
+                    for j in range(k):
+                        for a, b in pairs:
+                            vec = np.kron(vec, seclab._pair_outcome_vec(
+                                pads[a][j] ^ pads[b][j], 1 - s[j]))
+                        if odd:
+                            vec = np.kron(vec, seclab._pair_outcome_vec(
+                                pads[n - 1][j] ^ t[j], 1 - s[j]))
+                    col = (si * 2 + tsum) * cols_m
+                    table[xv, col:col + cols_m] += vec
+        table[xv] /= 2 ** (k + n * (k - 1) + k * odd)
+    return qsim.mutual_information(table / 2 ** n)
 
 
 def pair_table_literal(n, k, shared_s, with_s=False):
@@ -20,7 +125,7 @@ def pair_table_literal(n, k, shared_s, with_s=False):
     for xv in range(2 ** n):
         xbits = seclab._bits(xv, n)
         for si, s in enumerate(s_space):
-            for pads in itertools.product(*[seclab._splits(xi, k)
+            for pads in itertools.product(*[splits_literal(xi, k)
                                             for xi in xbits]):
                 vec = np.array([1.0])
                 for i in range(n):
@@ -47,6 +152,93 @@ def test_pair_table_equals_joint_enumeration(n, k):
             want = pair_table_literal(n, k, shared_s, with_s)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (shared_s, with_s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pad_average_matches_split_enumeration(k):
+    """Outcome vectors, densities and (s, m) tables, with a different step
+    per pad: the kron recursion equals the average over every split."""
+    rng = np.random.default_rng(k)
+    laws = [tuple(v / v.sum() for v in rng.random((2, 3))) for _ in range(k)]
+    s_vec = [int(b) for b in rng.integers(0, 2, size=k)]
+    cases = [
+        laws,
+        [seclab._STEPS["7"][s] for s in s_vec],
+        [seclab._STEPS["8"][s] for s in s_vec],
+        [seclab._PAIR_OUTCOMES[:, 1 - s] for s in s_vec],
+        [seclab._PAIR_OUTCOMES] * k,
+    ]
+    for steps in cases:
+        got = seclab._pad_average(steps)
+        for x in (0, 1):
+            want = pad_average_literal(steps, x)
+            assert got[x].shape == want.shape
+            assert np.abs(got[x] - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("scheme", ["4", "7", "8"])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                 (2, 2), (3, 1)])
+def test_views_match_split_enumeration(scheme, n, k):
+    """Per-variable views (averaged over the basis bits) and joint views of
+    every input against split- and setting-enumerated densities."""
+    if n == 1:
+        for x in (0, 1):
+            got = seclab.bob_view(scheme, {"k": k}, x).density
+            want = joint_view_literal(scheme, [x], k)
+            if scheme == "8":  # no t_j qubits in a per-variable view
+                want = qsim.partial_trace_matrix(want, 2 * k, range(k, 2 * k))
+            assert np.abs(got - want).max() < 1e-15
+    for v in range(2 ** n):
+        xbits = seclab._bits(v, n)
+        got = seclab.bob_view(scheme, {"n": n, "k": k}, tuple(xbits)).density
+        want = joint_view_literal(scheme, xbits, k)
+        assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                 (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_oneway_table_equals_joint_enumeration(n, k):
+    got = seclab._oneway_table(n, k)
+    want = oneway_table_literal(n, k)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_oneway_pairing_information_equals_joint_enumeration(n, k):
+    got = seclab._oneway_pairing_information(n, k)
+    assert abs(got - oneway_pairing_information_literal(n, k)) < 1e-15
+
+
+def test_table_size_guard(monkeypatch):
+    """Every outcome table counts the entries it builds and is refused
+    past DIM_CAP^2 before anything is built."""
+    checked = []
+    monkeypatch.setattr(seclab, "_check_table",
+                        lambda rows, cols: checked.append((rows, cols)))
+    for n, k, shared_s, with_s in [(2, 2, True, False), (2, 1, True, True),
+                                   (2, 1, False, True)]:
+        shape = seclab._pair_table(n, k, shared_s, with_s).shape
+        assert checked.pop() == shape
+    shape = seclab._oneway_table(2, 3).shape
+    assert checked.pop() == shape
+    monkeypatch.undo()
+
+    def no_build(steps):
+        raise AssertionError("table built past the cap")
+
+    monkeypatch.setattr(seclab, "_pad_average", no_build)
+    for call in (lambda: seclab.cmi_uniform("8", 5, 4),
+                 lambda: seclab.cmi_uniform("7", 5, 2),
+                 lambda: seclab.conditioned_information("8", 5, 4),
+                 lambda: seclab.conditioned_information("7", 2, 6),
+                 lambda: seclab.per_bit_information("8", 5, 4),
+                 lambda: seclab.per_bit_information("4", 3, 4),
+                 lambda: seclab.bob_guess_rate(12)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("scheme", ["4", "7"])
@@ -177,10 +369,27 @@ def test_conditioned_information_pair_scheme_reveals_everything():
     assert abs(seclab.conditioned_information("7", 1, 2) - 1) < 1e-9
 
 
-@pytest.mark.parametrize("n,want", [(2, 1), (3, 2)])
+def _binary_entropy(p):
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5)
+                                 for k in range(1, 4)] + [(3, 4)])
+def test_oneway_cmi_closed_form(n, k):
+    """Each variable's outcome parity is x_i through a binary symmetric
+    channel with crossover (1 - 2^(-k/2))/2, and the parities carry all the
+    information."""
+    want = n * (1 - _binary_entropy((1 - 2 ** (-k / 2)) / 2))
+    assert abs(seclab.cmi_uniform("8", n, k) - want) < 1e-12
+
+
+@pytest.mark.parametrize("n,want", [(2, 1), (3, 2), (4, 2), (5, 3)])
 def test_conditioned_information_oneway_pairing(n, want):
-    got = seclab.conditioned_information("8", n, 1)
-    assert abs(got - want) < 1e-9
+    """Each CNOT group reveals one parity: ceil(n/2) bits at every k."""
+    assert want == math.ceil(n / 2)
+    for k in (1, 2, 3) if n <= 4 else (1, 2):
+        got = seclab.conditioned_information("8", n, k)
+        assert abs(got - want) < 1e-9, k
 
 
 def test_holevo_equals_cmi_for_commuting_views():
