@@ -34,7 +34,7 @@ import numpy as np
 from . import qsim, rebit, rebit_schemes, seclab
 from .harness import RandomBits, comm_audit, enumerate_hidden_adaptive
 from .linpoly import (LinearPolynomial, run_scheme4, run_scheme7, run_scheme8,
-                      run_scheme9, run_scheme10, _as_source)
+                      run_scheme9, run_scheme10)
 from .qhe_core import CliffordTCircuit, random_clifford_t, run_scheme5
 
 SCHEMES = {
@@ -137,7 +137,7 @@ def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
                         failures += int(got != want)
                 else:
                     for _ in range(trials):
-                        got = run(x, poly, k, _as_source(rng), gamma,
+                        got = run(x, poly, k, RandomBits(rng), gamma,
                                   k_prime)[0]
                         cases += 1
                         failures += int(got != want)
@@ -432,8 +432,15 @@ def _build_parser():
 def _grid_specs(args):
     """Expand the parsed arguments into per-grid-point work items."""
     ns, ks = _parse_range(args.n), _parse_range(args.k)
+    if not ns or not ks:
+        raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):
         raise ValueError("n and k must be positive")
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError("--trials must be positive")
+    for flag in ("R", "traps", "depth"):
+        if getattr(args, flag, 0) < 0:
+            raise ValueError(f"--{flag} must not be negative")
     specs = []
     for idx, (n, k) in enumerate((n, k) for n in ns for k in ks):
         seed = args.seed + 1000 * idx

@@ -125,6 +125,16 @@ class RandomBits:
         return 0 if self.rng.random() < p0 else 1
 
 
+def as_source(rng):
+    """A hidden-bit source as is, or a seed or generator wrapped in
+    RandomBits."""
+    if hasattr(rng, "bit") and hasattr(rng, "outcome"):
+        return rng
+    if hasattr(rng, "integers"):
+        return RandomBits(rng)
+    return RandomBits(np.random.default_rng(rng))
+
+
 class NeedMoreBits(Exception):
     """A FixedBits source ran out of replay bits."""
 
@@ -203,12 +213,14 @@ def enumerate_hidden_adaptive(run_fn, max_bits=32):
     branch (e.g. when earlier random bits select later protocol structure).
     Explores the binary prefix tree: a branch that exhausts its FixedBits is
     split into the two one-bit extensions.  Yields (bits, result) per
-    realizable leaf; the leaf's probability weight is 2**-len(bits)."""
+    realizable leaf; the leaf's probability weight is 2**-len(bits).
+    A branch that needs more than `max_bits` bits raises ValueError: the
+    bound is a limit on the caller's argument, not a protocol fault."""
     stack = [()]
     while stack:
         bits = stack.pop()
         if len(bits) > max_bits:
-            raise ProtocolError(f"enumeration exceeded {max_bits} hidden bits")
+            raise ValueError(f"enumeration exceeded {max_bits} hidden bits")
         src = FixedBits(bits)
         try:
             result = run_fn(src)
@@ -306,27 +318,3 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         disclosed=disclosed,
     )
     return st, rec
-
-
-def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
-    """Reference implementation through an explicit EPR pair; used to check
-    that teleport_symbolic induces the same channel.  Returns
-    (state, (residual_x, residual_z)) with the teleported content moved
-    back to `qubit`'s position via the EPR second half then relabeled."""
-    withhold = set(withhold)
-    st, a_q, b_q = qsim.epr_extend(state, owner_a="sender", owner_b=new_owner)
-    (mx, mz), st = bell_measure_with(source, st, qubit, a_q)
-    # receiver corrects the disclosed components
-    if "x" not in withhold and mx:
-        st = qsim.apply_gate(st, qsim.X, [b_q])
-    if "z" not in withhold and mz:
-        st = qsim.apply_gate(st, qsim.Z, [b_q])
-    # move the payload back down to `qubit` so register layout is stable
-    st = qsim.apply_gate(st, qsim.Gate("SWAP", np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), 2),
-        [qubit, b_q])
-    st = qsim.remove_qubit(st, b_q, mz)
-    st = qsim.remove_qubit(st, a_q, mx)
-    st.owners[qubit] = new_owner
-    residual = (mx if "x" in withhold else 0, mz if "z" in withhold else 0)
-    return st, residual

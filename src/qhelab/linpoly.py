@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qsim
-from .harness import (ALICE, BOB, ProtocolError, RandomBits, SecretBit,
-                      Transcript, measure_with, teleport_symbolic)
+from .harness import (ALICE, BOB, ProtocolError, Transcript, as_source,
+                      measure_with, teleport_symbolic)
 
 _SQ = 1.0 / math.sqrt(2.0)
 # single-qubit encoding vectors indexed by (bit, basis)
@@ -66,12 +66,6 @@ class LinearPolynomial:
             y ^= ai & (int(xi) & 1)
         return y
 
-    @classmethod
-    def from_json(cls, obj) -> "LinearPolynomial":
-        if int(obj["n"]) != len(obj["a"]):
-            raise ValueError("polynomial n does not match coefficient count")
-        return cls(tuple(obj["a"]), obj.get("c", 0))
-
 
 @dataclass(frozen=True)
 class DistributedBit:
@@ -92,14 +86,6 @@ class PadShares:
     x_split: list  # x_split[i][j], XORing over j to x_i
     s: list        # basis bits; layout depends on the scheme
     t: list = field(default_factory=list)  # withheld teleport bits / pad bits
-
-
-def _as_source(rng):
-    if hasattr(rng, "bit") and hasattr(rng, "outcome"):
-        return rng
-    if hasattr(rng, "integers"):
-        return RandomBits(rng)
-    return RandomBits(np.random.default_rng(rng))
 
 
 def _split_bit(x, k, source):
@@ -168,7 +154,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     if alice_strategy is not None and m != 1:
         raise ValueError("adversary strategies support only m=1")
     probe = alice_strategy.probe_target(n, k) if alice_strategy else None
-    source = _as_source(rng)
+    source = as_source(rng)
     transcript = Transcript()
     blocks = n // m
 
@@ -348,7 +334,7 @@ class Scheme8Instance:
 def run_scheme8(x, poly, k, rng, distributed=False):
     """Data-locking protocol; returns (bit, transcript) or (DistributedBit,
     transcript)."""
-    source = _as_source(rng)
+    source = as_source(rng)
     inst = Scheme8Instance(x, poly, k, source)
     inst.data_phase()
     R, w = inst.circuit_phase(send=True)
@@ -374,7 +360,7 @@ def run_scheme9(x, poly, gamma, k_prime, rng):
         raise ValueError("gamma must lie strictly between 1 and 2")
     if k_prime < 1:
         raise ValueError("k_prime must be a positive integer")
-    source = _as_source(rng)
+    source = as_source(rng)
     transcript = Transcript()
     k = math.ceil(gamma * poly.n)
 
@@ -405,7 +391,7 @@ def run_scheme10(x, poly, k, rng, distributed=False):
     bit pair with x_ij in the slot selected by s_j and a random filler in
     the other; Bob returns the cross-slot parity over his a_i=1 pairs."""
     _check_params(x, poly, k)
-    source = _as_source(rng)
+    source = as_source(rng)
     transcript = Transcript()
     n = poly.n
 
@@ -444,12 +430,3 @@ def run_scheme10(x, poly, k, rng, distributed=False):
         return DistributedBit(y0, bob_bit), transcript
     transcript.record(BOB, [bob_bit], tag="final")
     return y0 ^ bob_bit, transcript
-
-
-def inner_product_demo(x, a, rng=None) -> int:
-    """Bipartite inner product sum(a_i x_i) mod 2 via one scheme 8 call."""
-    if len(x) != len(a):
-        raise ValueError("input vectors must have equal length")
-    out, _ = run_scheme8(x, LinearPolynomial(tuple(a), 0), 1,
-                         rng if rng is not None else np.random.default_rng())
-    return out

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qsim
-from .harness import ALICE, BOB, Transcript, measure_with, teleport_symbolic
+from .harness import (ALICE, BOB, Transcript, as_source, measure_with,
+                      teleport_symbolic)
 from .linpoly import LinearPolynomial, run_scheme4
-from . import linpoly as _linpoly
 
 
 # --- F2 linear forms and Pauli key polynomials ----------------------------
@@ -160,11 +160,6 @@ class CliffordTCircuit:
         for name, targets in self.gates:
             state = qsim.apply_gate(state, _GATES[name], list(targets))
         return state
-
-    @classmethod
-    def from_json(cls, obj) -> "CliffordTCircuit":
-        gates = tuple((g["gate"], tuple(g["targets"])) for g in obj["gates"])
-        return cls(int(obj["n"]), gates)
 
 
 def random_clifford_t(n: int, r: int, rng, clifford_per_stage: int = 3):
@@ -423,7 +418,7 @@ def run_scheme5(circuit, input_state, k, rng, check_soundness=False):
     Alice's side.  With check_soundness=True an omniscient observer
     verifies the key polynomials against the ideal state after every gate.
     """
-    return _evaluate(circuit, input_state, k, _linpoly._as_source(rng),
+    return _evaluate(circuit, input_state, k, as_source(rng),
                      check_soundness=check_soundness)
 
 
@@ -435,6 +430,6 @@ def run_scheme6(circuit, input_state, k, traps, rng,
     Alice must send; any mismatch aborts.  traps=0 reduces to run_scheme5.
     """
     plan_rng = rng_bob if rng_bob is not None else np.random.default_rng(0)
-    return _evaluate(circuit, input_state, k, _linpoly._as_source(rng),
+    return _evaluate(circuit, input_state, k, as_source(rng),
                      traps=traps, plan_rng=plan_rng,
                      alice_strategy=alice_strategy)

@@ -64,16 +64,6 @@ def ry(theta: float) -> Gate:
     return Gate(f"Ry({theta:g})", np.array([[c, -s], [s, c]]), 1)
 
 
-def rz(theta: float) -> Gate:
-    return Gate(f"Rz({theta:g})",
-                np.diag([cmath.exp(-1j * theta / 2), cmath.exp(1j * theta / 2)]), 1)
-
-
-def rx(theta: float) -> Gate:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return Gate(f"Rx({theta:g})", np.array([[c, -1j * s], [-1j * s, c]]), 1)
-
-
 def controlled(u: np.ndarray, name: str) -> Gate:
     """Two-qubit controlled-U; gate slot 0 is the control, slot 1 the target.
 
@@ -87,9 +77,7 @@ def controlled(u: np.ndarray, name: str) -> Gate:
 
 
 CNOT = controlled(_X, "CNOT")
-CZ = controlled(_Z, "CZ")
 C_IY = controlled(1j * _Y, "C-iY")            # controlled i*sigma_y
-F_HALF = controlled(ry(math.pi).matrix, "F")  # controlled R_y(pi)
 
 
 class QuantumState:
@@ -294,11 +282,6 @@ def _entropy_bits(p) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def von_neumann_entropy(rho) -> float:
-    rho = rho.density() if isinstance(rho, QuantumState) else np.asarray(rho)
-    return _entropy_bits(np.linalg.eigvalsh(rho))
-
-
 def mutual_information(joint) -> float:
     """I(X;Y) in bits from a joint probability table (rows X, columns Y)."""
     joint = np.asarray(joint, dtype=float)
@@ -309,15 +292,3 @@ def mutual_information(joint) -> float:
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     return _entropy_bits(px) + _entropy_bits(py) - _entropy_bits(joint.reshape(-1))
-
-
-def holevo(ensemble) -> float:
-    """S(sum p_i rho_i) - sum p_i S(rho_i), in bits."""
-    probs = [p for p, _ in ensemble]
-    if abs(sum(probs) - 1) > 1e-9:
-        raise ValueError("ensemble probabilities do not sum to 1")
-    mats = [r.density() if isinstance(r, QuantumState) else np.asarray(r)
-            for _, r in ensemble]
-    avg = sum(p * m for p, m in zip(probs, mats))
-    return von_neumann_entropy(avg) - sum(p * von_neumann_entropy(m)
-                                          for p, m in zip(probs, mats))

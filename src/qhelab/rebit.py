@@ -56,24 +56,6 @@ def controlled_ry(theta: float) -> qsim.Gate:
     return qsim.controlled(qsim.ry(theta).matrix, f"C-Ry({theta:g})")
 
 
-def translate_logical_gate(name: str, theta: float | None = None):
-    """Physical real-gate sequence for a logical gate on the encoded state.
-
-    Returns a list of (Gate, slots) where slots name the qubits the gate
-    touches: "data" entries index into the logical targets, "phase" is the
-    phase qubit.
-    """
-    if name == "I":
-        return []
-    if name == "Rz":
-        return [(controlled_ry(2 * theta), ("data", "phase"))]
-    if name == "Ry":
-        return [(qsim.ry(theta), ("data",))]
-    if name == "F":
-        return [(qsim.F_HALF, ("data", "data"))]
-    raise ValueError(f"unsupported logical gate {name!r}")
-
-
 # --- Y-diagonal expansion -------------------------------------------------
 
 _W = np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2)  # cols |y+>, |y->
@@ -91,13 +73,6 @@ def pauli_y_product(f: int, k: int) -> np.ndarray:
 class YDiagExpansion:
     k: int
     c: np.ndarray  # length 2^k, c[f] indexed by the group element's bits
-
-    def reconstruct(self) -> np.ndarray:
-        dim = 2 ** self.k
-        out = np.zeros((dim, dim), dtype=complex)
-        for f in range(dim):
-            out += self.c[f] * pauli_y_product(f, self.k)
-        return out
 
 
 def is_y_diagonal(u: np.ndarray, atol: float = ATOL) -> bool:
@@ -170,12 +145,3 @@ def uncertain_gadget(state, data_qubit, j, source, mode="rotation"):
     st = qsim.remove_qubit(st, b, s)
     st = qsim.remove_qubit(st, a, m)
     return st, m, s, correction_flag(m, s, j, mode)
-
-
-def uncertain_rz(state, data_qubit, k, source):
-    """Uncertain R_z(-k*pi/2) as R_x(-pi/2) R_y(k*pi/2) R_x(pi/2) with the
-    gadget supplying the middle rotation; residual correction is Z^r."""
-    st = qsim.apply_gate(state, qsim.rx(math.pi / 2), [data_qubit])
-    st, m, s, r = uncertain_gadget(st, data_qubit, k % 4, source)
-    st = qsim.apply_gate(st, qsim.rx(-math.pi / 2), [data_qubit])
-    return st, m, s, r

@@ -19,7 +19,6 @@ gadget is the reference in tests/test_rebit_schemes.py.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -75,7 +74,7 @@ class AlmostCommutingCircuit:
 
 
 def named_generator(name: str, k: int, theta: float) -> np.ndarray:
-    """Stock Y-diagonal layer generators for circuit files and tests."""
+    """Stock Y-diagonal layer generators for random circuits and tests."""
     if name == "ry_product":
         out = np.array([[1.0 + 0j]])
         for _ in range(k):
@@ -93,25 +92,6 @@ def named_generator(name: str, k: int, theta: float) -> np.ndarray:
             yy = np.kron(yy, qsim._Y)
         return math.cos(theta) * np.eye(2 ** k) - 1j * math.sin(theta) * yy
     raise ValueError(f"unknown generator {name!r}")
-
-
-def circuit_from_json(text: str) -> AlmostCommutingCircuit:
-    spec = json.loads(text)
-    layers = []
-    for item in spec["layers"]:
-        if item["type"] == "ydiag":
-            qubits = tuple(item["qubits"])
-            if "matrix" in item:
-                u = np.array([[complex(c[0], c[1]) for c in row]
-                              for row in item["matrix"]])
-            else:
-                u = named_generator(item["generator"], len(qubits),
-                                    item.get("theta", 0.0))
-            layers.append(Layer("ydiag", qubits, u=u))
-        else:
-            layers.append(Layer("rz", (item["qubit"],), j=item["j"]))
-    return AlmostCommutingCircuit(spec["n"], layers,
-                                  require_real=spec.get("require_real", True))
 
 
 # --- Pauli frame bookkeeping ---------------------------------------------
@@ -137,22 +117,6 @@ def conjugate_frame_2q(gate_matrix: np.ndarray, frame_c, frame_t):
         if abs(abs(coef) - 1) < 1e-8 and np.allclose(qq, coef * cand, atol=1e-8):
             return (xc, zc), (xt, zt)
     raise ValueError("gate does not normalize the Pauli group")
-
-
-def physical_oracle(circuit: AlmostCommutingCircuit, encoded_input: qsim.QuantumState):
-    """Direct application of the physical layer unitaries (the correctness
-    reference): each ydiag layer acts on its data qubits, each rz layer as
-    controlled-R_y(j*pi) onto the phase qubit."""
-    n = circuit.n
-    st = encoded_input.copy()
-    for layer in circuit.layers:
-        if layer.kind == "ydiag":
-            g = qsim.Gate("U", layer.u, len(layer.qubits))
-            st = qsim.apply_gate(st, g, list(layer.qubits))
-        else:
-            st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
-                                 [layer.qubits[0], n])
-    return st
 
 
 def logical_oracle(circuit: AlmostCommutingCircuit, psi: np.ndarray) -> np.ndarray:

@@ -258,20 +258,6 @@ def theorem6_constants(n, k, inputs=None):
     return {"values": vals, "spread": max(vals) - min(vals), "c0": vals[0]}
 
 
-def factorization_gap(scheme, n, k, x) -> float:
-    """Trace distance between the joint view and the tensor product of the
-    per-variable marginals (zero iff the per-variable views are
-    independent in Bob's eyes)."""
-    params = {"n": n, "k": k}
-    joint = bob_view(scheme, params, tuple(x)).density
-    q = 2 * k  # qubits per variable
-    prod = np.array([[1.0]])
-    for i in range(n):
-        keep = range((n - 1 - i) * q, (n - i) * q)  # variable i sits high
-        prod = np.kron(prod, qsim.partial_trace_matrix(joint, n * q, keep))
-    return qsim.trace_distance(joint, prod)
-
-
 # --- fixed-measurement outcome tables ------------------------------------
 
 def _pair_outcome_vec(b, s):
@@ -445,20 +431,6 @@ def _oneway_pairing_information(n, k):
         blocks.append(np.array(rows))
     table = np.hstack(blocks) / 2 ** k
     return qsim.mutual_information(table / 2 ** n)
-
-
-def holevo_crosscheck(n, k):
-    """Holevo quantity of the uniform view ensemble versus the enumerated
-    CMI for the shared-basis scheme; the views commute (they are diagonal
-    in the fixed Z/X product basis), so the two must agree."""
-    params = {"n": n, "k": k}
-    views = [bob_view("7", params, tuple(_bits(v, n))).density
-             for v in range(2 ** n)]
-    comm = max(np.abs(a @ b - b @ a).max()
-               for a, b in itertools.combinations(views, 2))
-    chi = qsim.holevo([(2.0 ** -n, rho) for rho in views])
-    return {"holevo": chi, "cmi": cmi_uniform("7", n, k),
-            "max_commutator": float(comm)}
 
 
 # --- adversary strategies -------------------------------------------------

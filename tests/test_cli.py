@@ -261,8 +261,47 @@ def test_usage_errors_exit_2(capsys):
                      "--seed", "0"]) == 2
 
 
-# sha256 of seeded reports whose rows hold only counts and ratios, so they
-# must stay byte-identical across refactors of the protocol code
+def test_degenerate_counts_exit_2(tmp_path, capsys):
+    """Zero trials, negative R/traps/depth and empty grid axes are refused
+    with one JSON error line instead of an empty or vacuous report."""
+    out = tmp_path / "r.jsonl"
+    for argv in (["run", "--scheme", "10", "--n", "1", "--trials", "0"],
+                 ["run", "--scheme", "10", "--n", "3..1"],
+                 ["run", "--scheme", "8", "--k", "2..1", "--exhaustive"],
+                 ["audit", "--metric", "comm", "--scheme", "5", "--n", "1",
+                  "--R", "-2"],
+                 ["run", "--scheme", "2", "--depth", "-1", "--trials", "1"],
+                 ["adversary", "--scheme", "6", "--traps", "-1"],
+                 ["adversary", "--party", "bob", "--scheme", "4",
+                  "--trials", "0"]):
+        assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 2, \
+            argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]
+    assert not out.exists()
+    for argv in (["audit", "--metric", "comm", "--scheme", "5", "--n", "1",
+                  "--R", "0"],
+                 ["run", "--scheme", "2", "--depth", "0", "--trials", "1"]):
+        assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_enumeration_budget_exit_2(monkeypatch, tmp_path, capsys, workers):
+    """An exhaustive run that needs more hidden bits than --max-bits is a
+    refused argument (exit 2), not a failed row (exit 1)."""
+    monkeypatch.setenv("QHELAB_WORKERS", workers)
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--scheme", "10", "--n", "1", "--k", "2..3",
+                     "--exhaustive", "--max-bits", "3", "--seed", "1",
+                     "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "exceeded 3 hidden bits" in json.loads(line)["error"]
+    assert not out.exists()
+
+
+# sha256 of seeded reports, which must stay byte-identical across refactors
+# of the protocol and analysis code; the last two are the README privacy
+# audits and pin seclab's exact distances and information values
 _GOLDEN = [
     (["adversary", "--scheme", "6", "--strategy", "probe", "--traps", "4",
       "--trials", "20", "--seed", "3"],
@@ -279,12 +318,18 @@ _GOLDEN = [
     (["audit", "--metric", "comm", "--scheme", "2", "--n", "1..3", "--seed",
       "1"],
      "55990744d945dd2b1385c84801a7dbca333cf24fa4d6a98cfc3d99817408ad7a"),
+    (["audit", "--metric", "trace-distance", "--scheme", "4", "--k", "1..3",
+      "--seed", "0"],
+     "d7abc39c06d9e09a1532638f06c8177a05df33faa9031b611848fa1eecf00320"),
+    (["audit", "--metric", "cmi", "--scheme", "7", "--n", "2", "--k", "1..2",
+      "--seed", "0"],
+     "75d4541275e263eee8189112c0078ebd38c053918d27c18c53e909ca26616da0"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[
     "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
-    "scheme2-comm"])
+    "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

@@ -8,9 +8,33 @@ import pytest
 from qhelab import qsim
 from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, NeedMoreBits,
                             ProtocolError, RandomBits, SecretBit, Transcript,
-                            comm_audit, enumerate_hidden,
-                            enumerate_hidden_adaptive, hidden_bit_count,
-                            measure_with, teleport_literal, teleport_symbolic)
+                            as_source, bell_measure_with, comm_audit,
+                            enumerate_hidden, enumerate_hidden_adaptive,
+                            hidden_bit_count, measure_with, teleport_symbolic)
+
+
+def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
+    """Reference implementation through an explicit EPR pair; used to check
+    that teleport_symbolic induces the same channel.  Returns
+    (state, (residual_x, residual_z)) with the teleported content moved
+    back to `qubit`'s position via the EPR second half then relabeled."""
+    withhold = set(withhold)
+    st, a_q, b_q = qsim.epr_extend(state, owner_a="sender", owner_b=new_owner)
+    (mx, mz), st = bell_measure_with(source, st, qubit, a_q)
+    # receiver corrects the disclosed components
+    if "x" not in withhold and mx:
+        st = qsim.apply_gate(st, qsim.X, [b_q])
+    if "z" not in withhold and mz:
+        st = qsim.apply_gate(st, qsim.Z, [b_q])
+    # move the payload back down to `qubit` so register layout is stable
+    st = qsim.apply_gate(st, qsim.Gate("SWAP", np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), 2),
+        [qubit, b_q])
+    st = qsim.remove_qubit(st, b_q, mz)
+    st = qsim.remove_qubit(st, a_q, mx)
+    st.owners[qubit] = new_owner
+    residual = (mx if "x" in withhold else 0, mz if "z" in withhold else 0)
+    return st, residual
 
 
 def test_transcript_records_and_counts():
@@ -84,6 +108,21 @@ def test_enumerate_hidden_adaptive_weights():
     weights = sum(2.0 ** -len(bits) for bits, _ in leaves)
     assert abs(weights - 1.0) < 1e-12
     assert sorted(len(b) for b, _ in leaves) == [1, 2, 2]
+    # the bit budget bounds the caller's argument: exceeding it is a
+    # ValueError, not a protocol fault
+    with pytest.raises(ValueError, match="exceeded 1 hidden bits"):
+        list(enumerate_hidden_adaptive(run, max_bits=1))
+
+
+def test_as_source_wraps_seeds_and_generators():
+    src = FixedBits([1])
+    assert as_source(src) is src
+
+    def bits(source):
+        return [source.bit() for _ in range(16)]
+    want = bits(RandomBits(np.random.default_rng(4)))
+    assert bits(as_source(np.random.default_rng(4))) == want
+    assert bits(as_source(4)) == want
 
 
 def test_measure_with_deterministic_outcomes_free():

@@ -20,9 +20,7 @@ def test_polynomial_basics():
     assert poly.evaluate([1, 1, 0]) == 1
     with pytest.raises(ValueError):
         poly.evaluate([1, 1])
-    with pytest.raises(ValueError):
-        lp.LinearPolynomial.from_json({"n": 3, "a": [1, 0]})
-    assert lp.LinearPolynomial.from_json({"n": 2, "a": [1, 1], "c": 1}).c == 1
+    assert lp.LinearPolynomial((1, 1), 1).c == 1
 
 
 def test_encode_pair_states():
@@ -164,8 +162,10 @@ def test_strategy_party_enforcement():
 
 
 def test_inner_product_demo():
+    """Bipartite inner product sum(a_i x_i) mod 2 via one scheme 8 call."""
     rng = np.random.default_rng(4)
-    assert lp.inner_product_demo([1, 1, 0], [1, 0, 1], rng) == 1
-    assert lp.inner_product_demo([1, 1], [1, 1], rng) == 0
-    with pytest.raises(ValueError):
-        lp.inner_product_demo([1], [1, 0])
+    for x, a, want in (([1, 1, 0], (1, 0, 1), 1), ([1, 1], (1, 1), 0)):
+        out, _ = lp.run_scheme8(x, lp.LinearPolynomial(a, 0), 1, rng)
+        assert out == want
+    with pytest.raises(ValueError):  # vectors of unequal length
+        lp.run_scheme8([1], lp.LinearPolynomial((1, 0), 0), 1, rng)

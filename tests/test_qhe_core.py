@@ -89,10 +89,8 @@ def test_circuit_validation_and_r_count():
         qc.CliffordTCircuit(1, (("CNOT", (0,)),))
     with pytest.raises(ValueError):
         qc.CliffordTCircuit(1, (("H", (1,)),))
-    circ = qc.CliffordTCircuit.from_json(
-        {"n": 2, "gates": [{"gate": "H", "targets": [0]},
-                           {"gate": "T", "targets": [1]},
-                           {"gate": "CNOT", "targets": [0, 1]}]})
+    circ = qc.CliffordTCircuit(2, (("H", (0,)), ("T", (1,)),
+                                   ("CNOT", (0, 1))))
     assert circ.r_count == 1
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from qhelab import qhe_core as qc
 from qhelab import qsim, seclab
+from test_qsim import holevo
 
 
 def splits_literal(x, k):
@@ -312,9 +313,23 @@ def test_theorem6_constants_are_input_independent():
             assert out["spread"] == 0.0
 
 
+def factorization_gap(scheme, n, k, x) -> float:
+    """Trace distance between the joint view and the tensor product of the
+    per-variable marginals (zero iff the per-variable views are
+    independent in Bob's eyes)."""
+    params = {"n": n, "k": k}
+    joint = seclab.bob_view(scheme, params, tuple(x)).density
+    q = 2 * k  # qubits per variable
+    prod = np.array([[1.0]])
+    for i in range(n):
+        keep = range((n - 1 - i) * q, (n - i) * q)  # variable i sits high
+        prod = np.kron(prod, qsim.partial_trace_matrix(joint, n * q, keep))
+    return qsim.trace_distance(joint, prod)
+
+
 def test_factorization_gap():
-    assert seclab.factorization_gap("4", 2, 1, (0, 0)) < 1e-10
-    assert abs(seclab.factorization_gap("7", 2, 1, (0, 0)) - 0.125) < 1e-10
+    assert factorization_gap("4", 2, 1, (0, 0)) < 1e-10
+    assert abs(factorization_gap("7", 2, 1, (0, 0)) - 0.125) < 1e-10
 
 
 def test_bob_view_validation_and_caps():
@@ -392,8 +407,22 @@ def test_conditioned_information_oneway_pairing(n, want):
         assert abs(got - want) < 1e-9, k
 
 
+def holevo_crosscheck(n, k):
+    """Holevo quantity of the uniform view ensemble versus the enumerated
+    CMI for the shared-basis scheme; the views commute (they are diagonal
+    in the fixed Z/X product basis), so the two must agree."""
+    params = {"n": n, "k": k}
+    views = [seclab.bob_view("7", params, tuple(seclab._bits(v, n))).density
+             for v in range(2 ** n)]
+    comm = max(np.abs(a @ b - b @ a).max()
+               for a, b in itertools.combinations(views, 2))
+    chi = holevo([(2.0 ** -n, rho) for rho in views])
+    return {"holevo": chi, "cmi": seclab.cmi_uniform("7", n, k),
+            "max_commutator": float(comm)}
+
+
 def test_holevo_equals_cmi_for_commuting_views():
-    out = seclab.holevo_crosscheck(2, 1)
+    out = holevo_crosscheck(2, 1)
     assert out["max_commutator"] < 1e-10
     assert abs(out["holevo"] - out["cmi"]) < 1e-9
     assert abs(out["cmi"] - 1.25) < 1e-9
