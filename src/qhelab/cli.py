@@ -426,7 +426,7 @@ def _build_parser():
     common(adv)
 
     sub.add_parser("list-schemes", help="inventory of runnable protocols")
-    return p
+    return p, sub.choices
 
 
 def _grid_specs(args):
@@ -476,7 +476,7 @@ def _grid_specs(args):
     return specs
 
 
-def _apply_config(args):
+def _apply_config(args, command_parser):
     """Override parsed flags with the keys of the JSON object in
     args.config; a key that names no flag of the command is refused."""
     try:
@@ -486,12 +486,31 @@ def _apply_config(args):
         raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config {args.config} is not a JSON object")
-    flags = set(vars(args)) - {"command"}
+    flags = {a.dest: a for a in command_parser._actions if a.dest != "help"}
     for key, value in config.items():
-        name = key.replace("-", "_")
-        if name not in flags:
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(args, name, value)
+        setattr(args, action.dest, _config_value(action, key, value))
+
+
+def _config_value(action, key, value):
+    """A config value checked as its flag's own text would be: through the
+    flag's type and choices, or a JSON boolean for an on/off flag."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a string or a number")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} must be one of "
+                         f"{sorted(action.choices)}")
+    return value
 
 
 def _worker_count(points):
@@ -513,7 +532,7 @@ def _emit(rows, output):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "list-schemes":
         for sid in sorted(SCHEMES, key=int):
@@ -521,7 +540,7 @@ def main(argv=None) -> int:
         return 0
     try:
         if args.config:
-            _apply_config(args)
+            _apply_config(args, commands[args.command])
         specs = _grid_specs(args)
         workers = _worker_count(len(specs))
         if workers > 1:

@@ -11,7 +11,7 @@ into a message" into a loud test failure instead of a silent privacy bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class Transcript:
 
     def __init__(self):
         self.messages: list[Message] = []
-        self.aborted_by: str | None = None
 
     def record(self, sender: str, bits, tag: str = "", round: int | None = None):
         if sender not in (ALICE, BOB):
@@ -78,13 +77,12 @@ class Transcript:
                 raise ProtocolError(f"non-bit payload {b!r}")
             clean.append(int(b))
         if round is None:
-            round = self.messages[-1].round + 1 if self.messages else 0
+            round = self.next_round()
         elif self.messages and round < self.messages[-1].round:
             raise ProtocolError("rounds must be nondecreasing")
         self.messages.append(Message(sender, clean, round, tag))
 
     def record_abort(self, party: str, reason: str = ""):
-        self.aborted_by = party
         self.messages.append(Message(party, [], self.next_round(), f"abort:{reason}"))
 
     def next_round(self) -> int:
@@ -267,12 +265,8 @@ def bell_measure_with(source, state, q1, q2):
 
 @dataclass
 class TeleportRecord:
-    qubit: int
-    withheld_x: bool
-    withheld_z: bool
     mask_x: SecretBit | int  # SecretBit when withheld, plain bit when disclosed
     mask_z: SecretBit | int
-    disclosed: list = field(default_factory=list)
 
 
 def teleport_symbolic(state, qubit, withhold, source, transcript=None,
@@ -302,19 +296,11 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
     if st is state:  # never hand back (or relabel) the caller's object
         st = state.copy()
     st.owners[qubit] = new_owner
-    disclosed = []
-    if "x" not in withhold:
-        disclosed.append(0)
-    if "z" not in withhold:
-        disclosed.append(0)
+    disclosed = [0] * (2 - len(withhold))
     if transcript is not None and disclosed:
         transcript.record(sender, disclosed, tag=tag)
     rec = TeleportRecord(
-        qubit=qubit,
-        withheld_x="x" in withhold,
-        withheld_z="z" in withhold,
         mask_x=SecretBit(a, "teleport-x") if "x" in withhold else 0,
         mask_z=SecretBit(b, "teleport-z") if "z" in withhold else 0,
-        disclosed=disclosed,
     )
     return st, rec

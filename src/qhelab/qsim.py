@@ -279,7 +279,9 @@ def fidelity(a, b) -> float:
 def _entropy_bits(p) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 1e-12]
-    return float(-np.sum(p * np.log2(p)))
+    plogp = np.log2(p)
+    plogp *= p
+    return float(-np.sum(plogp))
 
 
 def mutual_information(joint) -> float:

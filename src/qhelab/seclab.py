@@ -2,13 +2,12 @@
 
 Everything quantitative here comes from exact averages over the hidden
 randomness (pad splits, basis bits, withheld teleport bits), never from
-sampling; the mixtures are small enough that the average density operator
-of the qubits a party receives can be built outright.  Only adversary
-*dynamics* (how much a cheating measurement disturbs a live protocol run)
-are Monte Carlo, and those report Wilson 95% intervals.
+sampling.  Only adversary *dynamics* (how much a cheating measurement
+disturbs a live protocol run) are Monte Carlo, and those report Wilson 95%
+intervals.
 
 Layout conventions for views and outcome tables (shared so that the
-density computations and the measurement enumerations can be compared):
+computations here and the measurement enumerations can be compared):
 
 - Pad pairs are ordered with variable index i outermost, pad index j
   inner; within each two-qubit pair the first (Z-carrier) qubit is the
@@ -25,18 +24,18 @@ information equals the Holevo quantity); the Hadamard eigenbasis per qubit
 for the one-way scheme (the optimal axis for distinguishing the per-bit
 views, which are not co-diagonalizable).
 
-Every average over the pad splits of an input bit, whether of outcome
-laws, view densities or (s, m) tables, is one kron recursion
-(`_pad_average`): one kron per extra pad, never an enumeration of splits.
-
-Because the round-trip views share that eigenbasis, their trace distances
-are total-variation distances between rows of the pair-measurement outcome
-table.  A row is a tensor product of one-variable outcome laws and holds
-4^(nk) entries, so it reaches sizes whose 2^(2nk)-dimensional densities
-could never be eigensolved.  The one-way scheme's outcome tables are
-tensor products of one-variable laws as well.  Dense views (`bob_view`)
-remain for the one-way scheme's distances, whose views do not commute, and
-for cross-checks.  Outcome tables are refused past DIM_CAP^2 entries.
+Each view family has one route.  The round-trip schemes (4 and 7) share
+that eigenbasis, so every privacy quantity of theirs comes from the
+pair-measurement outcome rows and tables: a trace distance is the
+total-variation distance of two rows.  A row is a tensor product of
+one-variable outcome laws.  The one-way scheme (8) has views that do not
+commute, so its distances compare dense densities (`bob_view`); its
+information measures come from its outcome tables, which are tensor
+products of one-variable laws as well.  Every average over the pad splits
+of an input bit, whether of outcome laws, densities or (s, m) tables, is
+one kron recursion (`_pad_average`): one kron per extra pad, never an
+enumeration of splits.  Every view, row and table is refused past 2^24
+entries before it is built.
 """
 
 from __future__ import annotations
@@ -53,14 +52,24 @@ from .harness import ALICE, BOB, bell_measure_with, measure_with
 from .linpoly import LinearPolynomial, run_scheme4
 from .qhe_core import run_scheme6
 
-DIM_CAP = 2 ** 12
+# entries in the largest view density, outcome row or table built: one
+# 12-qubit density, a row over 12 pad pairs
+_ENTRY_CAP = 2 ** 24
 
-_MIX = np.eye(2) / 2
+# _PZ[b], _PX[b]: one-way qubit density for pad bit b in basis s = 0, 1
 _PZ = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 _PX = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
 # P(Hadamard-basis outcome 0 | computational bit 0) = cos^2(pi/8); the same
 # number appears for |+> versus |->, so the outcome law is basis-blind.
 _C8 = math.cos(math.pi / 8) ** 2
+
+
+def _check_entries(entries, what):
+    """Refuse a view density, outcome row or table of more than
+    _ENTRY_CAP entries before it is built."""
+    if entries > _ENTRY_CAP:
+        raise ValueError(f"{what} has {entries} entries, more than the cap "
+                         f"{_ENTRY_CAP}")
 
 
 def _pad_average(steps):
@@ -82,48 +91,37 @@ def _bits(value, n):
     return [(value >> i) & 1 for i in range(n)]
 
 
-# --- Bob-view densities ---------------------------------------------------
-
-def _pair_density(b, s):
-    """Mask-averaged two-qubit pad pair: the non-carrier qubit is I/2."""
-    if s == 0:
-        return np.kron(_PZ[b], _MIX)
-    return np.kron(_MIX, _PX[b])
-
-
-# _STEPS[scheme][s] holds one pad's (pad 0, pad 1) densities in basis s: a
-# pad pair for the round-trip schemes, a qubit for the one-way scheme
-_PAIR_STEP = [(_pair_density(0, s), _pair_density(1, s)) for s in (0, 1)]
-_STEPS = {"4": _PAIR_STEP, "7": _PAIR_STEP, "8": [_PZ, _PX]}
-
-
-def _basis_average(step):
-    """One pad's (pad 0, pad 1) densities averaged over its basis bit."""
-    return tuple((step[0][b] + step[1][b]) / 2 for b in (0, 1))
+def _inputs(x, n):
+    """The input bit lists a view or row averages over: x is a single bit
+    (per-variable view), a bit tuple of length n, or "uniform" (every
+    input)."""
+    if x == "uniform":
+        return [_bits(v, n) for v in range(2 ** n)]
+    if isinstance(x, (int, np.integer)):
+        return [[int(x) & 1]]
+    xbits = [int(b) & 1 for b in x]
+    if len(xbits) != n:
+        raise ValueError(f"input length {len(xbits)} != n={n}")
+    return [xbits]
 
 
-def _joint_view(scheme, xbits, k):
-    """View of all of Bob's qubits: the kron of the per-variable views,
-    averaged over the basis bits shared by all variables (scheme 4's are
-    independent per variable, so its view factors); the one-way scheme's
-    t_j qubits sit below and average to I/2."""
-    steps = _STEPS[scheme]
-    if scheme == "4":
-        q = _pad_average([_basis_average(steps)] * k)
-        return functools.reduce(np.kron, [q[x] for x in xbits])
+# --- one-way Bob-view densities -------------------------------------------
+
+def _joint_view(xbits, k):
+    """View of all of Bob's one-way qubits: the kron of the per-variable
+    views, averaged over the basis bits shared by all variables; the t_j
+    qubits sit below and average to I/2."""
     acc = 0
     for s in itertools.product((0, 1), repeat=k):
-        q = _pad_average([steps[sj] for sj in s])
+        q = _pad_average([(_PZ, _PX)[sj] for sj in s])
         acc = acc + functools.reduce(np.kron, [q[x] for x in xbits])
-    if scheme == "8":
-        acc = np.kron(acc, np.eye(2 ** k) / 2 ** k)
-    return acc / 2 ** k
+    return np.kron(acc, np.eye(2 ** k) / 2 ** k) / 2 ** k
 
 
 @dataclass(frozen=True)
 class BobView:
-    """Average density operator of the qubits Bob receives, conditioned on
-    an input value (or uniform over inputs)."""
+    """Average density operator of the one-way scheme's qubits that Bob
+    receives, conditioned on an input value (or uniform over inputs)."""
 
     scheme: str
     n: int
@@ -146,82 +144,47 @@ class BobView:
 
     @property
     def num_qubits(self) -> int:
-        per_var = {"4": 2 * self.k, "7": 2 * self.k, "8": self.k}[self.scheme]
         if isinstance(self.conditioning, (int, np.integer)):
-            return per_var
-        if self.scheme == "8":
-            return self.k * (self.n + 1)
-        return 2 * self.k * self.n
+            return self.k
+        return self.k * (self.n + 1)
 
 
 def bob_view(scheme, params, x) -> BobView:
-    """Exact average of Bob's received state over Alice's hidden randomness.
+    """Exact average of Bob's received state in the one-way scheme (8)
+    over Alice's hidden randomness.  The round-trip schemes' views are
+    diagonal in the pair basis and are handled as outcome rows instead.
 
     `x` is a single bit (per-variable view), a bit tuple (joint view over
-    the whole input), or "uniform" (mixture over all inputs of the joint
-    view).  params carries n (joint views only) and k.
+    the whole input, with the t_j qubits), or "uniform" (mixture over all
+    inputs of the joint view).  params carries n (joint views only) and k.
     """
     scheme = str(scheme)
     k = int(params["k"])
     n = int(params.get("n", 1))
-    if scheme not in ("4", "7", "8"):
+    if scheme != "8":
         raise ValueError(f"no view construction for scheme {scheme!r}")
-
+    inputs = _inputs(x, n)
+    per_variable = isinstance(x, (int, np.integer))
+    qubits = k if per_variable else k * (n + 1)
+    _check_entries(4 ** qubits, f"view on {qubits} qubits")
+    if per_variable:
+        (x,) = inputs[0]
+        step = tuple((_PZ[b] + _PX[b]) / 2 for b in (0, 1))
+        return BobView(scheme, 1, k, x, _pad_average([step] * k)[x])
     if x == "uniform":
-        views = [bob_view(scheme, params, tuple(_bits(v, n)))
-                 for v in range(2 ** n)]
-        rho = sum(v.density for v in views) / 2 ** n
+        rho = sum(_joint_view(xbits, k) for xbits in inputs) / len(inputs)
         return BobView(scheme, n, k, "uniform", rho)
-
-    if isinstance(x, (int, np.integer)):
-        _check_dim(2 * k if scheme in ("4", "7") else k)
-        step = _basis_average(_STEPS[scheme])
-        rho = _pad_average([step] * k)[int(x) & 1]
-        return BobView(scheme, 1, k, int(x), rho)
-
-    xbits = [int(b) & 1 for b in x]
-    if len(xbits) != n:
-        raise ValueError(f"input length {len(xbits)} != n={n}")
-    _check_dim(k * (n + 1) if scheme == "8" else 2 * k * n)
-    return BobView(scheme, n, k, tuple(xbits), _joint_view(scheme, xbits, k))
-
-
-def _check_dim(qubits):
-    if 2 ** qubits > DIM_CAP:
-        raise ValueError(f"view on {qubits} qubits exceeds the dimension "
-                         f"cap {DIM_CAP}")
-
-
-def _check_row(pairs):
-    """An outcome row over `pairs` pad pairs has 4^pairs entries; refuse
-    rows larger than one capped view density (DIM_CAP^2 entries)."""
-    if 4 ** pairs > DIM_CAP ** 2:
-        raise ValueError(f"outcome row over {pairs} pad pairs exceeds "
-                         f"{DIM_CAP ** 2} entries")
-
-
-def _check_table(rows, cols):
-    """Refuse an outcome table larger than one capped view density
-    (DIM_CAP^2 entries) before it is built."""
-    if rows * cols > DIM_CAP ** 2:
-        raise ValueError(f"outcome table of {rows} x {cols} entries "
-                         f"exceeds {DIM_CAP ** 2}")
+    return BobView(scheme, n, k, tuple(inputs[0]), _joint_view(inputs[0], k))
 
 
 def _view_row(scheme, params, x):
-    """Diagonal of bob_view(scheme, params, x) for the round-trip schemes in
-    the pair basis, i.e. the law of Bob's pair-measurement outcomes."""
+    """Law of Bob's pair-measurement outcomes in a round-trip scheme: the
+    diagonal of his view in the pair basis."""
     k = int(params["k"])
     n = int(params.get("n", 1))
-    if x == "uniform":
-        inputs = [_bits(v, n) for v in range(2 ** n)]
-    elif isinstance(x, (int, np.integer)):
-        inputs = [[int(x) & 1]]
-    else:
-        inputs = [[int(b) & 1 for b in x]]
-        if len(inputs[0]) != n:
-            raise ValueError(f"input length {len(inputs[0])} != n={n}")
-    _check_row(len(inputs[0]) * k)
+    inputs = _inputs(x, n)
+    pairs = len(inputs[0]) * k
+    _check_entries(4 ** pairs, f"outcome row over {pairs} pad pairs")
     row = sum(_pair_row(xbits, k, shared_s=(scheme == "7"))
               for xbits in inputs) / len(inputs)
     if row.min() < -1e-9 or abs(row.sum() - 1.0) > 1e-9:
@@ -309,9 +272,10 @@ def _pair_table(n, k, shared_s, with_s=False):
     with_s=True the column index becomes (s, m) so that conditioning on the
     basis bits is a plain mutual-information computation."""
     settings = 2 ** (k if shared_s else n * k) if with_s else 1
-    _check_table(2 ** n, settings * 4 ** (n * k))
-    return np.array([_pair_row(_bits(xv, n), k, shared_s, with_s)
-                     for xv in range(2 ** n)])
+    cols = settings * 4 ** (n * k)
+    _check_entries(2 ** n * cols, "outcome table")
+    return np.fromiter((_pair_row(_bits(xv, n), k, shared_s, with_s)
+                        for xv in range(2 ** n)), (float, cols), 2 ** n)
 
 
 def _oneway_table(n, k):
@@ -320,13 +284,14 @@ def _oneway_table(n, k):
     sin^2(pi/8) regardless of its encoding basis, and the t_j qubits are
     uniform noise, so a row is the kron of one pad-averaged law per
     variable and a flat t_j block."""
-    _check_table(2 ** n, 2 ** (k * (n + 1)))
+    cols = 2 ** (k * (n + 1))
+    _check_entries(2 ** n * cols, "outcome table")
     q = _pad_average([(np.array([_C8, 1 - _C8]),
                        np.array([1 - _C8, _C8]))] * k)
     flat = np.full(2 ** k, 1.0 / 2 ** k)  # t_j outcome block
-    return np.array([functools.reduce(np.kron, [q[x] for x in _bits(xv, n)]
-                                      + [flat])
-                     for xv in range(2 ** n)])
+    return np.fromiter((functools.reduce(np.kron, [q[x] for x in _bits(xv, n)]
+                                         + [flat])
+                        for xv in range(2 ** n)), (float, cols), 2 ** n)
 
 
 def cmi_uniform(scheme, n, k) -> float:
@@ -339,7 +304,8 @@ def cmi_uniform(scheme, n, k) -> float:
         table = _oneway_table(n, k)
     else:
         raise ValueError(f"cmi_uniform supports schemes 7 and 8, not {scheme!r}")
-    return qsim.mutual_information(table / 2 ** n)
+    table /= 2 ** n
+    return qsim.mutual_information(table)
 
 
 def cmi_formula(kind, n, k) -> float:
@@ -365,24 +331,21 @@ def per_bit_information(scheme, n, k, i=0) -> float:
     qubits, marginalized out of the joint table."""
     scheme = str(scheme)
     if scheme in ("4", "7"):
-        table = _pair_table(n, k, shared_s=(scheme == "7"))
-        shaped = table.reshape((2 ** n,) + (4,) * (n * k))
-        # keep variable i's pad digits (i outermost in the digit order)
-        drop = tuple(1 + p for p in range(n * k)
-                     if not i * k <= p < (i + 1) * k)
+        table, base = _pair_table(n, k, shared_s=(scheme == "7")), 4
     elif scheme == "8":
-        table = _oneway_table(n, k)
-        shaped = table.reshape((2 ** n,) + (2,) * (k * (n + 1)))
-        drop = tuple(1 + p for p in range(k * (n + 1))
-                     if not i * k <= p < (i + 1) * k)
+        table, base = _oneway_table(n, k), 2
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    marg = shaped.sum(axis=drop).reshape(2 ** n, -1)
+    # variable i's k outcome digits follow the i*k digits of the variables
+    # before it (variable 0 outermost); sum out the digits on either side
+    marg = table.reshape(2 ** n, base ** (i * k), base ** k, -1).sum(
+        axis=(1, 3))
     # collapse the input axis to the single bit x_i
     out = np.zeros((2, marg.shape[1]))
     for xv in range(2 ** n):
         out[(xv >> i) & 1] += marg[xv]
-    return qsim.mutual_information(out / 2 ** n)
+    out /= 2 ** n
+    return qsim.mutual_information(out)
 
 
 def conditioned_information(scheme, n, k) -> float:
@@ -399,7 +362,8 @@ def conditioned_information(scheme, n, k) -> float:
     scheme = str(scheme)
     if scheme == "7":
         table = _pair_table(n, k, shared_s=True, with_s=True)
-        return qsim.mutual_information(table / 2 ** n)
+        table /= 2 ** n
+        return qsim.mutual_information(table)
     if scheme == "8":
         return _oneway_pairing_information(n, k)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -417,20 +381,22 @@ def _oneway_pairing_information(n, k):
     average and the columns are (s, groups, [sum t, last group])."""
     pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
     odd = n % 2
-    _check_table(2 ** n, 2 ** (k + odd) * 4 ** ((len(pairs) + odd) * k))
-    blocks = []
-    for s in itertools.product((0, 1), repeat=k):
-        q = _pad_average([_PAIR_OUTCOMES[:, 1 - sj] for sj in s])
-        rows = []
+    count, cols = 2 ** k, 2 ** odd * 4 ** ((len(pairs) + odd) * k)
+    _check_entries(2 ** n * count * cols, "outcome table")
+    q = _variable_outcomes(k, keep_s=True)
+    table = np.empty((2 ** n, count, cols))
+    for si in range(count):
+        c = count - 1 - si  # the basis bits 1 - s of setting si
         for xv in range(2 ** n):
             x = _bits(xv, n)
-            laws = [q[x[a] ^ x[b]] for a, b in pairs]
+            laws = [q[x[a] ^ x[b], c] for a, b in pairs]
             if odd:  # sum t is uniform: half its mass on each value
-                laws.append(np.concatenate([q[x[-1]], q[1 - x[-1]]]) / 2)
-            rows.append(functools.reduce(np.kron, laws))
-        blocks.append(np.array(rows))
-    table = np.hstack(blocks) / 2 ** k
-    return qsim.mutual_information(table / 2 ** n)
+                laws.append(np.concatenate([q[x[-1], c],
+                                            q[1 - x[-1], c]]) / 2)
+            table[xv, si] = functools.reduce(np.kron, laws)
+    table /= 2 ** k
+    table /= 2 ** n
+    return qsim.mutual_information(table.reshape(2 ** n, -1))
 
 
 # --- adversary strategies -------------------------------------------------

@@ -1,11 +1,12 @@
-"""Every public top-level function and class in `src/qhelab` has a user.
+"""Every top-level function and class in `src/qhelab`, and every private
+module constant, has a user.
 
 A user is a reference outside the name's own definition: a Name, an
 Attribute or an import in `src/qhelab`, the same in
 `tests/test_acceptance.py` or `bench/*.py` (where the tracer's `TIMED`
-table names the functions it patches by string), or a backticked mention
-in `README.md`.  Unit tests do not count: a helper only they call belongs
-in the test file that calls it.
+table names the functions it patches by string), or, for a public name, a
+backticked mention in `README.md`.  Unit tests do not count: a helper only
+they call belongs in the test file that calls it.
 """
 
 import ast
@@ -40,12 +41,12 @@ def _module_aliases(tree):
 
 def _references(tree, module=None):
     """(module, name) pairs that the file refers to, each tagged with the
-    top-level definition it sits in (None outside any definition)."""
+    top-level definition it sits in: a function, a class or a single-name
+    assignment (None elsewhere)."""
     aliases = _module_aliases(tree)
     refs = set()
     for stmt in tree.body:
-        owner = (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                 else None)
+        owner = _defined_name(stmt)
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 target = aliases.get(node.id)
@@ -78,13 +79,28 @@ def _timed(tree):
     return set()
 
 
-def _public_definitions():
+def _defined_name(stmt):
+    """The name a top-level function, class or single-name assignment
+    defines, else None."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        return targets[0].id
+    return None
+
+
+def _definitions():
+    """(module, name, is_constant) for every top-level definition."""
     defs = set()
     for path in sorted(PKG.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defs.add((path.stem, stmt.name))
+            name = _defined_name(stmt)
+            if name is not None and not name.startswith("__"):
+                defs.add((path.stem, name,
+                          not isinstance(stmt, (ast.FunctionDef,
+                                                ast.ClassDef))))
     return defs
 
 
@@ -108,9 +124,18 @@ def _used():
 
 def test_every_public_name_has_a_user():
     used, readme = _used()
-    unused = sorted(f"{mod}.{name}" for mod, name in _public_definitions()
-                    if (mod, name) not in used and name not in readme)
+    unused = sorted(f"{mod}.{name}" for mod, name, constant in _definitions()
+                    if not constant and not name.startswith("_")
+                    and (mod, name) not in used and name not in readme)
     assert not unused, "public names with no user outside the unit tests: " \
+        + ", ".join(unused)
+
+
+def test_every_private_name_has_a_user():
+    used, _ = _used()
+    unused = sorted(f"{mod}.{name}" for mod, name, _ in _definitions()
+                    if name.startswith("_") and (mod, name) not in used)
+    assert not unused, "private names with no user outside the unit tests: " \
         + ", ".join(unused)
 
 
@@ -120,6 +145,8 @@ def test_guard_sees_each_kind_of_reference():
     tree = ast.parse(
         "from . import qsim as q\n"
         "from .harness import measure_with\n"
+        "_K = 2\n"
+        "_L = [_K]\n"
         "def f():\n"
         "    return q.apply_gate, f, g\n"
         "def g():\n"
@@ -129,5 +156,8 @@ def test_guard_sees_each_kind_of_reference():
     assert (("harness", "measure_with"), None) in refs
     assert (("m", "g"), "f") in refs
     assert (("m", "g"), "g") in refs  # dropped by _used as self-reference
+    assert (("m", "_K"), "_L") in refs  # a constant used by another
+    assert (("m", "_K"), "_K") in refs  # its own assignment: self-reference
+    assert {owner for ref, owner in refs if ref == ("m", "_L")} == {"_L"}
     assert _timed(ast.parse("TIMED = {'qsim': ('apply_gate',)}")) == {
         ("qsim", "apply_gate")}

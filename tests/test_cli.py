@@ -199,14 +199,19 @@ def test_config_overrides_flags(tmp_path):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
-    """A misspelled key, a missing file, malformed JSON or a non-object is
-    refused with one JSON error line instead of running or a traceback."""
+    """A misspelled key, a missing file, malformed JSON, a non-object or a
+    value its flag's type or choices refuse is refused with one JSON error
+    line instead of running or a traceback.  A value is read as its flag's
+    text would be, so "5" for --trials runs like --trials 5."""
     argv = ["run", "--scheme", "10", "--n", "1", "--trials", "1", "--seed",
             "0", "--output", str(tmp_path / "r.jsonl"), "--config"]
     bad = {"typo.json": json.dumps({"trails": 2}),
            "command.json": json.dumps({"command": "audit"}),
            "broken.json": "{\"k\": ",
-           "list.json": "[1, 2]"}
+           "list.json": "[1, 2]",
+           "switch.json": json.dumps({"exhaustive": "no"}),
+           "choice.json": json.dumps({"scheme": "3"}),
+           "float.json": json.dumps({"seed": 1.5})}
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
     for name in list(bad) + ["missing.json"]:
@@ -214,6 +219,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"]
     assert not (tmp_path / "r.jsonl").exists()
+    (tmp_path / "R.json").write_text(json.dumps({"R": 1.5}))
+    assert cli.main(["audit", "--metric", "comm", "--scheme", "5", "--seed",
+                     "1", "--config", str(tmp_path / "R.json")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]
+    (tmp_path / "trials.json").write_text(json.dumps({"trials": "5"}))
+    flag, config = tmp_path / "flag.jsonl", tmp_path / "config.jsonl"
+    assert cli.main(["run", "--scheme", "10", "--n", "1", "--seed", "1",
+                     "--trials", "5", "--output", str(flag)]) == 0
+    assert cli.main(["run", "--scheme", "10", "--n", "1", "--seed", "1",
+                     "--output", str(config), "--config",
+                     str(tmp_path / "trials.json")]) == 0
+    assert config.read_bytes() == flag.read_bytes()
 
 
 def test_worker_count_is_bounded(monkeypatch, capsys):

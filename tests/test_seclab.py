@@ -32,13 +32,22 @@ def pad_average_literal(steps, x):
     return sum(terms) / len(terms)
 
 
+def pair_density_literal(b, s):
+    """Mask-averaged two-qubit pad pair of a round-trip scheme: the carrier
+    holds pad bit b in basis s, the non-carrier qubit is I/2."""
+    mix = np.eye(2) / 2
+    if s == 0:
+        return np.kron(seclab._PZ[b], mix)
+    return np.kron(mix, seclab._PX[b])
+
+
 def variable_view_literal(xi, k, s_vec):
     """Reference 2k-qubit view of one variable: enumerate its pad splits."""
     acc = np.zeros((4 ** k, 4 ** k))
     for pads in splits_literal(xi, k):
         term = np.array([[1.0]])
         for j in range(k):
-            term = np.kron(term, seclab._pair_density(pads[j], s_vec[j]))
+            term = np.kron(term, pair_density_literal(pads[j], s_vec[j]))
         acc += term
     return acc / 2 ** (k - 1)
 
@@ -63,6 +72,23 @@ def joint_view_literal(scheme, xbits, k):
             term = np.kron(term, np.eye(2 ** k) / 2 ** k)
         acc = acc + term
     return acc / len(settings)
+
+
+def view_literal(scheme, x, n, k):
+    """Reference view for a bit tuple, or the uniform mixture over every
+    input."""
+    inputs = ([seclab._bits(v, n) for v in range(2 ** n)] if x == "uniform"
+              else [list(x)])
+    return sum(joint_view_literal(scheme, xbits, k)
+               for xbits in inputs) / len(inputs)
+
+
+def pair_basis_literal(pairs):
+    """2^pairs times the change to Bob's pair basis (Z on each pair's first
+    qubit, X on its second): an unnormalized H on every second qubit, so a
+    dyadic view stays exact."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return functools.reduce(np.kron, [np.eye(2), h] * pairs)
 
 
 def oneway_table_literal(n, k):
@@ -164,8 +190,9 @@ def test_pad_average_matches_split_enumeration(k):
     s_vec = [int(b) for b in rng.integers(0, 2, size=k)]
     cases = [
         laws,
-        [seclab._STEPS["7"][s] for s in s_vec],
-        [seclab._STEPS["8"][s] for s in s_vec],
+        [(pair_density_literal(0, s), pair_density_literal(1, s))
+         for s in s_vec],
+        [(seclab._PZ, seclab._PX)[s] for s in s_vec],
         [seclab._PAIR_OUTCOMES[:, 1 - s] for s in s_vec],
         [seclab._PAIR_OUTCOMES] * k,
     ]
@@ -182,7 +209,24 @@ def test_pad_average_matches_split_enumeration(k):
                                  (2, 2), (3, 1)])
 def test_views_match_split_enumeration(scheme, n, k):
     """Per-variable views (averaged over the basis bits) and joint views of
-    every input against split- and setting-enumerated densities."""
+    every input against split- and setting-enumerated densities.  The
+    round-trip schemes' views are their outcome rows: in the pair basis
+    the enumerated density must be diagonal with exactly the row on its
+    diagonal."""
+    if scheme != "8":
+        u = pair_basis_literal(n * k)
+        inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
+        if n == 1:
+            inputs += [0, 1]  # per-variable rows
+        for x in inputs:
+            xbits = [x] if isinstance(x, int) else list(x)
+            want = (u @ joint_view_literal(scheme, xbits, k) @ u
+                    / 2 ** (n * k))
+            row = seclab._view_row(scheme, {"n": n, "k": k}, x)
+            assert np.array_equal(want, np.diag(row)), x
+        with pytest.raises(ValueError):
+            seclab.bob_view(scheme, {"n": n, "k": k}, inputs[0])
+        return
     if n == 1:
         for x in (0, 1):
             got = seclab.bob_view(scheme, {"k": k}, x).density
@@ -215,17 +259,20 @@ def test_oneway_pairing_information_equals_joint_enumeration(n, k):
 
 def test_table_size_guard(monkeypatch):
     """Every outcome table counts the entries it builds and is refused
-    past DIM_CAP^2 before anything is built."""
+    past 2^24 entries before anything is built."""
     checked = []
-    monkeypatch.setattr(seclab, "_check_table",
-                        lambda rows, cols: checked.append((rows, cols)))
+    monkeypatch.setattr(seclab, "_check_entries",
+                        lambda entries, what: checked.append(entries))
     for n, k, shared_s, with_s in [(2, 2, True, False), (2, 1, True, True),
                                    (2, 1, False, True)]:
-        shape = seclab._pair_table(n, k, shared_s, with_s).shape
-        assert checked.pop() == shape
-    shape = seclab._oneway_table(2, 3).shape
-    assert checked.pop() == shape
+        table = seclab._pair_table(n, k, shared_s, with_s)
+        assert checked.pop() == table.size
+    table = seclab._oneway_table(2, 3)
+    assert checked.pop() == table.size
     monkeypatch.undo()
+    seclab._check_entries(2 ** 24, "table")
+    with pytest.raises(ValueError):
+        seclab._check_entries(2 ** 24 + 1, "table")
 
     def no_build(steps):
         raise AssertionError("table built past the cap")
@@ -247,11 +294,12 @@ def test_table_size_guard(monkeypatch):
                                  (3, 1)])
 def test_row_distances_match_dense_views(scheme, n, k):
     """Every pair of inputs, the uniform mixture included: the outcome-row
-    distance equals the eigensolved distance of the dense view densities."""
+    distance equals the eigensolved distance of the enumerated view
+    densities."""
     params = {"n": n, "k": k}
     inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
     inputs.append("uniform")
-    dense = {x: seclab.bob_view(scheme, params, x).density for x in inputs}
+    dense = {x: view_literal(scheme, x, n, k) for x in inputs}
     for a, b in itertools.combinations(inputs, 2):
         want = qsim.trace_distance(dense[a], dense[b])
         got = seclab.privacy_distance(scheme, params, a, b)
@@ -261,17 +309,20 @@ def test_row_distances_match_dense_views(scheme, n, k):
 @pytest.mark.parametrize("scheme", ["4", "7"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_per_variable_row_distance_matches_dense_view(scheme, k):
-    dense = [seclab.bob_view(scheme, {"k": k}, b).density for b in (0, 1)]
+    dense = [joint_view_literal(scheme, [b], k) for b in (0, 1)]
     got = seclab.privacy_distance(scheme, {"k": k}, 0, 1)
     assert abs(got - qsim.trace_distance(*dense)) < 1e-12
     assert got == 0.5 ** k
 
 
 def test_view_row_size_guard_and_validation(monkeypatch):
-    seclab._check_row(12)  # 4^12 entries: one capped view's worth
+    """Rows over 12 pad pairs and views on 12 qubits (4^12 entries) are
+    the largest built; 13 are refused before anything is built."""
+    seclab._check_entries(4 ** 12, "row")
     with pytest.raises(ValueError):
-        seclab._check_row(13)
-    # refused before any row is built
+        seclab._check_entries(4 ** 13, "row")
+    with pytest.raises(ValueError):
+        seclab.privacy_distance("4", {"k": 13}, 0, 1)
     with pytest.raises(ValueError):
         seclab.privacy_distance("7", {"n": 4, "k": 4}, (0,) * 4, (1,) * 4)
     with pytest.raises(ValueError):
@@ -280,12 +331,20 @@ def test_view_row_size_guard_and_validation(monkeypatch):
         seclab.privacy_distance("7", {"n": 2, "k": 1}, (0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         seclab.privacy_distance("5", {"k": 1}, 0, 1)
-    # each route checks the pair count of the row it is about to build
+    with pytest.raises(ValueError):
+        seclab.bob_view("8", {"k": 13}, 0)
+    with pytest.raises(ValueError):
+        seclab.bob_view("8", {"n": 12, "k": 1}, (0,) * 12)
+    # each route checks the entries of the row or view it is about to build
     checked = []
-    monkeypatch.setattr(seclab, "_check_row", checked.append)
+    monkeypatch.setattr(seclab, "_check_entries",
+                        lambda entries, what: checked.append(entries))
     seclab.privacy_distance("7", {"n": 3, "k": 2}, (0, 0, 0), "uniform")
     seclab.privacy_distance("4", {"k": 5}, 0, 1)
-    assert checked == [6, 6, 5, 5]
+    seclab.privacy_distance("8", {"n": 2, "k": 2}, (0, 1), "uniform")
+    seclab.privacy_distance("8", {"k": 3}, 0, 1)
+    assert checked == [4 ** 6, 4 ** 6, 4 ** 5, 4 ** 5, 4 ** 6, 4 ** 6,
+                       4 ** 3, 4 ** 3]
 
 
 @pytest.mark.parametrize("scheme", ["4", "7"])
@@ -317,8 +376,7 @@ def factorization_gap(scheme, n, k, x) -> float:
     """Trace distance between the joint view and the tensor product of the
     per-variable marginals (zero iff the per-variable views are
     independent in Bob's eyes)."""
-    params = {"n": n, "k": k}
-    joint = seclab.bob_view(scheme, params, tuple(x)).density
+    joint = joint_view_literal(scheme, list(x), k)
     q = 2 * k  # qubits per variable
     prod = np.array([[1.0]])
     for i in range(n):
@@ -333,21 +391,24 @@ def test_factorization_gap():
 
 
 def test_bob_view_validation_and_caps():
+    """Dense views exist for the one-way scheme only; the round-trip
+    schemes' views are outcome rows."""
+    for scheme in ("4", "5", "7"):
+        with pytest.raises(ValueError):
+            seclab.bob_view(scheme, {"k": 1}, 0)
     with pytest.raises(ValueError):
-        seclab.bob_view("5", {"k": 1}, 0)
+        seclab.bob_view("8", {"n": 6, "k": 2}, tuple([0] * 6))
     with pytest.raises(ValueError):
-        seclab.bob_view("7", {"n": 7, "k": 1}, tuple([0] * 7))
+        seclab.bob_view("8", {"n": 2, "k": 1}, (0, 0, 0))
     with pytest.raises(ValueError):
-        seclab.bob_view("7", {"n": 2, "k": 1}, (0, 0, 0))
-    with pytest.raises(ValueError):
-        seclab.BobView("4", 1, 1, 0, np.eye(4))  # trace 4, not a state
+        seclab.BobView("8", 1, 1, 0, np.eye(2))  # trace 2, not a state
 
 
 def test_bob_view_uniform_mixes_inputs():
     params = {"n": 1, "k": 1}
-    uni = seclab.bob_view("7", params, "uniform").density
-    avg = (seclab.bob_view("7", params, (0,)).density
-           + seclab.bob_view("7", params, (1,)).density) / 2
+    uni = seclab.bob_view("8", params, "uniform").density
+    avg = (seclab.bob_view("8", params, (0,)).density
+           + seclab.bob_view("8", params, (1,)).density) / 2
     assert np.allclose(uni, avg, atol=1e-12)
 
 
@@ -411,8 +472,7 @@ def holevo_crosscheck(n, k):
     """Holevo quantity of the uniform view ensemble versus the enumerated
     CMI for the shared-basis scheme; the views commute (they are diagonal
     in the fixed Z/X product basis), so the two must agree."""
-    params = {"n": n, "k": k}
-    views = [seclab.bob_view("7", params, tuple(seclab._bits(v, n))).density
+    views = [joint_view_literal("7", seclab._bits(v, n), k)
              for v in range(2 ** n)]
     comm = max(np.abs(a @ b - b @ a).max()
                for a, b in itertools.combinations(views, 2))
