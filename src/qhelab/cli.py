@@ -383,8 +383,8 @@ def _build_parser():
                                 description="scheme laboratory batch runner")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seeded=True):
-        sp.add_argument("--seed", type=int, required=seeded,
+    def common(sp):
+        sp.add_argument("--seed", type=int, required=True,
                         help="base seed; mandatory for sampled experiments")
         sp.add_argument("--output", default=None,
                         help="report path (default stdout)")
@@ -417,8 +417,9 @@ def _build_parser():
     adv = sub.add_parser("adversary", help="cheating-strategy benches")
     adv.add_argument("--party", choices=["alice", "bob"], default="alice")
     adv.add_argument("--scheme", required=True, choices=["4", "6"])
-    adv.add_argument("--strategy", default="probe",
-                     choices=["probe", "honest", "measure"])
+    adv.add_argument("--strategy", default=None,
+                     choices=["probe", "honest", "measure"],
+                     help="alice: probe (default) or honest; bob: measure")
     adv.add_argument("--n", default="1")
     adv.add_argument("--k", default="1")
     adv.add_argument("--traps", type=int, default=4)
@@ -429,8 +430,20 @@ def _build_parser():
     return p, sub.choices
 
 
+# the adversary benches: party -> (schemes, strategies); the first strategy
+# is the party's default
+_BENCHES = {"alice": (("4", "6"), ("probe", "honest")),
+            "bob": (("4",), ("measure",))}
+
+
 def _grid_specs(args):
     """Expand the parsed arguments into per-grid-point work items."""
+    if args.command == "adversary":
+        schemes, strategies = _BENCHES[args.party]
+        strategy = args.strategy or strategies[0]
+        if args.scheme not in schemes or strategy not in strategies:
+            raise ValueError(f"no {args.party} bench runs strategy "
+                             f"{strategy!r} against scheme {args.scheme}")
     ns, ks = _parse_range(args.n), _parse_range(args.k)
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
@@ -470,7 +483,7 @@ def _grid_specs(args):
                           "R": args.R, "depth": args.depth, "seed": seed})
         elif args.command == "adversary":
             specs.append({"cmd": "adversary", "scheme": args.scheme,
-                          "party": args.party, "strategy": args.strategy,
+                          "party": args.party, "strategy": strategy,
                           "n": n, "k": k, "traps": args.traps,
                           "trials": args.trials, "seed": seed})
     return specs

@@ -1,5 +1,6 @@
-"""Two-party protocol engine: transcripts, hidden-bit hygiene, and the
-teleportation channel with withheld corrections.
+"""Two-party protocol engine: transcripts, hidden-bit hygiene, the
+teleportation channel with withheld corrections, and the Pauli-frame rule
+table that schemes 1, 2, 5 and 6 push their masks through.
 
 Every classical bit that crosses between the parties passes through a
 Transcript, so communication accounting is exact.  Bits that a party keeps
@@ -65,7 +66,7 @@ class Transcript:
     def __init__(self):
         self.messages: list[Message] = []
 
-    def record(self, sender: str, bits, tag: str = "", round: int | None = None):
+    def record(self, sender: str, bits, tag: str = ""):
         if sender not in (ALICE, BOB):
             raise ProtocolError(f"unknown sender {sender!r}")
         clean = []
@@ -76,11 +77,7 @@ class Transcript:
             if b not in (0, 1):
                 raise ProtocolError(f"non-bit payload {b!r}")
             clean.append(int(b))
-        if round is None:
-            round = self.next_round()
-        elif self.messages and round < self.messages[-1].round:
-            raise ProtocolError("rounds must be nondecreasing")
-        self.messages.append(Message(sender, clean, round, tag))
+        self.messages.append(Message(sender, clean, self.next_round(), tag))
 
     def record_abort(self, party: str, reason: str = ""):
         self.messages.append(Message(party, [], self.next_round(), f"abort:{reason}"))
@@ -181,9 +178,9 @@ class CountingBits(RandomBits):
         return super().outcome(p0)
 
 
-def hidden_bit_count(run_fn, rng=None) -> int:
+def hidden_bit_count(run_fn) -> int:
     """Probe how many hidden random bits one run of a protocol consumes."""
-    src = CountingBits(rng or np.random.default_rng(0))
+    src = CountingBits(np.random.default_rng(0))
     run_fn(src)
     return src.count
 
@@ -304,3 +301,41 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         mask_z=SecretBit(b, "teleport-z") if "z" in withhold else 0,
     )
     return st, rec
+
+
+def conjugate_frame(frames, gate, targets):
+    """Push a Pauli frame through one gate, in place.
+
+    frames[q] = (x, z) says that qubit q carries the mask X^x Z^z, up to
+    phase.  x and z are F2 linear forms held as int bitmasks: bit 0 is the
+    constant and bit v+1 the coefficient of variable v, so a known bit is
+    the form 0 or 1 and a form's value is the parity of form & assignment
+    (with bit 0 of the assignment set).  Every rule is linear over F2.
+
+    A Clifford gate G (H, P, CNOT, and CRY, a controlled-R_y(j*pi) with odd
+    j; control first) is applied to the data, and the frame becomes that of
+    G X^x Z^z G^dag.  A Pauli gate (X, Y, Z) multiplies the frame instead:
+    it is absorbed into the mask, or applied as a mask correction.
+    """
+    if gate == "H":
+        (q,) = targets
+        x, z = frames[q]
+        frames[q] = (z, x)
+    elif gate == "P":
+        (q,) = targets
+        x, z = frames[q]
+        frames[q] = (x, z ^ x)
+    elif gate in ("X", "Y", "Z"):
+        (q,) = targets
+        x, z = frames[q]
+        frames[q] = (x ^ (gate != "Z"), z ^ (gate != "X"))
+    elif gate in ("CNOT", "CRY"):
+        c, t = targets
+        (xc, zc), (xt, zt) = frames[c], frames[t]
+        if gate == "CNOT":
+            frames[c], frames[t] = (xc, zc ^ zt), (xt ^ xc, zt)
+        else:  # controlled-sigma_y, then S or S-dagger on the control
+            frames[c], frames[t] = ((xc, zc ^ xc ^ xt ^ zt),
+                                    (xt ^ xc, zt ^ xc))
+    else:
+        raise ValueError(f"no frame rule for gate {gate!r}")

@@ -17,9 +17,11 @@ and (a, c) from Alice:
   summary bits R_j, w never reach Alice in the clear.
 - scheme 10: a fully classical analogue of scheme 8's bit algebra.
 
-All schemes have a distributed mode that omits Bob's final mask bit and
-leaves the result as the XOR of one bit per party; higher-level protocols
-compose through that mode.
+Schemes 4, 8 and 10 have a distributed mode that omits Bob's final mask
+bit and leaves the result as the XOR of one bit per party; higher-level
+protocols compose through that mode.  Schemes 5 and 6 (qhe_core) evaluate
+each form of Bob's Pauli frame this way: the form's int bitmask becomes a
+LinearPolynomial with its bit 0 as c and bit v+1 as a_v.
 """
 
 from __future__ import annotations
@@ -237,9 +239,9 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     return y0 ^ bob_bit, transcript
 
 
-def run_scheme7(x, poly, k, rng, distributed=False):
+def run_scheme7(x, poly, k, rng):
     """Shared-basis variant: one basis bit s_j across all i (m = n)."""
-    return run_scheme4(x, poly, k, rng, distributed=distributed, m=poly.n)
+    return run_scheme4(x, poly, k, rng, m=poly.n)
 
 
 # --- scheme 8 -------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Alice teleports her data qubits to Bob withholding all correction bits, so
 Bob holds the state under an unknown Pauli mask X^a Z^b per qubit.  Bob
-tracks the mask as a pair of F2 linear polynomials (f_a_i, f_b_i) per qubit
-over a fixed variable registry: Alice's 2n initial key bits followed by 4
-Bell-outcome bits per T gate.  Clifford gates update only Bob's
-coefficients; a T gate leaves an unwanted P^{f_a} which is removed by a
-distributed linear-polynomial evaluation (scheme 4, distributed mode)
-feeding a two-party garden-hose gadget that applies P-dagger exactly when
-the shares XOR to 1.  The gadget runs as its equivalent channel, as
-teleportation does; its literal 4-EPR-pair version is a test reference.
-At the end Bob teleports the state back and one more distributed
-evaluation per key bit hands Alice her Pauli corrections.
+tracks the mask as a Pauli frame: a pair of F2 linear forms (f_a_i, f_b_i)
+per qubit over a fixed variable registry, Alice's 2n initial key bits
+followed by 4 Bell-outcome bits per T gate.  A form is an int bitmask (bit
+0 the constant, bit v+1 variable v), and every Clifford or Pauli gate
+rewrites the frame through `harness.conjugate_frame`, the rule table that
+schemes 1 and 2 use as well; Alice's bits never change.  A T gate leaves
+an unwanted P^{f_a} which is removed by a distributed linear-polynomial
+evaluation (scheme 4, distributed mode) feeding a two-party garden-hose
+gadget that applies P-dagger exactly when the shares XOR to 1.  The gadget
+runs as its equivalent channel, as teleportation does; its literal
+4-EPR-pair version is a test reference.  At the end Bob teleports the
+state back and one more distributed evaluation per key bit hands Alice her
+Pauli corrections.
 
 Scheme 6 is the same evaluation with Bob-side trap qubits whose checkpoint
 measurements catch a cheating Alice with constant probability per trap;
@@ -25,107 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qsim
-from .harness import (ALICE, BOB, Transcript, as_source, measure_with,
-                      teleport_symbolic)
+from .harness import (ALICE, BOB, Transcript, as_source, conjugate_frame,
+                      measure_with, teleport_symbolic)
 from .linpoly import LinearPolynomial, run_scheme4
-
-
-# --- F2 linear forms and Pauli key polynomials ----------------------------
-
-@dataclass
-class LinearForm:
-    """const + sum coeffs[v] * var_v over F2."""
-
-    const: int
-    coeffs: np.ndarray  # uint8, one slot per registry variable
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LinearForm":
-        return cls(0, np.zeros(nvars, dtype=np.uint8))
-
-    @classmethod
-    def variable(cls, v: int, nvars: int) -> "LinearForm":
-        f = cls.zero(nvars)
-        f.coeffs[v] = 1
-        return f
-
-    def copy(self) -> "LinearForm":
-        return LinearForm(self.const, self.coeffs.copy())
-
-    def __xor__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.const ^ other.const,
-                          (self.coeffs ^ other.coeffs).astype(np.uint8))
-
-    def flip(self) -> None:
-        self.const ^= 1
-
-    def evaluate(self, bits) -> int:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size != self.coeffs.size:
-            raise ValueError("variable vector size mismatch")
-        return int(self.const ^ (int(self.coeffs @ bits) & 1))
-
-
-@dataclass
-class PauliKeyPolynomial:
-    """Bob's symbolic Pauli mask: X^{f_a_i} Z^{f_b_i} per qubit i."""
-
-    n: int
-    nvars: int
-    f_a: list
-    f_b: list
-
-    @classmethod
-    def initial(cls, n: int, r_cap: int, extra_qubits: int = 0):
-        """Registry layout: variables 2i, 2i+1 are qubit i's initial key
-        bits; then 4 fresh variables per T gate, r_cap of them budgeted.
-        Qubits beyond n (Bob's own ancillas) start with zero keys."""
-        nvars = 2 * n + 4 * r_cap
-        f_a = [LinearForm.variable(2 * i, nvars) for i in range(n)]
-        f_b = [LinearForm.variable(2 * i + 1, nvars) for i in range(n)]
-        for _ in range(extra_qubits):
-            f_a.append(LinearForm.zero(nvars))
-            f_b.append(LinearForm.zero(nvars))
-        return cls(n + extra_qubits, nvars, f_a, f_b)
-
-    def mask_gate(self, qubit: int, bits) -> list:
-        """Pauli factors (as (gate, qubit)) for this qubit at given bits."""
-        out = []
-        if self.f_b[qubit].evaluate(bits):
-            out.append((qsim.Z, qubit))
-        if self.f_a[qubit].evaluate(bits):
-            out.append((qsim.X, qubit))
-        return out
-
-
-def effective_key_update(keys: PauliKeyPolynomial, gate: str, targets):
-    """Push the Pauli mask through a Clifford gate by rewriting Bob's
-    coefficients; Alice's bits never change.
-
-    H: swap (f_a, f_b).  P: f_b ^= f_a.  CNOT (control first):
-    f_b_ctrl ^= f_b_tgt and f_a_tgt ^= f_a_ctrl.  Paulis flip constants.
-    """
-    targets = [targets] if isinstance(targets, int) else list(targets)
-    if gate == "H":
-        (i,) = targets
-        keys.f_a[i], keys.f_b[i] = keys.f_b[i], keys.f_a[i]
-    elif gate == "P":
-        (i,) = targets
-        keys.f_b[i] = keys.f_b[i] ^ keys.f_a[i]
-    elif gate == "CNOT":
-        i, j = targets
-        keys.f_b[i] = keys.f_b[i] ^ keys.f_b[j]
-        keys.f_a[j] = keys.f_a[j] ^ keys.f_a[i]
-    elif gate == "X":
-        keys.f_a[targets[0]].flip()
-    elif gate == "Z":
-        keys.f_b[targets[0]].flip()
-    elif gate == "Y":
-        keys.f_a[targets[0]].flip()
-        keys.f_b[targets[0]].flip()
-    else:
-        raise ValueError(f"not a supported Clifford gate: {gate!r}")
-    return keys
 
 
 # --- circuits -------------------------------------------------------------
@@ -162,12 +67,13 @@ class CliffordTCircuit:
         return state
 
 
-def random_clifford_t(n: int, r: int, rng, clifford_per_stage: int = 3):
-    """Random circuit with exactly r T gates separated by Clifford bursts."""
+def random_clifford_t(n: int, r: int, rng):
+    """Random circuit with exactly r T gates separated by bursts of one to
+    three Clifford gates."""
     names = ["H", "P", "X", "Z", "Y"] + (["CNOT"] if n > 1 else [])
     gates = []
     for stage in range(r + 1):
-        for _ in range(int(rng.integers(1, clifford_per_stage + 1))):
+        for _ in range(int(rng.integers(1, 4))):
             name = names[int(rng.integers(len(names)))]
             if name == "CNOT":
                 i, j = rng.choice(n, size=2, replace=False)
@@ -246,25 +152,27 @@ class Scheme5Run:
 
 
 def _distributed_eval(form, alice_bits, k, source, report, alice_strategy=None):
-    """Lower-level scheme: distributed evaluation of one key polynomial.
+    """Lower-level scheme: distributed evaluation of one frame form.
 
     Alice's inputs are her current variable-value vector (unperformed
     measurements count as zero); Bob's polynomial is the linear form."""
-    poly = LinearPolynomial(tuple(int(b) for b in form.coeffs), form.const)
+    poly = LinearPolynomial(tuple((form >> v) & 1
+                                  for v in range(1, len(alice_bits) + 1)),
+                            form & 1)
     dist, tr = run_scheme4(list(alice_bits), poly, k, source,
                            distributed=True, alice_strategy=alice_strategy)
     report.instance_transcripts.append(tr)
     return dist.alice_bit, dist.bob_bit
 
 
-def t_gate_step(state, qubit, keys, alice_bits, t_index, k, source, report,
-                alice_strategy=None):
+def t_gate_step(state, qubit, frames, alice_bits, t_index, k, source,
+                report, alice_strategy=None):
     """Apply T and remove the induced P^{f_a} via the distributed
     evaluation plus the garden-hose gadget; registers 4 fresh variables."""
     st = qsim.apply_gate(state, qsim.T, [qubit])
-    f_a_old = keys.f_a[qubit].copy()  # TX = (phase) P X T: keys unchanged, P^{f_a} appears
+    f_a = frames[qubit][0]  # TX = (phase) P X T: P^{f_a} appears
 
-    q_share, p_share = _distributed_eval(f_a_old, alice_bits, k, source,
+    q_share, p_share = _distributed_eval(f_a, alice_bits, k, source,
                                          report, alice_strategy)
     st, a4, b2, out_label = garden_hose(st, qubit, p_share, q_share, source)
 
@@ -272,16 +180,15 @@ def t_gate_step(state, qubit, keys, alice_bits, t_index, k, source, report,
     alice_bits[base:base + 4] = a4
     # net mask from the two teleports, with the P-dagger pushed through
     # Bob's correction bits: X^{bx} Z^{bz + bx*f_a} then Alice's X^{ax} Z^{az}
+    # (variables ax and ax + 1 of the route p selects)
     ax = base + (0 if p_share == 0 else 2)
-    az = ax + 1
     bx, bz = b2
-    keys.f_a[qubit] = keys.f_a[qubit] ^ LinearForm.variable(ax, keys.nvars)
-    keys.f_b[qubit] = keys.f_b[qubit] ^ LinearForm.variable(az, keys.nvars)
-    if bx:
-        keys.f_a[qubit].flip()
-        keys.f_b[qubit] = keys.f_b[qubit] ^ f_a_old
-    if bz:
-        keys.f_b[qubit].flip()
+    x, z = frames[qubit]
+    frames[qubit] = (x ^ (1 << (ax + 1)),
+                     z ^ (1 << (ax + 2)) ^ (f_a if bx else 0))
+    for gate, bit in (("X", bx), ("Z", bz)):
+        if bit:
+            conjugate_frame(frames, gate, (qubit,))
     report.t_audit.append({
         "t_index": t_index, "qubit": qubit, "shares": (q_share, p_share),
         "correction": p_share ^ q_share, "out": out_label,
@@ -290,12 +197,14 @@ def t_gate_step(state, qubit, keys, alice_bits, t_index, k, source, report,
     return st
 
 
-def _masked_fidelity(state, keys, alice_bits, ideal):
+def _masked_fidelity(state, frames, alice_bits, ideal):
     """Undo the mask at the true bits and compare with the ideal state."""
+    assignment = 1 | sum(int(b) << v for v, b in enumerate(alice_bits, 1))
     st = state.copy()
-    for i in range(keys.n):
-        for gate, qb in keys.mask_gate(i, alice_bits):
-            st = qsim.apply_gate(st, gate, [qb])
+    for i, (x, z) in enumerate(frames):
+        for gate, form in ((qsim.Z, z), (qsim.X, x)):
+            if (form & assignment).bit_count() & 1:
+                st = qsim.apply_gate(st, gate, [i])
     return qsim.fidelity(st, ideal)
 
 
@@ -315,8 +224,11 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
     r_cap = circuit.r_count + 2 * traps
     transcript = Transcript()
     report = Scheme5Report(n=n, r_cap=r_cap, nvars=2 * n + 4 * r_cap)
-    keys = PauliKeyPolynomial.initial(n, r_cap, extra_qubits=traps)
-    alice_bits = [0] * keys.nvars
+    # Bob's frame: data qubit i is masked by Alice's key variables 2i and
+    # 2i + 1; his trap ancillas start unmasked
+    frames = ([(1 << (2 * i + 1), 1 << (2 * i + 2)) for i in range(n)]
+              + [(0, 0)] * traps)
+    alice_bits = [0] * report.nvars
 
     # step 1: Alice teleports her data to Bob, withholding every correction
     st = input_state.copy()
@@ -337,17 +249,17 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
     t_index = 0
     for name, targets in circuit.gates:
         if name == "T":
-            st = t_gate_step(st, targets[0], keys, alice_bits, t_index, k,
+            st = t_gate_step(st, targets[0], frames, alice_bits, t_index, k,
                              source, report, alice_strategy)
             t_index += 1
         else:
             if name not in ("X", "Y", "Z"):
                 st = qsim.apply_gate(st, _GATES[name], list(targets))
-            effective_key_update(keys, name, targets)
+            conjugate_frame(frames, name, targets)
         if check_soundness:
             ideal = qsim.apply_gate(ideal, _GATES[name], list(targets))
             report.soundness.append(
-                _masked_fidelity(st, keys, alice_bits, ideal))
+                _masked_fidelity(st, frames, alice_bits, ideal))
 
     trap_records = []
     for t in range(traps):
@@ -355,19 +267,19 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
         d = plan[t]["data_qubit"]
         for _ in range(2):  # conjugate pair: joint but net-identity on data
             st = qsim.apply_gate(st, qsim.CNOT, [d, tq])
-            effective_key_update(keys, "CNOT", [d, tq])
+            conjugate_frame(frames, "CNOT", (d, tq))
         st = qsim.apply_gate(st, qsim.H, [tq])
-        effective_key_update(keys, "H", [tq])
+        conjugate_frame(frames, "H", (tq,))
         for _ in range(2):
-            st = t_gate_step(st, tq, keys, alice_bits, t_index, k, source,
+            st = t_gate_step(st, tq, frames, alice_bits, t_index, k, source,
                              report, alice_strategy)
             t_index += 1
         # checkpoint: trap should be the +1 Y eigenstate up to the mask;
         # X and Z each flip the Y outcome, so the relevant mask bit is
         # f_a ^ f_b.  Alice sends her share of it (the "reduced" lower
         # -level instance: no mask bit back from Bob, no correction).
-        form = keys.f_a[tq] ^ keys.f_b[tq]
-        if np.any(form.coeffs[:2 * n]):
+        form = frames[tq][0] ^ frames[tq][1]
+        if (form >> 1) & ((1 << 2 * n) - 1):
             raise AssertionError("trap polynomial touches data key variables")
         a_share, b_share = _distributed_eval(form, alice_bits, k, source,
                                              report, alice_strategy)
@@ -398,8 +310,8 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
     # into his share before sending it, so Alice's combined bit is directly
     # the physical correction for the qubit she now holds
     for i in range(n):
-        for gate, form, fold in ((qsim.X, keys.f_a[i], bob_return[i][0]),
-                                 (qsim.Z, keys.f_b[i], bob_return[i][1])):
+        for gate, form, fold in ((qsim.X, frames[i][0], bob_return[i][0]),
+                                 (qsim.Z, frames[i][1], bob_return[i][1])):
             a_share, b_share = _distributed_eval(form, alice_bits, k, source,
                                                  report)
             b_share ^= fold

@@ -111,10 +111,10 @@ class QuantumState:
         return np.outer(self.vec, self.vec.conj())
 
 
-def basis_state(n: int, index: int = 0, owners=None) -> QuantumState:
+def basis_state(n: int, index: int = 0) -> QuantumState:
     v = np.zeros(2 ** n, dtype=complex)
     v[index] = 1.0
-    return QuantumState(v, owners=owners)
+    return QuantumState(v)
 
 
 def product_state(*single_qubit_vecs, owners=None) -> QuantumState:
@@ -127,10 +127,8 @@ def product_state(*single_qubit_vecs, owners=None) -> QuantumState:
     return QuantumState(out, owners=owners)
 
 
-def random_state(n: int, rng, real: bool = False) -> QuantumState:
-    v = rng.normal(size=2 ** n)
-    if not real:
-        v = v + 1j * rng.normal(size=2 ** n)
+def random_state(n: int, rng) -> QuantumState:
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return QuantumState(v / np.linalg.norm(v))
 
 

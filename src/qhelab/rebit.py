@@ -75,13 +75,13 @@ class YDiagExpansion:
     c: np.ndarray  # length 2^k, c[f] indexed by the group element's bits
 
 
-def is_y_diagonal(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_y_diagonal(u: np.ndarray) -> bool:
     k = int(round(math.log2(u.shape[0])))
     w = np.array([[1.0 + 0j]])
     for _ in range(k):
         w = np.kron(w, _W)
     d = w.conj().T @ u @ w
-    return bool(np.max(np.abs(d - np.diag(np.diag(d)))) < atol)
+    return bool(np.max(np.abs(d - np.diag(np.diag(d)))) < ATOL)
 
 
 def ydiag_expand(u: np.ndarray) -> YDiagExpansion:

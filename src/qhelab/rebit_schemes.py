@@ -8,10 +8,13 @@ Z gates where his Pauli list anticommutes with sigma_y, the joint
 group-circulant C, and Z measurements whose outcomes extend his list by
 R_y(pi) factors.  Fixed controlled-R_y(j*pi) gates (the encoded R_z layers)
 are applied by Alice directly and pushed through Bob's list by Clifford
-conjugation.  At the end Bob discloses the data-qubit corrections: 2 bits
-per data qubit, 2n total.  The residual phase-qubit correction is always
-I or sigma_y, and sigma_y on the phase qubit is a global phase on the
-decoded state, so it is never sent.  The simulation runs each layer's
+conjugation.  Bob's list is a Pauli frame of known bits, one (x, z) pair
+per qubit; every update to it, the sigma_y factors included, goes through
+`harness.conjugate_frame`, the rule table that schemes 5 and 6 use.  At
+the end Bob discloses the data-qubit corrections: 2 bits per data qubit,
+2n total.  The residual phase-qubit correction is always I or sigma_y, and
+sigma_y on the phase qubit is a global phase on the decoded state, so it
+is never sent.  The simulation runs each layer's
 gadget as the channel it implements, with no EPR ancillas; the literal
 gadget is the reference in tests/test_rebit_schemes.py.
 """
@@ -20,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim, rebit
-from .harness import ALICE, BOB, Transcript
+from .harness import ALICE, BOB, Transcript, conjugate_frame
 # unused here, but the bench tracer's self-test checks this binding
 from .harness import measure_with  # noqa: F401
 
@@ -94,31 +97,6 @@ def named_generator(name: str, k: int, theta: float) -> np.ndarray:
     raise ValueError(f"unknown generator {name!r}")
 
 
-# --- Pauli frame bookkeeping ---------------------------------------------
-
-def _pauli_from_bits(x: int, z: int) -> np.ndarray:
-    """X^x Z^z as a matrix."""
-    m = np.eye(2, dtype=complex)
-    if z:
-        m = qsim._Z @ m
-    if x:
-        m = qsim._X @ m
-    return m
-
-
-def conjugate_frame_2q(gate_matrix: np.ndarray, frame_c, frame_t):
-    """Push the Pauli frame X^x Z^z (x,z) pairs on (control, target) through
-    a two-qubit Clifford: find (x', z') pairs with G Q G^dag ~ Q'."""
-    q = np.kron(_pauli_from_bits(*frame_t), _pauli_from_bits(*frame_c))
-    qq = gate_matrix @ q @ gate_matrix.conj().T
-    for xc, zc, xt, zt in itertools.product((0, 1), repeat=4):
-        cand = np.kron(_pauli_from_bits(xt, zt), _pauli_from_bits(xc, zc))
-        coef = np.trace(cand.conj().T @ qq) / 4
-        if abs(abs(coef) - 1) < 1e-8 and np.allclose(qq, coef * cand, atol=1e-8):
-            return (xc, zc), (xt, zt)
-    raise ValueError("gate does not normalize the Pauli group")
-
-
 def logical_oracle(circuit: AlmostCommutingCircuit, psi: np.ndarray) -> np.ndarray:
     """Logical-level reference for real circuits: ydiag layers act directly,
     rz layers as R_z(j*pi/2) = diag(1, i^j) on the target."""
@@ -137,8 +115,6 @@ def logical_oracle(circuit: AlmostCommutingCircuit, psi: np.ndarray) -> np.ndarr
 class SchemeRun:
     state: qsim.QuantumState          # corrected physical output (n+1 qubits)
     transcript: Transcript
-    phase_frame: int                  # residual sigma_y power on the phase qubit
-    report: dict = field(default_factory=dict)
 
 
 def _gadget_layer(state, layer, frames, source, transcript, bob_local=()):
@@ -167,8 +143,7 @@ def _gadget_layer(state, layer, frames, source, transcript, bob_local=()):
     for q, g in zip(qubits, g_bits):
         if g:
             st = qsim.apply_gate(st, qsim.Y, [q])
-            x, z = frames[q]
-            frames[q] = (x ^ 1, z ^ 1)
+            conjugate_frame(frames, "Y", (q,))
     return st
 
 
@@ -193,10 +168,9 @@ def _run(circuit, input_state, source, scheme, mask_bits=None):
             st = _gadget_layer(st, layer, frames, source, transcript, bob_local)
         else:
             d = layer.qubits[0]
-            gate = rebit.controlled_ry(layer.j * math.pi)
-            st = qsim.apply_gate(st, gate, [d, n])
-            frames[d], frames[n] = conjugate_frame_2q(gate.matrix,
-                                                      frames[d], frames[n])
+            st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
+                                 [d, n])
+            conjugate_frame(frames, "CRY", (d, n))
     # Bob sends the data-qubit corrections: 2 bits per data qubit
     correction_bits = []
     for q in range(n):
@@ -217,9 +191,7 @@ def _run(circuit, input_state, source, scheme, mask_bits=None):
     px, pz = frames[n]
     if px != pz:
         raise AssertionError("phase-qubit frame left {I, Y}; bookkeeping bug")
-    return SchemeRun(state=st, transcript=transcript, phase_frame=px,
-                     report={"scheme": scheme, "n": n,
-                             "layers": len(circuit.layers)})
+    return SchemeRun(state=st, transcript=transcript)
 
 
 def run_scheme1(circuit, input_state, source):

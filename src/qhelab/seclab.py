@@ -278,6 +278,13 @@ def _pair_table(n, k, shared_s, with_s=False):
                         for xv in range(2 ** n)), (float, cols), 2 ** n)
 
 
+def _oneway_law(k):
+    """Hadamard-basis outcome law of one variable's k one-way qubits,
+    averaged over its pad splits: q[x, m]."""
+    return np.stack(_pad_average([(np.array([_C8, 1 - _C8]),
+                                   np.array([1 - _C8, _C8]))] * k))
+
+
 def _oneway_table(n, k):
     """p[x, m] for the one-way scheme under the per-qubit Hadamard-basis
     measurement; each qubit is a binary symmetric channel with crossover
@@ -286,8 +293,7 @@ def _oneway_table(n, k):
     variable and a flat t_j block."""
     cols = 2 ** (k * (n + 1))
     _check_entries(2 ** n * cols, "outcome table")
-    q = _pad_average([(np.array([_C8, 1 - _C8]),
-                       np.array([1 - _C8, _C8]))] * k)
+    q = _oneway_law(k)
     flat = np.full(2 ** k, 1.0 / 2 ** k)  # t_j outcome block
     return np.fromiter((functools.reduce(np.kron, [q[x] for x in _bits(xv, n)]
                                          + [flat])
@@ -326,26 +332,20 @@ def cmi_formula(kind, n, k) -> float:
     raise ValueError(f"unknown formula kind {kind!r}")
 
 
-def per_bit_information(scheme, n, k, i=0) -> float:
-    """Mutual information between one input bit and the outcomes on its own
-    qubits, marginalized out of the joint table."""
+def per_bit_information(scheme, k) -> float:
+    """Mutual information between one uniform input bit and the outcomes on
+    its own k pad pairs (schemes 4 and 7) or k qubits (scheme 8).
+
+    Every outcome-table row is a tensor product of one-variable laws, so
+    this is the information in one variable's own pad-averaged law, for any
+    n and any variable."""
     scheme = str(scheme)
-    if scheme in ("4", "7"):
-        table, base = _pair_table(n, k, shared_s=(scheme == "7")), 4
-    elif scheme == "8":
-        table, base = _oneway_table(n, k), 2
-    else:
+    if scheme not in ("4", "7", "8"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    # variable i's k outcome digits follow the i*k digits of the variables
-    # before it (variable 0 outermost); sum out the digits on either side
-    marg = table.reshape(2 ** n, base ** (i * k), base ** k, -1).sum(
-        axis=(1, 3))
-    # collapse the input axis to the single bit x_i
-    out = np.zeros((2, marg.shape[1]))
-    for xv in range(2 ** n):
-        out[(xv >> i) & 1] += marg[xv]
-    out /= 2 ** n
-    return qsim.mutual_information(out)
+    _check_entries(2 * (2 if scheme == "8" else 4) ** k, "outcome table")
+    law = (_oneway_law(k) if scheme == "8"
+           else _variable_outcomes(k, keep_s=False))
+    return qsim.mutual_information(law / 2)
 
 
 def conditioned_information(scheme, n, k) -> float:
@@ -407,8 +407,6 @@ class AdversaryStrategy:
     only ever plugged into its own party's interface."""
 
     party: str
-    strategy_id: str
-    description: str
     parameters: dict = field(default_factory=dict)
 
 
@@ -431,9 +429,7 @@ class ProbeAlice(AdversaryStrategy):
     """
 
     def __init__(self, target=(0, 0)):
-        super().__init__(ALICE, "probe",
-                         "entangled pad probe identifying one coefficient",
-                         {"target": target})
+        super().__init__(ALICE, {"target": target})
         self.identified = []
 
     def probe_target(self, n, k):
@@ -455,22 +451,13 @@ class ProbeAlice(AdversaryStrategy):
         return (a_hat & x_ij) ^ xobs  # guesses Bob's mx2 ^ mz2 as 0
 
 
-class HonestAlice(AdversaryStrategy):
-    """Baseline: no deviation; coefficient guesses are coin flips."""
-
-    def __init__(self):
-        super().__init__(ALICE, "honest", "no deviation", {})
-        self.identified = []
-
-
 class MeasuringBob(AdversaryStrategy):
     """Measure every received pair in the fixed Z-first/X-second basis,
     whose pad-bit guess rate bob_guess_rate gives exactly, then continue
     the protocol on the collapsed state."""
 
     def __init__(self):
-        super().__init__(BOB, "measure",
-                         "pair measurement in the fixed optimal basis", {})
+        super().__init__(BOB)
 
     def intercept(self, state, i, j, source):
         _, st = measure_with(source, state, "Z", 0)
@@ -478,11 +465,9 @@ class MeasuringBob(AdversaryStrategy):
         return st
 
 
-ALICE_STRATEGIES = {"probe": ProbeAlice, "honest": HonestAlice}
-
-
-def wilson_interval(successes, trials, z=1.959963984540054):
+def wilson_interval(successes, trials):
     """95% score interval for a binomial rate."""
+    z = 1.959963984540054
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
@@ -532,21 +517,21 @@ def cheating_alice(scheme, strategy, params, rng, trials=10_000):
     produces."""
     if str(scheme) != "4":
         raise ValueError("the cheating-Alice bench targets scheme 4")
-    if strategy not in ALICE_STRATEGIES:
+    if strategy not in ("probe", "honest"):
         raise ValueError(f"unknown Alice strategy {strategy!r}")
     k = int(params["k"])
     n = int(params.get("n", 1))
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     identified = errors = 0
     for _ in range(trials):
-        strat = ALICE_STRATEGIES[strategy]()
         x = [int(b) for b in rng.integers(0, 2, size=n)]
         poly = LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
                                 int(rng.integers(0, 2)))
-        if strategy == "honest":
+        if strategy == "honest":  # no deviation: a coin-flip guess
             out, _ = run_scheme4(x, poly, k, rng)
             a_hat, i0 = int(rng.integers(0, 2)), 0
         else:
+            strat = ProbeAlice()
             out, _ = run_scheme4(x, poly, k, rng, alice_strategy=strat)
             a_hat = strat.identified[-1]
             i0 = strat.probe_target(n, k)[0]

@@ -7,6 +7,10 @@ Attribute or an import in `src/qhelab`, the same in
 table names the functions it patches by string), or, for a public name, a
 backticked mention in `README.md`.  Unit tests do not count: a helper only
 they call belongs in the test file that calls it.
+
+Every optional parameter of a function in `src/qhelab` is passed by some
+call in `src/qhelab`, `tests/` or `bench/`; a default that nothing
+overrides is a constant.
 """
 
 import ast
@@ -161,3 +165,110 @@ def test_guard_sees_each_kind_of_reference():
     assert {owner for ref, owner in refs if ref == ("m", "_L")} == {"_L"}
     assert _timed(ast.parse("TIMED = {'qsim': ('apply_gate',)}")) == {
         ("qsim", "apply_gate")}
+
+
+def _optional_parameters(tree):
+    """(function, callee name, [(position or None, parameter)]) for every
+    function in the module that has defaults; a method's position skips
+    its receiver, and __init__ is called by its class's name."""
+    out = []
+    owners = {id(f): c.name for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) for f in c.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a = fn.args
+        pos = [p.arg for p in a.posonlyargs + a.args]
+        if id(fn) in owners and not any(getattr(d, "id", None) ==
+                                        "staticmethod"
+                                        for d in fn.decorator_list):
+            pos = pos[1:]
+        first = len(pos) - len(a.defaults)
+        optional = [(i, p) for i, p in enumerate(pos) if i >= first]
+        optional += [(None, p.arg) for p, d in zip(a.kwonlyargs,
+                                                   a.kw_defaults)
+                     if d is not None]
+        if optional:
+            callee = owners[id(fn)] if fn.name == "__init__" else fn.name
+            out.append((fn.name, callee, optional))
+    return out
+
+
+def _calls_by_name(trees):
+    """{callee name: [Call]} over the trees, and the set of names that
+    appear other than as a callee (passed on, stored or looked up)."""
+    calls, other = {}, set()
+    for tree in trees:
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name:
+                    callees.add(id(node.func))
+                    calls.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if id(node) not in callees:
+                if isinstance(node, ast.Name):
+                    other.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    other.add(node.attr)
+    return calls, other
+
+
+def _passes(call, position, name):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True  # *args or **kwargs may pass anything
+    return ((position is not None and position < len(call.args))
+            or any(k.arg == name for k in call.keywords))
+
+
+def _unpassed(paths):
+    """module.function(parameter) for every optional parameter that no
+    call by the function's name passes; a function whose name also
+    appears other than as a callee is skipped, since its calls cannot all
+    be seen."""
+    calls, other = _calls_by_name(ast.parse(p.read_text()) for p in paths)
+    out = []
+    for path in sorted(PKG.glob("*.py")):
+        for fn, callee, optional in _optional_parameters(
+                ast.parse(path.read_text())):
+            if callee in other:
+                continue
+            out += [f"{path.stem}.{fn}({p})" for i, p in optional
+                    if not any(_passes(c, i, p)
+                               for c in calls.get(callee, []))]
+    return out
+
+
+def test_every_optional_parameter_is_passed():
+    paths = [*PKG.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "bench").glob("*.py")]
+    unpassed = _unpassed(paths)
+    assert not unpassed, "optional parameters that no call passes: " + \
+        ", ".join(unpassed)
+
+
+def test_parameter_guard_sees_each_kind_of_call():
+    """Positional and keyword passing, methods, constructors and star
+    arguments count; a function passed on as a value is skipped."""
+    tree = ast.parse(
+        "class C:\n"
+        "    def __init__(self, a=1): pass\n"
+        "    def m(self, b=2, *, c=3): pass\n"
+        "def f(x, y=0, z=0): pass\n"
+        "def g(w=0): pass\n")
+    assert sorted(_optional_parameters(tree)) == [
+        ("__init__", "C", [(0, "a")]), ("f", "f", [(1, "y"), (2, "z")]),
+        ("g", "g", [(0, "w")]), ("m", "m", [(0, "b"), (None, "c")])]
+    calls, other = _calls_by_name([ast.parse(
+        "C(5); o.m(c=1); f(1, 2); h(g); f(*args)")])
+    assert "g" in other and "f" not in other
+    (call,) = calls["C"]
+    assert _passes(call, 0, "a")
+    (call,) = calls["m"]
+    assert _passes(call, None, "c") and not _passes(call, 0, "b")
+    plain, star = calls["f"]
+    assert _passes(plain, 1, "y") and not _passes(plain, 2, "z")
+    assert _passes(star, 2, "z")

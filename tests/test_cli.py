@@ -177,6 +177,43 @@ def test_adversary_scheme6_honest(tmp_path):
     assert row["metric"] == "abort-rate" and row["observed"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "6", "--strategy", "measure"],
+    ["--scheme", "4", "--strategy", "measure"],
+    ["--party", "bob", "--scheme", "6"],
+    ["--party", "bob", "--scheme", "4", "--strategy", "honest"],
+    ["--party", "bob", "--scheme", "4", "--strategy", "probe"],
+], ids=["alice-measure-6", "alice-measure-4", "bob-6", "bob-honest",
+        "bob-probe"])
+def test_adversary_refuses_combinations_without_a_bench(tmp_path, capsys,
+                                                        argv):
+    """A party, scheme and strategy that name no bench are a refused
+    argument, not a run of some other bench."""
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["adversary", *argv, "--trials", "1", "--seed", "1",
+                     "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "bench" in json.loads(line)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("party,default", [("alice", "probe"),
+                                           ("bob", "measure")])
+def test_adversary_strategy_defaults_by_party(tmp_path, party, default):
+    """--strategy defaults to the party's own bench; naming the default,
+    by flag or by config, changes no byte of the report."""
+    base = ["adversary", "--party", party, "--scheme", "4", "--trials", "20",
+            "--seed", "3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strategy": default}))
+    outs = []
+    for extra in ([], ["--strategy", default], ["--config", str(cfg)]):
+        outs.append(tmp_path / f"r{len(outs)}.jsonl")
+        assert cli.main(base + extra + ["--output", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == \
+        outs[2].read_bytes()
+
+
 def test_reports_are_reproducible(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["run", "--scheme", "10", "--n", "2", "--k", "2", "--trials", "3",
@@ -342,12 +379,24 @@ _GOLDEN = [
     (["audit", "--metric", "cmi", "--scheme", "7", "--n", "2", "--k", "1..2",
       "--seed", "0"],
      "75d4541275e263eee8189112c0078ebd38c053918d27c18c53e909ca26616da0"),
+    # fidelity reports that pin the Pauli-frame paths: the rz-layer and
+    # sigma_y rules of schemes 1 and 2, and the scheme-5 key forms
+    (["run", "--scheme", "1", "--n", "1..2", "--depth", "4", "--trials", "5",
+      "--seed", "7"],
+     "d30684b016257647c4a9f718cfe2e741bf0fe2832f083b0e833c9520e47c5e97"),
+    (["run", "--scheme", "2", "--n", "2", "--depth", "4", "--trials", "5",
+      "--seed", "7"],
+     "5b8d8fc0d93ed9052cd6b2026a904742ba293939540592bbbc4702d226e9a303"),
+    (["run", "--scheme", "5", "--n", "2", "--k", "2", "--R", "2", "--trials",
+      "10", "--seed", "7"],
+     "8d523fe691cec6f14a97489061eda18686b3a44a1d1e3a091aab85661f7642d2"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[
     "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
-    "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi"])
+    "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi", "scheme1-run",
+    "scheme2-run", "scheme5-run"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

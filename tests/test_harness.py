@@ -1,16 +1,20 @@
 """Protocol-harness tests: transcripts, bit sources, symbolic teleports."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhelab import qsim
+from qhelab import qsim, rebit
 from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, NeedMoreBits,
                             ProtocolError, RandomBits, SecretBit, Transcript,
                             as_source, bell_measure_with, comm_audit,
-                            enumerate_hidden, enumerate_hidden_adaptive,
-                            hidden_bit_count, measure_with, teleport_symbolic)
+                            conjugate_frame, enumerate_hidden,
+                            enumerate_hidden_adaptive, hidden_bit_count,
+                            measure_with, teleport_symbolic)
+from test_rebit_schemes import _pauli_from_bits
 
 
 def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
@@ -219,3 +223,79 @@ def test_teleport_transfers_ownership():
     st, _ = teleport_symbolic(psi, 0, set(), RandomBits(rng), Transcript(),
                               sender=ALICE, new_owner=BOB)
     assert st.owners[0] == BOB
+
+
+# --- the Pauli-frame rule table -------------------------------------------
+
+def _frame_matrix(pairs):
+    """The frame's Pauli on qubits 0, 1, ... (little-endian kron)."""
+    out = np.eye(1, dtype=complex)
+    for x, z in pairs:
+        out = np.kron(_pauli_from_bits(x, z), out)
+    return out
+
+
+# rule-table name -> (matrix, applied): an applied Clifford G conjugates the
+# frame, G Q G^dag; a Pauli multiplies it, G Q
+_FRAME_GATES = {
+    "H": (qsim.H.matrix, True),
+    "P": (qsim.P.matrix, True),
+    "CNOT": (qsim.CNOT.matrix, True),
+    "CRY-1": (rebit.controlled_ry(math.pi).matrix, True),
+    "CRY-3": (rebit.controlled_ry(3 * math.pi).matrix, True),
+    "X": (qsim._X, False),
+    "Y": (qsim._Y, False),
+    "Z": (qsim._Z, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRAME_GATES))
+def test_frame_rules_match_matrix_conjugation(name):
+    """Every gate of the table on every constant frame of its qubits: the
+    new frame equals the conjugated (or multiplied) Pauli up to phase, and
+    a spectator qubit's frame is left alone."""
+    g, applied = _FRAME_GATES[name]
+    gate = name.split("-")[0]
+    arity = 2 if gate in ("CNOT", "CRY") else 1
+    for bits in itertools.product((0, 1), repeat=2 * arity):
+        pairs = [bits[2 * q:2 * q + 2] for q in range(arity)]
+        frames = {q: tuple(pair) for q, pair in enumerate(pairs)}
+        frames["spectator"] = (1, 0)
+        conjugate_frame(frames, gate, tuple(range(arity)))
+        assert frames.pop("spectator") == (1, 0)
+        q = _frame_matrix(pairs)
+        want = g @ q @ g.conj().T if applied else g @ q
+        got = _frame_matrix(frames[i] for i in range(arity))
+        coef = np.trace(got.conj().T @ want) / 2 ** arity
+        assert abs(abs(coef) - 1) < 1e-9, (name, bits)
+        assert np.allclose(want, coef * got, atol=1e-9), (name, bits)
+
+
+def test_frame_rules_refuse_other_gates():
+    frames = {0: (0, 0), 1: (0, 0)}
+    for gate, targets in (("T", (0,)), ("CZ", (0, 1)), ("Rz", (0,))):
+        with pytest.raises(ValueError):
+            conjugate_frame(frames, gate, targets)
+
+
+def _value(form, assignment):
+    return bin(form & assignment).count("1") & 1
+
+
+@given(st.sampled_from(["H", "P", "X", "Y", "Z", "CNOT", "CRY"]),
+       st.integers(1, 12), st.data())
+@settings(deadline=None, max_examples=200)
+def test_frame_rules_are_linear_over_f2(gate, nvars, data):
+    """Rewriting F2 forms (int bitmasks over nvars variables) and then
+    evaluating them gives the frame of the evaluated constants rewritten."""
+    forms = st.integers(0, 2 ** (nvars + 1) - 1)
+    frames = [(data.draw(forms), data.draw(forms)) for _ in range(2)]
+    assignment = 1 | data.draw(st.integers(0, 2 ** nvars - 1)) << 1
+    targets = (0, 1) if gate in ("CNOT", "CRY") else (data.draw(
+        st.integers(0, 1)),)
+    constants = [tuple(_value(f, assignment) for f in pair)
+                 for pair in frames]
+    conjugate_frame(frames, gate, targets)
+    conjugate_frame(constants, gate, targets)
+    assert [tuple(_value(f, assignment) for f in pair)
+            for pair in frames] == constants

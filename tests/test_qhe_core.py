@@ -8,19 +8,26 @@ import pytest
 from qhelab import qhe_core as qc
 from qhelab import qsim
 from qhelab.harness import (ALICE, BOB, RandomBits, bell_measure_with,
-                            enumerate_hidden, measure_with)
+                            conjugate_frame, enumerate_hidden, measure_with)
+
+
+def _value(form, bits):
+    """An int-mask F2 form's value at the variable values `bits`: the
+    parity of form & assignment, with bit 0 (the constant) set."""
+    assignment = 1 | sum(b << v for v, b in enumerate(bits, 1))
+    return bin(form & assignment).count("1") & 1
 
 
 def test_linear_form_algebra():
-    f = qc.LinearForm.variable(1, 4)
-    g = qc.LinearForm.variable(2, 4)
+    """Forms are int bitmasks: bit 0 the constant, bit v+1 variable v; XOR
+    adds forms and XOR with 1 flips the constant."""
+    f, g = 1 << 2, 1 << 3  # variables 1 and 2 of four
     h = f ^ g
-    assert h.evaluate([0, 1, 1, 0]) == 0
-    assert h.evaluate([0, 1, 0, 0]) == 1
-    h.flip()
-    assert h.evaluate([0, 1, 0, 0]) == 0
-    with pytest.raises(ValueError):
-        h.evaluate([0, 1])
+    assert _value(h, [0, 1, 1, 0]) == 0
+    assert _value(h, [0, 1, 0, 0]) == 1
+    h ^= 1
+    assert _value(h, [0, 1, 0, 0]) == 0
+    assert _value(1, [0, 0, 0, 0]) == 1 and _value(0, [1, 1, 1, 1]) == 0
 
 
 def _pauli(x, z):
@@ -32,18 +39,21 @@ def _pauli(x, z):
     return m
 
 
+def _variables(qubits):
+    """Qubit i's frame is (variable 2i, variable 2i+1)."""
+    return [(1 << (2 * i + 1), 1 << (2 * i + 2)) for i in range(qubits)]
+
+
 @pytest.mark.parametrize("gate", ["H", "P", "X", "Z", "Y"])
 def test_single_qubit_key_update_matches_conjugation(gate):
     """Applied Cliffords satisfy G X^a Z^b = (phase) X^a' Z^b' G; absorbed
     Paulis instead fold into the mask, X^a' Z^b' = (phase) G X^a Z^b."""
     g = qc._GATES[gate].matrix
     applied = gate in ("H", "P")
+    frames = _variables(1)
+    conjugate_frame(frames, gate, (0,))
     for a, b in itertools.product((0, 1), repeat=2):
-        keys = qc.PauliKeyPolynomial.initial(1, 0)
-        bits = [a, b]
-        qc.effective_key_update(keys, gate, [0])
-        a2 = keys.f_a[0].evaluate(bits)
-        b2 = keys.f_b[0].evaluate(bits)
+        a2, b2 = (_value(f, [a, b]) for f in frames[0])
         lhs = g @ _pauli(a, b)
         rhs = _pauli(a2, b2) @ g if applied else _pauli(a2, b2)
         coef = np.trace(rhs.conj().T @ lhs) / 2
@@ -52,16 +62,14 @@ def test_single_qubit_key_update_matches_conjugation(gate):
 
 
 def test_cnot_key_update_matches_conjugation():
-    g = np.kron(np.eye(2), np.eye(2))
     cnot = qc._GATES["CNOT"].matrix
+    frames = _variables(2)
+    conjugate_frame(frames, "CNOT", (0, 1))
     for bits in itertools.product((0, 1), repeat=4):
-        keys = qc.PauliKeyPolynomial.initial(2, 0)
-        qc.effective_key_update(keys, "CNOT", [0, 1])
         # little-endian kron: qubit 1 factor first
         before = np.kron(_pauli(bits[2], bits[3]), _pauli(bits[0], bits[1]))
-        after = np.kron(
-            _pauli(keys.f_a[1].evaluate(bits), keys.f_b[1].evaluate(bits)),
-            _pauli(keys.f_a[0].evaluate(bits), keys.f_b[0].evaluate(bits)))
+        after = np.kron(*(_pauli(*(_value(f, bits) for f in frames[q]))
+                          for q in (1, 0)))
         lhs = cnot @ before
         rhs = after @ cnot
         coef = np.trace(rhs.conj().T @ lhs) / 4
@@ -218,13 +226,13 @@ def test_t_gate_step_on_masked_state(a, b):
             masked = qsim.apply_gate(masked, qsim.Z, [0])
         if a:
             masked = qsim.apply_gate(masked, qsim.X, [0])
-        keys = qc.PauliKeyPolynomial.initial(1, 1)
+        frames = _variables(1)
         alice_bits = [a, b, 0, 0, 0, 0]
         report = qc.Scheme5Report(n=1, r_cap=1, nvars=6)
-        out = qc.t_gate_step(masked, 0, keys, alice_bits, 0, 2,
+        out = qc.t_gate_step(masked, 0, frames, alice_bits, 0, 2,
                              RandomBits(rng), report)
         ideal = qsim.apply_gate(psi, qsim.T, [0])
-        assert qc._masked_fidelity(out, keys, alice_bits, ideal) > 1 - 1e-9
+        assert qc._masked_fidelity(out, frames, alice_bits, ideal) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("n,r,seed", [(1, 1, 0), (1, 2, 1), (2, 1, 2),

@@ -8,7 +8,7 @@ import pytest
 
 from qhelab import cli, qsim, rebit, rebit_schemes as rs
 from qhelab.harness import (ALICE, FixedBits, RandomBits, Transcript,
-                            comm_audit, measure_with)
+                            comm_audit, conjugate_frame, measure_with)
 
 
 def gadget_layer_literal(state, layer, frames, source, transcript,
@@ -73,6 +73,43 @@ def physical_oracle(circuit, encoded_input):
             st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
                                  [layer.qubits[0], n])
     return st
+
+
+def _pauli_from_bits(x, z):
+    """X^x Z^z as a matrix."""
+    m = np.eye(2, dtype=complex)
+    if z:
+        m = qsim._Z @ m
+    if x:
+        m = qsim._X @ m
+    return m
+
+
+def conjugate_frame_2q(gate_matrix, frame_c, frame_t):
+    """Brute-force reference for the two-qubit frame rules: push the frame
+    X^x Z^z (x, z) pairs on (control, target) through a two-qubit Clifford
+    by trying all 16 candidate Paulis Q' for G Q G^dag ~ Q'."""
+    q = np.kron(_pauli_from_bits(*frame_t), _pauli_from_bits(*frame_c))
+    qq = gate_matrix @ q @ gate_matrix.conj().T
+    for xc, zc, xt, zt in itertools.product((0, 1), repeat=4):
+        cand = np.kron(_pauli_from_bits(xt, zt), _pauli_from_bits(xc, zc))
+        coef = np.trace(cand.conj().T @ qq) / 4
+        if abs(abs(coef) - 1) < 1e-8 and np.allclose(qq, coef * cand,
+                                                     atol=1e-8):
+            return (xc, zc), (xt, zt)
+    raise ValueError("gate does not normalize the Pauli group")
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_rz_layer_frame_rule_matches_brute_force(j):
+    """The table's CRY rule, which every rz layer uses, equals the search
+    over all 16 candidate Paulis on all 16 frames."""
+    gate = rebit.controlled_ry(j * math.pi).matrix
+    for xc, zc, xt, zt in itertools.product((0, 1), repeat=4):
+        frames = {0: (xc, zc), 1: (xt, zt)}
+        conjugate_frame(frames, "CRY", (0, 1))
+        assert (frames[0], frames[1]) == conjugate_frame_2q(
+            gate, (xc, zc), (xt, zt))
 
 
 def _circuit_n2():

@@ -282,11 +282,15 @@ def test_table_size_guard(monkeypatch):
                  lambda: seclab.cmi_uniform("7", 5, 2),
                  lambda: seclab.conditioned_information("8", 5, 4),
                  lambda: seclab.conditioned_information("7", 2, 6),
-                 lambda: seclab.per_bit_information("8", 5, 4),
-                 lambda: seclab.per_bit_information("4", 3, 4),
+                 lambda: seclab.per_bit_information("4", 13),
                  lambda: seclab.bob_guess_rate(12)):
         with pytest.raises(ValueError):
             call()
+    # one variable's law is small whatever n: values, not refusals, at k = 4
+    monkeypatch.undo()
+    assert abs(seclab.per_bit_information("4", 4) - 2.0 ** -4) < 1e-15
+    assert abs(seclab.per_bit_information("8", 4)
+               - (1 - _binary_entropy((1 - 2.0 ** -2) / 2))) < 1e-15
 
 
 @pytest.mark.parametrize("scheme", ["4", "7"])
@@ -431,13 +435,64 @@ def test_cmi_matches_closed_forms():
         seclab.cmi_uniform("4", 1, 1)
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def per_bit_information_literal(scheme, n, k, i):
+    """Reference for per_bit_information: build the whole 2^n-row outcome
+    table and sum it down to variable i's bit and its own outcome
+    digits."""
+    if scheme in ("4", "7"):
+        table, base = seclab._pair_table(n, k, shared_s=(scheme == "7")), 4
+    else:
+        table, base = seclab._oneway_table(n, k), 2
+    # variable i's k outcome digits follow the i*k digits of the variables
+    # before it (variable 0 outermost); sum out the digits on either side
+    marg = table.reshape(2 ** n, base ** (i * k), base ** k, -1).sum(
+        axis=(1, 3))
+    # collapse the input axis to the single bit x_i
+    out = np.zeros((2, marg.shape[1]))
+    for xv in range(2 ** n):
+        out[(xv >> i) & 1] += marg[xv]
+    out /= 2 ** n
+    return qsim.mutual_information(out)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
+                                 (3, 2), (2, 3), (4, 1)])
 def test_per_bit_information_pair_schemes(n, k):
     """One input bit leaks exactly 1/2^k bits through its own pad pairs,
-    independent of n and of whether the basis bits are shared."""
+    independent of n, of the variable and of whether the basis bits are
+    shared: the one-variable law equals the marginal of the whole table."""
     for scheme in ("4", "7"):
-        got = seclab.per_bit_information(scheme, n, k)
-        assert abs(got - 2.0 ** -k) < 1e-9
+        got = seclab.per_bit_information(scheme, k)
+        assert abs(got - 2.0 ** -k) < 1e-15
+        for i in range(n):
+            want = per_bit_information_literal(scheme, n, k, i)
+            assert abs(got - want) < 1e-15, (scheme, i)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
+                                 (3, 2), (2, 3), (4, 2), (1, 5)])
+def test_per_bit_information_oneway_scheme(n, k):
+    """Scheme 8: each variable's Hadamard-basis parity is its bit through a
+    binary symmetric channel with crossover (1 - 2^(-k/2))/2, for every
+    variable of every n."""
+    got = seclab.per_bit_information("8", k)
+    assert abs(got - (1 - _binary_entropy((1 - 2 ** (-k / 2)) / 2))) < 1e-15
+    for i in range(n):
+        want = per_bit_information_literal("8", n, k, i)
+        assert abs(got - want) < 1e-15, i
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_per_bit_information_closed_forms(k):
+    """The closed forms hold at sizes the whole-table reference cannot
+    reach.  Scheme 8's value and its closed form both subtract an entropy
+    near 1 from 1, so their rounding is a few ulp of 1, not of the value."""
+    for scheme in ("4", "7"):
+        assert abs(seclab.per_bit_information(scheme, k) - 2.0 ** -k) < 1e-15
+    want = 1 - _binary_entropy((1 - 2 ** (-k / 2)) / 2)
+    assert abs(seclab.per_bit_information("8", k) - want) < 4e-15
+    with pytest.raises(ValueError):
+        seclab.per_bit_information("5", k)
 
 
 def test_conditioned_information_pair_scheme_reveals_everything():
