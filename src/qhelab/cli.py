@@ -422,7 +422,7 @@ def _build_parser():
                      help="alice: probe (default) or honest; bob: measure")
     adv.add_argument("--n", default="1")
     adv.add_argument("--k", default="1")
-    adv.add_argument("--traps", type=int, default=4)
+    adv.add_argument("--traps", type=int, help="scheme 6 only (default 4)")
     adv.add_argument("--trials", type=int, default=1000)
     common(adv)
 
@@ -438,13 +438,17 @@ _BENCHES = {"alice": (("4", "6"), ("probe", "honest")),
 
 def _grid_specs(args):
     """Expand the parsed arguments into per-grid-point work items."""
+    ns, ks = _parse_range(args.n), _parse_range(args.k)
     if args.command == "adversary":
         schemes, strategies = _BENCHES[args.party]
         strategy = args.strategy or strategies[0]
         if args.scheme not in schemes or strategy not in strategies:
             raise ValueError(f"no {args.party} bench runs strategy "
                              f"{strategy!r} against scheme {args.scheme}")
-    ns, ks = _parse_range(args.n), _parse_range(args.k)
+        if args.scheme == "6" and ns != [1]:  # a fixed one-qubit circuit
+            raise ValueError("the scheme-6 bench takes --n 1 only")
+        if args.scheme == "4" and args.traps is not None:
+            raise ValueError("--traps applies to the scheme-6 bench only")
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):
@@ -452,7 +456,7 @@ def _grid_specs(args):
     if getattr(args, "trials", 1) < 1:
         raise ValueError("--trials must be positive")
     for flag in ("R", "traps", "depth"):
-        if getattr(args, flag, 0) < 0:
+        if (getattr(args, flag, None) or 0) < 0:
             raise ValueError(f"--{flag} must not be negative")
     specs = []
     for idx, (n, k) in enumerate((n, k) for n in ns for k in ks):
@@ -484,8 +488,9 @@ def _grid_specs(args):
         elif args.command == "adversary":
             specs.append({"cmd": "adversary", "scheme": args.scheme,
                           "party": args.party, "strategy": strategy,
-                          "n": n, "k": k, "traps": args.traps,
-                          "trials": args.trials, "seed": seed})
+                          "n": n, "k": k, "trials": args.trials,
+                          "traps": 4 if args.traps is None else args.traps,
+                          "seed": seed})
     return specs
 
 

@@ -83,12 +83,12 @@ C_IY = controlled(1j * _Y, "C-iY")            # controlled i*sigma_y
 class QuantumState:
     """Statevector over an ordered register.
 
-    Each qubit carries an owner label ("Alice" or "Bob") plus a free-form
-    role tag; ownership is plumbing for the protocol harness and has no
-    effect on the linear algebra.
+    Each qubit carries an owner label ("Alice" or "Bob"); ownership is
+    plumbing for the protocol harness and has no effect on the linear
+    algebra.
     """
 
-    def __init__(self, data, owners=None, tags=None):
+    def __init__(self, data, owners=None):
         data = np.asarray(data, dtype=complex)
         if data.ndim != 1:
             raise ValueError("expected a statevector")
@@ -100,12 +100,11 @@ class QuantumState:
         self.vec = data
         self.num_qubits = n
         self.owners = list(owners) if owners else ["Alice"] * n
-        self.tags = list(tags) if tags else [""] * n
         if len(self.owners) != n:
             raise ValueError("owner list length mismatch")
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.vec.copy(), self.owners, self.tags)
+        return QuantumState(self.vec.copy(), self.owners)
 
     def density(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())
@@ -156,7 +155,7 @@ def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
     if gate.arity != len(targets):
         raise ValueError(f"gate {gate.name} arity {gate.arity} != {len(targets)} targets")
     arr = _tensor_apply(state.vec.reshape((2,) * n), n, gate.matrix, targets)
-    return QuantumState(arr.reshape(-1), state.owners, state.tags)
+    return QuantumState(arr.reshape(-1), state.owners)
 
 
 _BASIS_ROT = {"Z": None, "X": H, "Y": Gate("Wy", _H @ np.diag([1, -1j]), 1)}
@@ -194,7 +193,7 @@ def measure(state: QuantumState, basis: str, qubit: int, force):
     sel = [slice(None)] * n
     sel[n - 1 - qubit] = 1 - outcome
     arr[tuple(sel)] = 0
-    post = QuantumState(arr.reshape(-1) / math.sqrt(p), st.owners, st.tags)
+    post = QuantumState(arr.reshape(-1) / math.sqrt(p), st.owners)
     rot_inv = _BASIS_ROT_INV[basis]
     if rot_inv is not None:  # rotate back so the register stays in its own frame
         post = apply_gate(post, rot_inv, [qubit])
@@ -209,8 +208,7 @@ def epr_extend(state: QuantumState, owner_a="Alice", owner_b="Bob"):
     """
     n = state.num_qubits
     epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    out = QuantumState(np.kron(epr, state.vec), state.owners + [owner_a, owner_b],
-                       state.tags + ["epr", "epr"])
+    out = QuantumState(np.kron(epr, state.vec), state.owners + [owner_a, owner_b])
     return out, n, n + 1
 
 
@@ -219,12 +217,11 @@ def remove_qubit(state: QuantumState, qubit: int, bit: int) -> QuantumState:
     n = state.num_qubits
     axis = n - 1 - qubit
     owners = [o for i, o in enumerate(state.owners) if i != qubit]
-    tags = [t for i, t in enumerate(state.tags) if i != qubit]
     arr = np.take(state.vec.reshape((2,) * n), bit, axis=axis).reshape(-1)
     norm = np.linalg.norm(arr)
     if abs(norm - 1) > 1e-8:
         raise ValueError("qubit is not definitely in that basis state")
-    return QuantumState(arr / norm, owners, tags)
+    return QuantumState(arr / norm, owners)
 
 
 def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:

@@ -12,6 +12,10 @@ computations here and the measurement enumerations can be compared):
 - Pad pairs are ordered with variable index i outermost, pad index j
   inner; within each two-qubit pair the first (Z-carrier) qubit is the
   higher-order tensor factor.  Outcome integers use the same digit order.
+- The round-trip schemes' outcomes lump into one class digit per
+  variable, c = alpha * 2^k + beta: alpha is the XOR of its k first-slot
+  (Z) outcomes, bit k-1-j of beta is first XOR second on pair j, and the
+  basis bits s use the same bit order.
 - The round-trip schemes' views are averaged over the withheld teleport
   bits, which turn the non-carrier qubit of each pair into I/2.
 - The one-way scheme's qubits carry no residual masks; its extra pad
@@ -25,17 +29,17 @@ for the one-way scheme (the optimal axis for distinguishing the per-bit
 views, which are not co-diagonalizable).
 
 Each view family has one route.  The round-trip schemes (4 and 7) share
-that eigenbasis, so every privacy quantity of theirs comes from the
-pair-measurement outcome rows and tables: a trace distance is the
-total-variation distance of two rows.  A row is a tensor product of
-one-variable outcome laws.  The one-way scheme (8) has views that do not
-commute, so its distances compare dense densities (`bob_view`); its
-information measures come from its outcome tables, which are tensor
-products of one-variable laws as well.  Every average over the pad splits
-of an input bit, whether of outcome laws, densities or (s, m) tables, is
-one kron recursion (`_pad_average`): one kron per extra pad, never an
-enumeration of splits.  Every view, row and table is refused past 2^24
-entries before it is built.
+that eigenbasis, so every privacy quantity of theirs comes from rows and
+tables of the lumped outcome classes, whose outcomes have equal
+likelihoods (lumping changes no distance, information or guess rate).  A
+row is a tensor product of closed-form one-variable laws
+(`_variable_law`), and a trace distance is the total-variation distance
+of two rows.  The one-way scheme (8) has views that do not commute, so
+its distances compare dense densities (`bob_view`); its tables are
+tensor products of one-variable laws too, the lumped law for its Z/X
+pairing attack.  Its densities and laws average over the pad splits of a
+bit by one kron recursion (`_pad_average`).  Every view, row and table is
+refused past 2^24 entries before it is built.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .linpoly import LinearPolynomial, run_scheme4
 from .qhe_core import run_scheme6
 
 # entries in the largest view density, outcome row or table built: one
-# 12-qubit density, a row over 12 pad pairs
+# 12-qubit density, a row of n(k+1) = 24 class bits
 _ENTRY_CAP = 2 ** 24
 
 # _PZ[b], _PX[b]: one-way qubit density for pad bit b in basis s = 0, 1
@@ -78,8 +82,8 @@ def _pad_average(steps):
     average for x = 1) of the kron of the chosen objects, pad 0 outermost.
 
     A bit b splits as (pads of value b ^ p, p) for p uniform, so each extra
-    pad is one kron per value.  The objects may be outcome vectors, density
-    matrices or (s, m) tables."""
+    pad is one kron per value.  The objects may be outcome vectors or
+    density matrices."""
     q = tuple(steps[0])
     for step in steps[1:]:
         q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
@@ -178,13 +182,13 @@ def bob_view(scheme, params, x) -> BobView:
 
 
 def _view_row(scheme, params, x):
-    """Law of Bob's pair-measurement outcomes in a round-trip scheme: the
-    diagonal of his view in the pair basis."""
+    """Law of Bob's outcome classes in a round-trip scheme: the diagonal of
+    his view in the pair basis, summed over each class."""
     k = int(params["k"])
     n = int(params.get("n", 1))
     inputs = _inputs(x, n)
-    pairs = len(inputs[0]) * k
-    _check_entries(4 ** pairs, f"outcome row over {pairs} pad pairs")
+    bits = len(inputs[0]) * (k + 1)
+    _check_entries(2 ** bits, f"outcome row over {bits} class bits")
     row = sum(_pair_row(xbits, k, shared_s=(scheme == "7"))
               for xbits in inputs) / len(inputs)
     if row.min() < -1e-9 or abs(row.sum() - 1.0) > 1e-9:
@@ -223,56 +227,52 @@ def theorem6_constants(n, k, inputs=None):
 
 # --- fixed-measurement outcome tables ------------------------------------
 
-def _pair_outcome_vec(b, s):
-    """Distribution of (Z on first qubit, X on second) over one pad pair;
-    outcome index = 2*o_first + o_second."""
-    v = np.zeros(4)
-    if s == 0:
-        v[(b << 1) | 0] = 0.5
-        v[(b << 1) | 1] = 0.5
-    else:
-        v[(0 << 1) | b] = 0.5
-        v[(1 << 1) | b] = 0.5
-    return v
+def _variable_law(x, k, s=None):
+    """Law of one variable's class c = alpha * 2^k + beta for input bit x
+    and basis bits s: beta is uniform and alpha = x ^ (beta . s), mass 2^-k
+    each.  Averaged over s (s=None), the class (x, 0) keeps 2^-k and every
+    class with beta != 0 has 2^-(k+1)."""
+    law = np.zeros((2, 2 ** k))
+    if s is None:
+        law[:, 1:] = 2.0 ** -(k + 1)
+        law[x, 0] = 2.0 ** -k
+    else:  # alpha[beta] by doubling over the bits of s, lowest first
+        alpha = np.array([x])
+        for j in range(k):
+            alpha = np.concatenate([alpha, alpha ^ ((s >> j) & 1)])
+        law[alpha, np.arange(2 ** k)] = 2.0 ** -k
+    return law.reshape(-1)
 
 
-# _PAIR_OUTCOMES[pad, s] is one pair's outcome law
-_PAIR_OUTCOMES = np.array([[_pair_outcome_vec(b, s) for s in (0, 1)]
-                           for b in (0, 1)])
-
-
-def _variable_outcomes(k, keep_s):
-    """Outcome law of one variable's k pad pairs, averaged over its pad
-    splits: q[b, s, m] with the basis bits s in itertools.product order, or
-    its mean over s, q[b, m], when keep_s is false."""
-    step = _PAIR_OUTCOMES if keep_s else _PAIR_OUTCOMES.mean(axis=1)
-    return np.stack(_pad_average([step] * k))
+def _per_s_laws(xbits, k):
+    """m[s, c]: the kron of the laws of the variables with input bits xbits
+    at basis bits s (variable 0 outermost), one row per s."""
+    m = np.ones((2 ** k, 1))
+    for x in xbits:
+        law = np.stack([_variable_law(x, k, s) for s in range(2 ** k)])
+        m = (m[:, :, None] * law[:, None, :]).reshape(2 ** k, -1)
+    return m
 
 
 def _pair_row(xbits, k, shared_s, with_s=False):
-    """Outcome law of the pair measurement on all n*k pad pairs for input
-    bits xbits, as a tensor product of one-variable laws (variable 0
-    outermost); with_s=True puts the basis bits in front of the outcome in
-    the column index (s, m)."""
-    if not with_s and not (shared_s and len(xbits) > 1):
-        q = _variable_outcomes(k, keep_s=False)
-        return functools.reduce(np.kron, [q[x] for x in xbits])
-    q = _variable_outcomes(k, keep_s=True)
-    count = 2 ** k  # basis-bit settings of one variable
-    if not shared_s:  # independent s per variable: s and m both factor
-        return functools.reduce(np.kron, [q[x] / count
-                                          for x in xbits]).reshape(-1)
-    per_s = (functools.reduce(np.kron, [q[x, si] for x in xbits]) / count
-             for si in range(count))
-    return np.concatenate(list(per_s)) if with_s else sum(per_s)
+    """Law of the classes of all variables for input bits xbits, the kron
+    of one-variable laws (variable 0 outermost); with shared_s one s serves
+    them all, and with_s=True puts it first in the column index (s, c)."""
+    if not (shared_s and (with_s or len(xbits) > 1)):
+        return functools.reduce(np.kron, [_variable_law(x, k) for x in xbits])
+    if with_s:
+        return _per_s_laws(xbits, k).reshape(-1) / 2 ** k
+    # the sum over s of the kron of two halves' laws is one matrix product
+    half = len(xbits) // 2
+    return (_per_s_laws(xbits[:half], k).T
+            @ _per_s_laws(xbits[half:], k)).reshape(-1) / 2 ** k
 
 
 def _pair_table(n, k, shared_s, with_s=False):
-    """p[x, m] for the round-trip schemes under the pair measurement; with
-    with_s=True the column index becomes (s, m) so that conditioning on the
-    basis bits is a plain mutual-information computation."""
-    settings = 2 ** (k if shared_s else n * k) if with_s else 1
-    cols = settings * 4 ** (n * k)
+    """p[x, c] for the round-trip schemes; with with_s=True (shared s only)
+    the column index becomes (s, c) so that conditioning on the basis bits
+    is a plain mutual-information computation."""
+    cols = (2 ** k if with_s else 1) * 2 ** (n * (k + 1))
     _check_entries(2 ** n * cols, "outcome table")
     return np.fromiter((_pair_row(_bits(xv, n), k, shared_s, with_s)
                         for xv in range(2 ** n)), (float, cols), 2 ** n)
@@ -337,14 +337,14 @@ def per_bit_information(scheme, k) -> float:
     its own k pad pairs (schemes 4 and 7) or k qubits (scheme 8).
 
     Every outcome-table row is a tensor product of one-variable laws, so
-    this is the information in one variable's own pad-averaged law, for any
-    n and any variable."""
+    this is the information in one variable's own law (averaged over s, or
+    over the pad splits for scheme 8), for any n and any variable."""
     scheme = str(scheme)
     if scheme not in ("4", "7", "8"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    _check_entries(2 * (2 if scheme == "8" else 4) ** k, "outcome table")
+    _check_entries(2 ** (k + (1 if scheme == "8" else 2)), "outcome table")
     law = (_oneway_law(k) if scheme == "8"
-           else _variable_outcomes(k, keep_s=False))
+           else np.stack([_variable_law(x, k) for x in (0, 1)]))
     return qsim.mutual_information(law / 2)
 
 
@@ -377,25 +377,22 @@ def _oneway_pairing_information(n, k):
 
     Given s, the pads of a pair (a, b) XOR to a uniform split of
     x_a + x_b, and for odd n the last variable's pads XOR the t_j to a
-    uniform split of x_{n-1} + sum t, so each group's law is one pad
-    average and the columns are (s, groups, [sum t, last group])."""
+    uniform split of x_{n-1} + sum t, so each group is a pad-pair variable
+    in basis bits 1 - s with the lumped law, and the columns are
+    (s, [sum t], groups)."""
     pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
     odd = n % 2
-    count, cols = 2 ** k, 2 ** odd * 4 ** ((len(pairs) + odd) * k)
+    count, cols = 2 ** k, 2 ** (odd + (len(pairs) + odd) * (k + 1))
     _check_entries(2 ** n * count * cols, "outcome table")
-    q = _variable_outcomes(k, keep_s=True)
     table = np.empty((2 ** n, count, cols))
-    for si in range(count):
-        c = count - 1 - si  # the basis bits 1 - s of setting si
-        for xv in range(2 ** n):
-            x = _bits(xv, n)
-            laws = [q[x[a] ^ x[b], c] for a, b in pairs]
-            if odd:  # sum t is uniform: half its mass on each value
-                laws.append(np.concatenate([q[x[-1], c],
-                                            q[1 - x[-1], c]]) / 2)
-            table[xv, si] = functools.reduce(np.kron, laws)
-    table /= 2 ** k
-    table /= 2 ** n
+    for xv in range(2 ** n):
+        x = _bits(xv, n)
+        groups = [x[a] ^ x[b] for a, b in pairs]
+        tails = [[x[-1] ^ t] for t in (0, 1)] if odd else [[]]
+        laws = np.concatenate([_per_s_laws(groups + tail, k)
+                               for tail in tails], axis=1)
+        # row si of laws[::-1] is at basis bits 1 - s; sum t is uniform
+        table[xv] = laws[::-1] / (len(tails) * 2 ** (n + k))
     return qsim.mutual_information(table.reshape(2 ** n, -1))
 
 

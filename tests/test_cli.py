@@ -6,6 +6,7 @@ import json
 import pytest
 
 from qhelab import cli
+from test_seclab import cmi7_oracle, theorem6_c0_oracle
 
 
 def _rows(path):
@@ -100,7 +101,8 @@ def test_audit_trace_distance(tmp_path):
 
 def test_audit_theorem6_past_the_view_cap(tmp_path, capsys):
     """(n, k) = (4, 2) has 16-qubit views, beyond any dense eigensolve; its
-    outcome rows are small enough to audit."""
+    outcome rows are small enough to audit.  So are those of (4, 4), with
+    2^20 lumped classes; (4, 6) has 2^28 and is refused."""
     out = tmp_path / "r.jsonl"
     rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
                    "--n", "4", "--k", "2", "--seed", "0",
@@ -111,7 +113,14 @@ def test_audit_theorem6_past_the_view_cap(tmp_path, capsys):
     assert spread["metric"] == "trace-distance-spread" and spread["pass"]
     assert spread["observed"] == 0.0
     rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
-                   "--n", "4", "--k", "4", "--seed", "0"])
+                   "--n", "4", "--k", "4", "--seed", "0",
+                   "--output", str(out)])
+    assert rc == 0
+    c0, spread = _rows(out)
+    assert c0["observed"] == float(theorem6_c0_oracle(4, 4))
+    assert spread["pass"] and spread["observed"] == 0.0
+    rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
+                   "--n", "4", "--k", "6", "--seed", "0"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"]
 
@@ -131,9 +140,9 @@ def test_audit_cmi_and_comm(tmp_path):
 
 
 def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
-    """The CMI audits build only the outcome table (2^n x 4^(nk) entries for
-    scheme 7, 2^n x 2^(k(n+1)) for scheme 8), so they are bounded by the
-    table's size, not by a dense view's qubits."""
+    """The CMI audits build only the outcome table (2^n x 2^(n(k+1))
+    lumped entries for scheme 7, 2^n x 2^(k(n+1)) for scheme 8), so they
+    are bounded by the table's size, not by a dense view's qubits."""
     out = tmp_path / "r.jsonl"
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "2",
                    "--k", "4..5", "--seed", "0", "--output", str(out)])
@@ -142,7 +151,12 @@ def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
     assert [r["expected"] for r in rows] == [0.18359375, 0.0927734375]
     assert all(r["pass"] and r["observed"] == r["expected"] for r in rows)
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "5",
-                   "--k", "2", "--seed", "0"])
+                   "--k", "2", "--seed", "0", "--output", str(out)])
+    assert rc == 0
+    (row,) = _rows(out)
+    assert row["observed"] == float(cmi7_oracle(5, 2))
+    rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "5",
+                   "--k", "4", "--seed", "0"])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"]
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "8", "--n", "3",
@@ -183,18 +197,38 @@ def test_adversary_scheme6_honest(tmp_path):
     ["--party", "bob", "--scheme", "6"],
     ["--party", "bob", "--scheme", "4", "--strategy", "honest"],
     ["--party", "bob", "--scheme", "4", "--strategy", "probe"],
+    ["--scheme", "6", "--strategy", "probe", "--n", "1..2", "--traps", "2"],
+    ["--scheme", "6", "--strategy", "honest", "--n", "2"],
+    ["--scheme", "4", "--traps", "2"],
+    ["--party", "bob", "--scheme", "4", "--traps", "4"],
 ], ids=["alice-measure-6", "alice-measure-4", "bob-6", "bob-honest",
-        "bob-probe"])
+        "bob-probe", "scheme6-n-axis", "scheme6-n2", "alice-4-traps",
+        "bob-4-traps"])
 def test_adversary_refuses_combinations_without_a_bench(tmp_path, capsys,
                                                         argv):
     """A party, scheme and strategy that name no bench are a refused
-    argument, not a run of some other bench."""
+    argument, not a run of some other bench.  So are flags a bench would
+    ignore: the scheme-6 bench runs a one-qubit circuit (an --n axis other
+    than 1 would repeat it), and the scheme-4 benches have no traps."""
     out = tmp_path / "r.jsonl"
     assert cli.main(["adversary", *argv, "--trials", "1", "--seed", "1",
                      "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert "bench" in json.loads(line)["error"]
     assert not out.exists()
+
+
+def test_adversary_traps_default_to_four_for_scheme6(tmp_path):
+    """No --traps, --traps 4 and --n 1 give the same bytes."""
+    base = ["adversary", "--scheme", "6", "--strategy", "honest", "--trials",
+            "2", "--seed", "5"]
+    outs = []
+    for extra in ([], ["--traps", "4"], ["--n", "1"]):
+        outs.append(tmp_path / f"r{len(outs)}.jsonl")
+        assert cli.main(base + extra + ["--output", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == \
+        outs[2].read_bytes()
+    assert _rows(outs[0])[0]["params"]["traps"] == 4
 
 
 @pytest.mark.parametrize("party,default", [("alice", "probe"),

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,53 @@ def pad_average_literal(steps, x):
                                         enumerate(pads)])
              for pads in splits_literal(x, len(steps))]
     return sum(terms) / len(terms)
+
+
+def pair_outcome_vec(b, s):
+    """Distribution of (Z on first qubit, X on second) over one pad pair
+    holding pad bit b in basis s; outcome index = 2*o_first + o_second."""
+    v = np.zeros(4)
+    if s == 0:
+        v[(b << 1) | 0] = 0.5
+        v[(b << 1) | 1] = 0.5
+    else:
+        v[(0 << 1) | b] = 0.5
+        v[(1 << 1) | b] = 0.5
+    return v
+
+
+# PAIR_OUTCOMES[pad, s] is one pair's outcome law
+PAIR_OUTCOMES = np.array([[pair_outcome_vec(b, s) for s in (0, 1)]
+                          for b in (0, 1)])
+
+
+def outcome_classes_literal(n, k):
+    """cls[m]: the lumped class of each outcome m of n*k pad pairs.  Per
+    variable, alpha is the XOR of the first-slot outcomes and beta has
+    first XOR second of pair j at bit k-1-j; class alpha * 2^k + beta, one
+    digit per variable, variable 0 outermost."""
+    cls = np.zeros(4 ** (n * k), dtype=np.int64)
+    for m in range(4 ** (n * k)):
+        c = 0
+        for i in range(n):
+            alpha = beta = 0
+            for j in range(k):
+                digit = (m >> 2 * ((n - 1 - i) * k + k - 1 - j)) & 3
+                alpha ^= digit >> 1
+                beta = (beta << 1) | (digit >> 1) ^ (digit & 1)
+            c = (c << (k + 1)) | (alpha << k) | beta
+        cls[m] = c
+    return cls
+
+
+def lump_literal(table, n, k):
+    """Sum the outcome axis (the last, 4^(nk) long) of a row or table into
+    the lumped classes."""
+    cls = outcome_classes_literal(n, k)
+    flat = table.reshape(-1, 4 ** (n * k))
+    out = np.stack([np.bincount(cls, weights=r, minlength=2 ** (n * (k + 1)))
+                    for r in flat])
+    return out.reshape(table.shape[:-1] + (-1,))
 
 
 def pair_density_literal(b, s):
@@ -131,10 +179,10 @@ def oneway_pairing_information_literal(n, k):
                     vec = np.array([1.0])
                     for j in range(k):
                         for a, b in pairs:
-                            vec = np.kron(vec, seclab._pair_outcome_vec(
+                            vec = np.kron(vec, pair_outcome_vec(
                                 pads[a][j] ^ pads[b][j], 1 - s[j]))
                         if odd:
-                            vec = np.kron(vec, seclab._pair_outcome_vec(
+                            vec = np.kron(vec, pair_outcome_vec(
                                 pads[n - 1][j] ^ t[j], 1 - s[j]))
                     col = (si * 2 + tsum) * cols_m
                     table[xv, col:col + cols_m] += vec
@@ -143,8 +191,9 @@ def oneway_pairing_information_literal(n, k):
 
 
 def pair_table_literal(n, k, shared_s, with_s=False):
-    """Reference outcome table: enumerate the joint pad product of every
-    input and basis setting and accumulate the kron of the pair laws."""
+    """Reference outcome table over all 4^(nk) outcomes: enumerate the
+    joint pad product of every input and basis setting and accumulate the
+    kron of the pair laws."""
     s_space = list(itertools.product((0, 1),
                                      repeat=k if shared_s else n * k))
     cols = 4 ** (n * k)
@@ -158,7 +207,7 @@ def pair_table_literal(n, k, shared_s, with_s=False):
                 for i in range(n):
                     s_vec = s if shared_s else s[i * k:(i + 1) * k]
                     for j in range(k):
-                        vec = np.kron(vec, seclab._pair_outcome_vec(
+                        vec = np.kron(vec, pair_outcome_vec(
                             pads[i][j], s_vec[j]))
                 if with_s:
                     table[xv, si * cols:(si + 1) * cols] += vec
@@ -173,12 +222,16 @@ def pair_table_literal(n, k, shared_s, with_s=False):
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
                                  (2, 3), (3, 1), (3, 2)])
 def test_pair_table_equals_joint_enumeration(n, k):
-    for shared_s in (True, False):
-        for with_s in (False, True):
-            got = seclab._pair_table(n, k, shared_s, with_s)
-            want = pair_table_literal(n, k, shared_s, with_s)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want), (shared_s, with_s)
+    """The lumped table is the 4^(nk)-outcome reference summed into
+    classes, exactly."""
+    for shared_s, with_s in [(True, False), (True, True), (False, False)]:
+        got = seclab._pair_table(n, k, shared_s, with_s)
+        # each basis setting's block of 4^(nk) columns is lumped on its own
+        want = pair_table_literal(n, k, shared_s, with_s)
+        want = lump_literal(want.reshape(2 ** n, -1, 4 ** (n * k)), n, k)
+        want = want.reshape(2 ** n, -1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (shared_s, with_s)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -193,8 +246,8 @@ def test_pad_average_matches_split_enumeration(k):
         [(pair_density_literal(0, s), pair_density_literal(1, s))
          for s in s_vec],
         [(seclab._PZ, seclab._PX)[s] for s in s_vec],
-        [seclab._PAIR_OUTCOMES[:, 1 - s] for s in s_vec],
-        [seclab._PAIR_OUTCOMES] * k,
+        [PAIR_OUTCOMES[:, 1 - s] for s in s_vec],
+        [PAIR_OUTCOMES] * k,
     ]
     for steps in cases:
         got = seclab._pad_average(steps)
@@ -211,8 +264,8 @@ def test_views_match_split_enumeration(scheme, n, k):
     """Per-variable views (averaged over the basis bits) and joint views of
     every input against split- and setting-enumerated densities.  The
     round-trip schemes' views are their outcome rows: in the pair basis
-    the enumerated density must be diagonal with exactly the row on its
-    diagonal."""
+    the enumerated density must be diagonal, and its diagonal summed into
+    classes must be exactly the row."""
     if scheme != "8":
         u = pair_basis_literal(n * k)
         inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
@@ -222,8 +275,10 @@ def test_views_match_split_enumeration(scheme, n, k):
             xbits = [x] if isinstance(x, int) else list(x)
             want = (u @ joint_view_literal(scheme, xbits, k) @ u
                     / 2 ** (n * k))
+            diag = np.diag(want)
+            assert np.array_equal(want, np.diag(diag)), x
             row = seclab._view_row(scheme, {"n": n, "k": k}, x)
-            assert np.array_equal(want, np.diag(row)), x
+            assert np.array_equal(lump_literal(diag, n, k), row), x
         with pytest.raises(ValueError):
             seclab.bob_view(scheme, {"n": n, "k": k}, inputs[0])
         return
@@ -264,7 +319,7 @@ def test_table_size_guard(monkeypatch):
     monkeypatch.setattr(seclab, "_check_entries",
                         lambda entries, what: checked.append(entries))
     for n, k, shared_s, with_s in [(2, 2, True, False), (2, 1, True, True),
-                                   (2, 1, False, True)]:
+                                   (2, 2, False, False)]:
         table = seclab._pair_table(n, k, shared_s, with_s)
         assert checked.pop() == table.size
     table = seclab._oneway_table(2, 3)
@@ -274,20 +329,26 @@ def test_table_size_guard(monkeypatch):
     with pytest.raises(ValueError):
         seclab._check_entries(2 ** 24 + 1, "table")
 
-    def no_build(steps):
+    def no_build(*args):
         raise AssertionError("table built past the cap")
 
     monkeypatch.setattr(seclab, "_pad_average", no_build)
+    monkeypatch.setattr(seclab, "_variable_law", no_build)
     for call in (lambda: seclab.cmi_uniform("8", 5, 4),
-                 lambda: seclab.cmi_uniform("7", 5, 2),
+                 lambda: seclab.cmi_uniform("7", 5, 4),
                  lambda: seclab.conditioned_information("8", 5, 4),
-                 lambda: seclab.conditioned_information("7", 2, 6),
-                 lambda: seclab.per_bit_information("4", 13),
-                 lambda: seclab.bob_guess_rate(12)):
+                 lambda: seclab.conditioned_information("7", 2, 8),
+                 lambda: seclab.per_bit_information("4", 23),
+                 lambda: seclab.bob_guess_rate(23)):
         with pytest.raises(ValueError):
             call()
-    # one variable's law is small whatever n: values, not refusals, at k = 4
     monkeypatch.undo()
+    # lumped tables below the cap: values, not refusals
+    assert seclab.cmi_uniform("7", 5, 2) == float(cmi7_oracle(5, 2))
+    assert seclab.conditioned_information("7", 2, 6) == 2.0
+    assert seclab.per_bit_information("4", 13) == 2.0 ** -13
+    assert seclab.bob_guess_rate(12) == 0.5 + 2.0 ** -13
+    # one variable's law is small whatever n
     assert abs(seclab.per_bit_information("4", 4) - 2.0 ** -4) < 1e-15
     assert abs(seclab.per_bit_information("8", 4)
                - (1 - _binary_entropy((1 - 2.0 ** -2) / 2))) < 1e-15
@@ -320,17 +381,29 @@ def test_per_variable_row_distance_matches_dense_view(scheme, k):
 
 
 def test_view_row_size_guard_and_validation(monkeypatch):
-    """Rows over 12 pad pairs and views on 12 qubits (4^12 entries) are
-    the largest built; 13 are refused before anything is built."""
-    seclab._check_entries(4 ** 12, "row")
+    """Rows of n(k+1) = 24 class bits and views on 12 qubits (2^24
+    entries) are the largest built; larger ones are refused before
+    anything is built."""
+    seclab._check_entries(2 ** 24, "row")
     with pytest.raises(ValueError):
-        seclab._check_entries(4 ** 13, "row")
+        seclab._check_entries(2 ** 24 + 1, "row")
+
+    def no_build(*args):
+        raise AssertionError("row built past the cap")
+
+    monkeypatch.setattr(seclab, "_variable_law", no_build)
     with pytest.raises(ValueError):
-        seclab.privacy_distance("4", {"k": 13}, 0, 1)
+        seclab.privacy_distance("4", {"k": 24}, 0, 1)
     with pytest.raises(ValueError):
-        seclab.privacy_distance("7", {"n": 4, "k": 4}, (0,) * 4, (1,) * 4)
+        seclab.privacy_distance("7", {"n": 4, "k": 6}, (0,) * 4, (1,) * 4)
     with pytest.raises(ValueError):
-        seclab.theorem6_constants(4, 4)
+        seclab.theorem6_constants(4, 6)
+    monkeypatch.undo()
+    # rows of 14 and 20 class bits are built; theorem6_constants(4, 4) is
+    # checked against the rank law below
+    assert seclab.privacy_distance("4", {"k": 13}, 0, 1) == 2.0 ** -13
+    assert (seclab.privacy_distance("7", {"n": 4, "k": 4}, (0,) * 4, (1,) * 4)
+            == float(theorem6_c0_oracle(4, 4)))
     with pytest.raises(ValueError):
         seclab.privacy_distance("7", {"n": 2, "k": 1}, (0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
@@ -347,7 +420,7 @@ def test_view_row_size_guard_and_validation(monkeypatch):
     seclab.privacy_distance("4", {"k": 5}, 0, 1)
     seclab.privacy_distance("8", {"n": 2, "k": 2}, (0, 1), "uniform")
     seclab.privacy_distance("8", {"k": 3}, 0, 1)
-    assert checked == [4 ** 6, 4 ** 6, 4 ** 5, 4 ** 5, 4 ** 6, 4 ** 6,
+    assert checked == [2 ** 9, 2 ** 9, 2 ** 6, 2 ** 6, 4 ** 6, 4 ** 6,
                        4 ** 3, 4 ** 3]
 
 
@@ -368,12 +441,76 @@ def test_theorem6_constants_are_input_independent():
     for (n, k), want in [((2, 1), 0.75), ((2, 2), 0.4375), ((3, 1), 0.875),
                          ((3, 2), 0.671875), ((3, 3), 0.412109375),
                          ((4, 2), 0.82421875)]:
+        assert want == theorem6_c0_oracle(n, k)
         out = seclab.theorem6_constants(n, k)
-        assert abs(out["c0"] - want) < 1e-9
-        assert out["spread"] < 1e-9
-        assert len(out["values"]) == 2 ** n - 1
-        if n * k >= 6:  # exact dyadic arithmetic: no spread at all
-            assert out["spread"] == 0.0
+        # exact dyadic arithmetic: every value equal, no spread at all
+        assert out["values"] == [want] * (2 ** n - 1)
+        assert out["c0"] == want and out["spread"] == 0.0
+
+
+def rank_counts(n, k):
+    """Number of n x k matrices over F2 of each rank r, the Gaussian
+    binomial count prod_{i<r} (2^n - 2^i)(2^k - 2^i) / (2^r - 2^i)."""
+    counts = []
+    for r in range(min(n, k) + 1):
+        count = Fraction(1)
+        for i in range(r):
+            count *= Fraction((2 ** n - 2 ** i) * (2 ** k - 2 ** i),
+                              2 ** r - 2 ** i)
+        counts.append(count)
+    assert sum(counts) == 2 ** (n * k)
+    return counts
+
+
+def rank_mean(n, k, f):
+    """E[f(rank B)] for a uniform n x k matrix B over F2."""
+    counts = rank_counts(n, k)
+    return sum(c * f(r) for r, c in enumerate(counts)) / 2 ** (n * k)
+
+
+def theorem6_c0_oracle(n, k):
+    """Scheme 7 with the rows of B the per-variable beta: Bob's classes
+    tell x from 0 unless x is in the column space of B, so
+    c0 = 1 - (E[2^rank B] - 1) / (2^n - 1) for every nonzero x."""
+    return 1 - (rank_mean(n, k, lambda r: 2 ** r) - 1) / (2 ** n - 1)
+
+
+def cmi7_oracle(n, k):
+    """Scheme 7's uniform-input information n - E[rank B]."""
+    return n - rank_mean(n, k, lambda r: r)
+
+
+@pytest.mark.parametrize("n,k,want", [(2, 5, Fraction(63, 1024)),
+                                      (4, 4, Fraction(26251, 65536)),
+                                      (5, 3, Fraction(26251, 32768)),
+                                      (3, 6, Fraction(16003, 262144))])
+def test_theorem6_constants_equal_the_rank_law(n, k, want):
+    """Exactly, for every nonzero input, at sizes whose 4^(nk) pair outcomes
+    exceed the 2^24-entry cap."""
+    assert theorem6_c0_oracle(n, k) == want
+    out = seclab.theorem6_constants(n, k)
+    assert out["values"] == [float(want)] * (2 ** n - 1)
+    assert out["c0"] == float(want) and out["spread"] == 0.0
+
+
+@pytest.mark.parametrize("n,k,want", [(2, 5, Fraction(95, 1024)),
+                                      (4, 4, Fraction(53179, 65536))])
+def test_cmi_uniform_equals_the_rank_law(n, k, want):
+    assert cmi7_oracle(n, k) == want
+    assert seclab.cmi_uniform("7", n, k) == float(want)
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 3), (2, 8)])
+def test_scheme4_joint_distance_closed_form(n, k):
+    """With independent basis bits each variable is revealed with
+    probability 2^-k, so two inputs are told apart unless no variable where
+    they differ is revealed: 1 - (1 - 2^-k)^wt(x ^ x'), exactly."""
+    inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
+    for a, b in itertools.combinations(inputs, 2):
+        wt = sum(x ^ y for x, y in zip(a, b))
+        want = 1 - (1 - Fraction(1, 2 ** k)) ** wt
+        got = seclab.privacy_distance("4", {"n": n, "k": k}, a, b)
+        assert got == float(want), (a, b)
 
 
 def factorization_gap(scheme, n, k, x) -> float:
@@ -425,6 +562,11 @@ def test_cmi_matches_closed_forms():
     assert abs(seclab.cmi_uniform("7", 2, 2)
                - seclab.cmi_formula("n2_exact", 2, 2)) < 1e-9
     assert abs(seclab.cmi_formula("n2_exact", 2, 2) - 11 / 16) < 1e-12
+    # the exact closed forms are the k = 1 and n = 2 cases of the rank law
+    for n in range(1, 7):
+        assert seclab.cmi_formula("k1_exact", n, 1) == cmi7_oracle(n, 1)
+    for k in range(1, 7):
+        assert seclab.cmi_formula("n2_exact", 2, k) == cmi7_oracle(2, k)
     # the two-bit lower bound coincides with the exact value at k=1
     for n in range(1, 6):
         assert abs(seclab.cmi_formula("two_bit_lower", n, 1)
@@ -436,13 +578,14 @@ def test_cmi_matches_closed_forms():
 
 
 def per_bit_information_literal(scheme, n, k, i):
-    """Reference for per_bit_information: build the whole 2^n-row outcome
-    table and sum it down to variable i's bit and its own outcome
+    """Reference for per_bit_information: enumerate the whole 2^n-row
+    outcome table and sum it down to variable i's bit and its own outcome
     digits."""
     if scheme in ("4", "7"):
-        table, base = seclab._pair_table(n, k, shared_s=(scheme == "7")), 4
+        table = pair_table_literal(n, k, shared_s=(scheme == "7"))
+        base = 4
     else:
-        table, base = seclab._oneway_table(n, k), 2
+        table, base = oneway_table_literal(n, k), 2
     # variable i's k outcome digits follow the i*k digits of the variables
     # before it (variable 0 outermost); sum out the digits on either side
     marg = table.reshape(2 ** n, base ** (i * k), base ** k, -1).sum(
