@@ -17,11 +17,18 @@ identical configurations produce byte-identical reports.  Grid points can
 be dispatched to a process pool via the QHELAB_WORKERS environment
 variable (a positive integer, capped by the number of grid points and of
 cores); rows are emitted in grid order either way.
+
+Exit codes: 0 when every row passes, 1 when a row fails, 2 for refused
+arguments, and 3 for an internal error (a protocol fault or a failed
+internal check) inside a grid point.  Exits 2 and 3 write one JSON error
+line to stderr and no report; exit 3's line names the command, the scheme
+and the point's (n, k, seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qsim, rebit, rebit_schemes, seclab
-from .harness import RandomBits, comm_audit, enumerate_hidden_adaptive
+from .harness import (ProtocolError, RandomBits, comm_audit,
+                      enumerate_hidden_adaptive)
 from .linpoly import (LinearPolynomial, run_scheme4, run_scheme7, run_scheme8,
                       run_scheme9, run_scheme10)
 from .qhe_core import CliffordTCircuit, random_clifford_t, run_scheme5
@@ -113,12 +121,11 @@ _CLASSICAL = {
 }
 
 
-def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
-                     max_bits):
+def _classical_point(args, n, k, seed):
     """One grid point of the classical-output schemes: count failing cases
     over all (x, a, c), either exhausting the hidden randomness per case or
     running seeded trials."""
-    run = _CLASSICAL[scheme]
+    run = _CLASSICAL[args.scheme]
     failures = cases = 0
     rng = np.random.default_rng(seed)
     for xv in range(2 ** n):
@@ -128,17 +135,17 @@ def _classical_point(scheme, n, k, seed, trials, exhaustive, gamma, k_prime,
                 poly = LinearPolynomial(
                     tuple((av >> i) & 1 for i in range(n)), c)
                 want = poly.evaluate(x)
-                if exhaustive:
+                if args.exhaustive:
                     for _, got in enumerate_hidden_adaptive(
-                            lambda src: run(x, poly, k, src, gamma,
-                                            k_prime)[0],
-                            max_bits=max_bits):
+                            lambda src: run(x, poly, k, src, args.gamma,
+                                            args.k_prime)[0],
+                            max_bits=args.max_bits):
                         cases += 1
                         failures += int(got != want)
                 else:
-                    for _ in range(trials):
-                        got = run(x, poly, k, RandomBits(rng), gamma,
-                                  k_prime)[0]
+                    for _ in range(args.trials):
+                        got = run(x, poly, k, RandomBits(rng), args.gamma,
+                                  args.k_prime)[0]
                         cases += 1
                         failures += int(got != want)
     return failures, cases
@@ -189,51 +196,49 @@ def _rebit_point(scheme, n, depth, seed, trials):
 
 
 # --- command implementations ----------------------------------------------
+#
+# One point function per command: (args, n, k, seed) -> list of report rows.
 
-def _execute_point(spec):
-    """Dispatchable unit of work: one grid point -> list of report rows."""
-    cmd = spec["cmd"]
-    scheme = spec["scheme"]
-    seed = spec["seed"]
-    if cmd == "run-classical":
-        failures, cases = _classical_point(
-            scheme, spec["n"], spec["k"], seed, spec["trials"],
-            spec["exhaustive"], spec["gamma"], spec["k_prime"],
-            spec["max_bits"])
-        params = {"n": spec["n"], "k": spec["k"], "cases": cases,
-                  "mode": "exhaustive" if spec["exhaustive"] else "sampled"}
+def _run_point(args, n, k, seed):
+    scheme = args.scheme
+    if scheme in _CLASSICAL:
+        failures, cases = _classical_point(args, n, k, seed)
+        params = {"n": n, "k": k, "cases": cases,
+                  "mode": "exhaustive" if args.exhaustive else "sampled"}
         if scheme == "9":
-            params.update(gamma=spec["gamma"], k_prime=spec["k_prime"])
-        prov = ("exhaustive-enumeration" if spec["exhaustive"]
+            params.update(gamma=args.gamma, k_prime=args.k_prime)
+        prov = ("exhaustive-enumeration" if args.exhaustive
                 else "seeded-trials")
         return [_row(scheme, params, "correctness-failures", 0, failures,
                      0, seed, prov)]
-    if cmd == "run-scheme5":
-        fids = _scheme5_point(spec["n"], spec["R"], spec["k"], seed,
-                              spec["trials"])
-        return [_row("5", {"n": spec["n"], "R": spec["R"], "k": spec["k"],
-                           "trial": t},
+    if scheme == "5":
+        fids = _scheme5_point(n, args.R, k, seed, args.trials)
+        return [_row("5", {"n": n, "R": args.R, "k": k, "trial": t},
                      "fidelity", 1.0, f, TOL_FIDELITY, seed,
                      "direct-simulation")
                 for t, f in enumerate(fids)]
-    if cmd == "run-rebit":
-        fids = _rebit_point(scheme, spec["n"], spec["depth"], seed,
-                            spec["trials"])
-        return [_row(scheme, {"n": spec["n"], "depth": spec["depth"],
-                              "trial": t},
-                     "fidelity", 1.0, f, TOL_FIDELITY, seed,
-                     "logical-oracle")
-                for t, f in enumerate(fids)]
-    if cmd == "audit":
-        return _audit_point(spec)
-    if cmd == "adversary":
-        return _adversary_point(spec)
-    raise ValueError(f"unknown work item {cmd!r}")
+    fids = _rebit_point(scheme, n, args.depth, seed, args.trials)
+    return [_row(scheme, {"n": n, "depth": args.depth, "trial": t},
+                 "fidelity", 1.0, f, TOL_FIDELITY, seed, "logical-oracle")
+            for t, f in enumerate(fids)]
 
 
-def _audit_point(spec):
-    scheme, metric, seed = spec["scheme"], spec["metric"], spec["seed"]
-    n, k = spec["n"], spec["k"]
+def _rank_counts(n, k):
+    """Number of n x k matrices over F2 of each rank r, exactly: the
+    Gaussian-binomial count prod_{i<r} (2^n - 2^i)(2^k - 2^i) / (2^r - 2^i).
+    In scheme 7 the rows of B are the variables' lumped classes beta."""
+    counts = []
+    for r in range(min(n, k) + 1):
+        num = den = 1
+        for i in range(r):
+            num *= (2 ** n - 2 ** i) * (2 ** k - 2 ** i)
+            den *= 2 ** r - 2 ** i
+        counts.append(num // den)
+    return counts
+
+
+def _audit_point(args, n, k, seed):
+    scheme, metric = args.scheme, args.metric
     rows = []
     if metric == "trace-distance":
         if scheme == "4":
@@ -245,9 +250,14 @@ def _audit_point(spec):
             rows.append(_row("8", {"k": k}, metric, 2.0 ** (-k / 2), obs,
                              TOL_EXACT, seed, "exact-enumeration"))
         elif scheme == "7":
+            # Bob tells x from 0 unless x lies in B's column space:
+            # c0 = 1 - (E[2^rank B] - 1) / (2^n - 1), one rounding
             res = seclab.theorem6_constants(n, k)
-            rows.append(_row("7", {"n": n, "k": k}, "trace-distance-c0",
-                             None, res["c0"], None, seed,
+            total = 2 ** (n * k) * (2 ** n - 1)
+            spanned = sum(c << r for r, c in enumerate(_rank_counts(n, k)))
+            c0 = (total - (spanned - 2 ** (n * k))) / total
+            rows.append(_row("7", {"n": n, "k": k}, "trace-distance-c0", c0,
+                             res["c0"], TOL_EXACT, seed,
                              "exact-enumeration"))
             rows.append(_row("7", {"n": n, "k": k}, "trace-distance-spread",
                              0.0, res["spread"], TOL_EXACT, seed,
@@ -256,17 +266,17 @@ def _audit_point(spec):
             raise ValueError(f"no trace-distance audit for scheme {scheme}")
     elif metric == "cmi":
         obs = seclab.cmi_uniform(scheme, n, k)
-        if scheme == "7" and k == 1:
-            expected = seclab.cmi_formula("k1_exact", n, k)
-        elif scheme == "7" and n == 2:
-            expected = seclab.cmi_formula("n2_exact", n, k)
-        else:
-            expected = None
+        if scheme == "7":  # n - E[rank B], one rounding
+            ranks = sum(c * r for r, c in enumerate(_rank_counts(n, k)))
+            expected = (n * 2 ** (n * k) - ranks) / 2 ** (n * k)
+        else:  # 8: each variable's parity through a binary symmetric
+            # channel with crossover (1 - 2^(-k/2))/2
+            p = (1 - 2 ** (-k / 2)) / 2
+            expected = n * (1 + p * math.log2(p) + (1 - p) * math.log2(1 - p))
         rows.append(_row(scheme, {"n": n, "k": k}, metric, expected, obs,
-                         TOL_EXACT if expected is not None else None, seed,
-                         "exact-enumeration"))
+                         TOL_EXACT, seed, "exact-enumeration"))
     elif metric == "comm":
-        rows.extend(_comm_audit(scheme, n, k, seed, spec))
+        rows.extend(_comm_audit(args, n, k, seed))
     else:
         raise ValueError(f"unknown audit metric {metric!r}")
     return rows
@@ -281,12 +291,13 @@ _COMM_BOB_TO_ALICE = {
 }
 
 
-def _comm_audit(scheme, n, k, seed, spec):
+def _comm_audit(args, n, k, seed):
     """Bob->Alice bit counts of one live run versus the closed forms."""
+    scheme = args.scheme
     rng = np.random.default_rng(seed)
     rows = []
     if scheme == "2":
-        circuit = random_accircuit("2", n, spec.get("depth", 2), rng)
+        circuit = random_accircuit("2", n, args.depth, rng)
         psi = qsim.random_state(n, rng)
         enc = qsim.QuantumState(rebit.rebit_encode(psi))
         run = rebit_schemes.run_scheme2(circuit, enc, RandomBits(rng))
@@ -295,15 +306,13 @@ def _comm_audit(scheme, n, k, seed, spec):
                          seed, "protocol-audit"))
         return rows
     if scheme == "5":
-        circuit = random_clifford_t(n, spec.get("R", 1), rng)
+        circuit = random_clifford_t(n, args.R, rng)
         run = run_scheme5(circuit, qsim.random_state(n, rng), k, rng)
-        rows.append(_row("5", {"n": n, "R": spec.get("R", 1), "k": k},
-                         "subprotocol-instances",
-                         2 * n + spec.get("R", 1),
+        params = {"n": n, "R": args.R, "k": k}
+        rows.append(_row("5", params, "subprotocol-instances", 2 * n + args.R,
                          run.report.instance_count, 0, seed,
                          "protocol-audit"))
-        rows.append(_row("5", {"n": n, "R": spec.get("R", 1), "k": k},
-                         "key-variables", 2 * n + 4 * spec.get("R", 1),
+        rows.append(_row("5", params, "key-variables", 2 * n + 4 * args.R,
                          run.report.nvars, 0, seed, "protocol-audit"))
         return rows
     if scheme not in _COMM_BOB_TO_ALICE:
@@ -319,19 +328,18 @@ def _comm_audit(scheme, n, k, seed, spec):
     return rows
 
 
-def _adversary_point(spec):
-    scheme, seed = spec["scheme"], spec["seed"]
-    n, k, trials = spec["n"], spec["k"], spec["trials"]
+def _adversary_point(args, n, k, seed):
+    scheme, strategy, trials = args.scheme, args.strategy, args.trials
     rows = []
     if scheme == "6":
         circuit = CliffordTCircuit(1, (("H", (0,)), ("P", (0,))))
         psi = qsim.random_state(1, np.random.default_rng(seed))
-        honest = spec["strategy"] == "honest"
+        honest = strategy == "honest"
         res = seclab.scheme6_detection(
-            circuit, psi, k, spec["traps"], seed, trials,
+            circuit, psi, k, args.traps, seed, trials,
             strategy_factory=None if honest else seclab.ProbeAlice)
-        params = {"k": k, "traps": spec["traps"], "trials": trials,
-                  "strategy": spec["strategy"]}
+        params = {"k": k, "traps": args.traps, "trials": trials,
+                  "strategy": strategy}
         if honest:
             rows.append(_row("6", params, "abort-rate", 0.0,
                              res["detection_rate"], 0.0, seed,
@@ -341,7 +349,7 @@ def _adversary_point(spec):
                              res["detection_rate"], None, seed,
                              "monte-carlo", comparison=">="))
         return rows
-    if spec["party"] == "bob":
+    if args.party == "bob":
         res = seclab.cheating_bob("4", {"n": n, "k": k}, seed, trials=trials)
         params = {"n": n, "k": k, "trials": trials}
         rows.append(_row("4", params, "per-pair-guess-rate", 0.75,
@@ -355,11 +363,10 @@ def _adversary_point(spec):
         rows.append(_row("4", params, "induced-error-wilson-low", 0.1, lo,
                          None, seed, "monte-carlo", comparison=">="))
         return rows
-    res = seclab.cheating_alice("4", spec["strategy"], {"n": n, "k": k},
-                                seed, trials=trials)
-    params = {"n": n, "k": k, "trials": trials,
-              "strategy": spec["strategy"]}
-    if spec["strategy"] == "probe":
+    res = seclab.cheating_alice("4", strategy, {"n": n, "k": k}, seed,
+                                trials=trials)
+    params = {"n": n, "k": k, "trials": trials, "strategy": strategy}
+    if strategy == "probe":
         rows.append(_row("4", params, "identification-rate", 1.0,
                          res["identification_rate"], 0.0, seed,
                          "monte-carlo"))
@@ -436,19 +443,26 @@ _BENCHES = {"alice": (("4", "6"), ("probe", "honest")),
             "bob": (("4",), ("measure",))}
 
 
-def _grid_specs(args):
-    """Expand the parsed arguments into per-grid-point work items."""
+def _grid_points(args):
+    """Check the parsed arguments, resolve the adversary defaults in place,
+    and expand the grid into (n, k, seed) points."""
     ns, ks = _parse_range(args.n), _parse_range(args.k)
     if args.command == "adversary":
         schemes, strategies = _BENCHES[args.party]
-        strategy = args.strategy or strategies[0]
-        if args.scheme not in schemes or strategy not in strategies:
+        args.strategy = args.strategy or strategies[0]
+        if args.scheme not in schemes or args.strategy not in strategies:
             raise ValueError(f"no {args.party} bench runs strategy "
-                             f"{strategy!r} against scheme {args.scheme}")
+                             f"{args.strategy!r} against scheme "
+                             f"{args.scheme}")
         if args.scheme == "6" and ns != [1]:  # a fixed one-qubit circuit
             raise ValueError("the scheme-6 bench takes --n 1 only")
         if args.scheme == "4" and args.traps is not None:
             raise ValueError("--traps applies to the scheme-6 bench only")
+        if args.traps is None:
+            args.traps = 4
+    if args.command == "run" and args.scheme == "6":
+        raise ValueError("scheme 6 has no run mode; use the adversary "
+                         "command for scheme 6")
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):
@@ -458,40 +472,25 @@ def _grid_specs(args):
     for flag in ("R", "traps", "depth"):
         if (getattr(args, flag, None) or 0) < 0:
             raise ValueError(f"--{flag} must not be negative")
-    specs = []
-    for idx, (n, k) in enumerate((n, k) for n in ns for k in ks):
-        seed = args.seed + 1000 * idx
-        if args.command == "run":
-            if args.scheme in ("4", "7", "8", "9", "10"):
-                specs.append({"cmd": "run-classical", "scheme": args.scheme,
-                              "n": n, "k": k, "seed": seed,
-                              "trials": args.trials,
-                              "exhaustive": args.exhaustive,
-                              "gamma": args.gamma,
-                              "k_prime": args.k_prime,
-                              "max_bits": args.max_bits})
-            elif args.scheme == "5":
-                specs.append({"cmd": "run-scheme5", "scheme": "5", "n": n,
-                              "k": k, "R": args.R, "seed": seed,
-                              "trials": args.trials})
-            elif args.scheme in ("1", "2"):
-                specs.append({"cmd": "run-rebit", "scheme": args.scheme,
-                              "n": n, "depth": args.depth, "seed": seed,
-                              "trials": args.trials})
-            else:
-                raise ValueError(f"scheme {args.scheme} has no run mode; "
-                                 "use the adversary command for scheme 6")
-        elif args.command == "audit":
-            specs.append({"cmd": "audit", "scheme": args.scheme,
-                          "metric": args.metric, "n": n, "k": k,
-                          "R": args.R, "depth": args.depth, "seed": seed})
-        elif args.command == "adversary":
-            specs.append({"cmd": "adversary", "scheme": args.scheme,
-                          "party": args.party, "strategy": strategy,
-                          "n": n, "k": k, "trials": args.trials,
-                          "traps": 4 if args.traps is None else args.traps,
-                          "seed": seed})
-    return specs
+    return [(n, k, args.seed + 1000 * idx)
+            for idx, (n, k) in enumerate((n, k) for n in ns for k in ks)]
+
+
+class _PointError(Exception):
+    """A protocol fault or failed internal check inside one grid point;
+    its one argument is the JSON error record that names the point."""
+
+
+def _execute_point(point_fn, args, point):
+    """Run one grid point; a ProtocolError or AssertionError comes back as
+    a _PointError naming the command, scheme and (n, k, seed)."""
+    n, k, seed = point
+    try:
+        return point_fn(args, n, k, seed)
+    except (ProtocolError, AssertionError) as exc:
+        raise _PointError({"error": f"{type(exc).__name__}: {exc}",
+                          "command": args.command, "scheme": args.scheme,
+                          "n": n, "k": k, "seed": seed}) from exc
 
 
 def _apply_config(args, command_parser):
@@ -556,20 +555,26 @@ def main(argv=None) -> int:
         for sid in sorted(SCHEMES, key=int):
             print(f"{sid}\t{SCHEMES[sid]}")
         return 0
+    point_fn = {"run": _run_point, "audit": _audit_point,
+                "adversary": _adversary_point}[args.command]
     try:
         if args.config:
             _apply_config(args, commands[args.command])
-        specs = _grid_specs(args)
-        workers = _worker_count(len(specs))
+        points = _grid_points(args)
+        execute = functools.partial(_execute_point, point_fn, args)
+        workers = _worker_count(len(points))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_point = list(pool.map(_execute_point, specs))
+                per_point = list(pool.map(execute, points))
         else:
-            per_point = [_execute_point(s) for s in specs]
+            per_point = [execute(p) for p in points]
         rows = [row for point in per_point for row in point]
     except (ValueError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    except _PointError as exc:
+        sys.stderr.write(json.dumps(exc.args[0], sort_keys=True) + "\n")
+        return 3
     _emit(rows, args.output)
     return 0 if all(r.passed for r in rows) else 1
 

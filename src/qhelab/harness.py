@@ -267,13 +267,13 @@ class TeleportRecord:
 
 
 def teleport_symbolic(state, qubit, withhold, source, transcript=None,
-                      sender=ALICE, new_owner=BOB, tag="teleport"):
+                      sender=ALICE, tag="teleport"):
     """Equivalent-channel teleportation without explicit EPR qubits.
 
-    Applies X^a Z^b with fresh uniform (a, b), relabels the qubit's owner,
-    and discloses exactly the non-withheld correction bits (the receiver
-    applies those immediately, so the residual mask is only the withheld
-    part).  `withhold` is a set drawn from {"x", "z"}.
+    Applies X^a Z^b with fresh uniform (a, b) and discloses exactly the
+    non-withheld correction bits (the receiver applies those immediately,
+    so the residual mask is only the withheld part).  `withhold` is a set
+    drawn from {"x", "z"}.
     """
     withhold = set(withhold)
     if not withhold <= {"x", "z"}:
@@ -290,9 +290,8 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         st = qsim.apply_gate(st, qsim.Z, [qubit])
     if a:
         st = qsim.apply_gate(st, qsim.X, [qubit])
-    if st is state:  # never hand back (or relabel) the caller's object
+    if st is state:  # never hand back the caller's object
         st = state.copy()
-    st.owners[qubit] = new_owner
     disclosed = [0] * (2 - len(withhold))
     if transcript is not None and disclosed:
         transcript.record(sender, disclosed, tag=tag)

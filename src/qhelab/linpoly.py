@@ -11,7 +11,9 @@ and (a, c) from Alice:
   pad index, compressing Bob's return messages from n*k to k bits.
 - scheme 8: single-qubit encodings with an extra pad qubit t_j per index;
   Bob evaluates by pairing up his a_i=1 qubits with CNOTs and measuring,
-  so no quantum state travels back to Alice.
+  so no quantum state travels back to Alice.  Each pair's two outcomes are
+  its pad parity and a uniform bit, so the scheme runs as that classical
+  channel and builds no register.
 - scheme 9: scheme 8 at k = ceil(gamma*n), with Alice's final local
   evaluation replaced by a role-reversed inner scheme 8 so that Bob's
   summary bits R_j, w never reach Alice in the clear.
@@ -117,7 +119,7 @@ def encode_pair(x: int, s: int) -> qsim.QuantumState:
         first, second = _ENC[(int(x) & 1, 0)], _ENC[(0, 0)]
     else:
         first, second = _ENC[(0, 1)], _ENC[(int(x) & 1, 1)]
-    return qsim.product_state(first, second, owners=[ALICE, ALICE])
+    return qsim.product_state(first, second)
 
 
 # --- schemes 4 and 7 ------------------------------------------------------
@@ -191,10 +193,8 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
                 st = bob_strategy.intercept(st, i, j, source)
             if poly.a[i] == 0:
                 st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
-            st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source,
-                                         sender=BOB, new_owner=ALICE)
-            st, ret2 = teleport_symbolic(st, 1, {"x", "z"}, source,
-                                         sender=BOB, new_owner=ALICE)
+            st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source)
+            st, ret2 = teleport_symbolic(st, 1, {"x", "z"}, source)
             states[i, j] = st
             returns[i, j] = (ret1, ret2)
 
@@ -254,6 +254,11 @@ class Scheme8Instance:
     data party: holds x, prepares and teleports k*(n+1) single qubits.
     circuit party: holds the polynomial, pairs its a_i=1 qubits with CNOTs,
     measures, and reports R_j = u_j ^ v_j plus the parity w of the a_i.
+
+    Nothing is withheld from the teleports and every measurement reads a
+    fixed classical channel of the pads, so the phases run as that channel
+    and no register is built.  The literal single-qubit protocol is the
+    reference in tests/test_linpoly.py.
     """
 
     def __init__(self, x, poly, k, source, transcript=None,
@@ -267,47 +272,48 @@ class Scheme8Instance:
         self.data_party = data_party
         self.circuit_party = circuit_party
         self.shares = None
-        self.states = None     # one (n+1)-qubit state per j; qubit n is t_j
         self.u = self.v = self.R = self.w = None
 
     def data_phase(self):
+        """Draw s, t and the pads; qubit i of index j encodes x_ij (qubit n
+        encodes t_j) in basis s_j.  Each of the k*(n+1) teleports discloses
+        both correction bits, which the receiver applies at once."""
         n, k, src = self.poly.n, self.k, self.source
         s = [src.bit("s") for _ in range(k)]
         t = [src.bit("t") for _ in range(k)]
         x_split = [_split_bit(self.x[i], k, src) for i in range(n)]
         self.shares = PadShares(x_split, s, t)
-        self.states = []
         for j in range(k):
-            vecs = [_ENC[(x_split[i][j], s[j])] for i in range(n)]
-            vecs.append(_ENC[(t[j], s[j])])
-            st = qsim.product_state(*vecs, owners=[self.data_party] * (n + 1))
-            for q in range(n + 1):
-                st, _ = teleport_symbolic(st, q, set(), src, self.transcript,
-                                          sender=self.data_party,
-                                          new_owner=self.circuit_party,
-                                          tag=f"send-{j}")
-            self.states.append(st)
+            for _ in range(n + 1):
+                self.transcript.record(self.data_party, [0, 0],
+                                       tag=f"send-{j}")
         return self
 
     def circuit_phase(self, send=True):
-        """CNOT pairing and measurements; optionally transmit (R_j..., w)."""
+        """CNOT pairing and measurements; optionally transmit (R_j..., w).
+
+        After CNOT(ctrl, tgt) on two qubits in basis s_j, the one outcome
+        that reads the pad parity is the Z outcome of the target (s_j = 0)
+        or the X outcome of the control (s_j = 1); the other is a uniform
+        bit, one hidden draw per pair.
+        """
         a = self.poly.a
         ones = [i for i, ai in enumerate(a) if ai == 1]
         self.w = len(ones) & 1
         pairs = [(ones[p], ones[p + 1]) for p in range(0, len(ones) - 1, 2)]
         if self.w:
             pairs.append((ones[-1], self.poly.n))  # unpaired qubit -> t_j
+        shares = self.shares
         self.u, self.v, self.R = [], [], []
         for j in range(self.k):
-            st, uj, vj = self.states[j], 0, 0
+            pads = [row[j] for row in shares.x_split] + [shares.t[j]]
+            uj = vj = 0
             for ctrl, tgt in pairs:
-                st = qsim.apply_gate(st, qsim.CNOT, [ctrl, tgt])
-                ox, st = measure_with(self.source, st, "X", ctrl)
-                oz, st = measure_with(self.source, st, "Z", tgt)
-                # the Z-parity of the target qubits carries the data sum in
-                # the s_j=0 branch and the X-parity of the controls carries
-                # it in the s_j=1 branch; u_j must be the Z-parity so that
-                # the mask bit c ^ sum(u_j) cancels the random half
+                parity = pads[ctrl] ^ pads[tgt]
+                r = self.source.outcome(0.5)
+                oz, ox = (parity, r) if shares.s[j] == 0 else (r, parity)
+                # u_j must be the Z-parity so that the mask bit
+                # c ^ sum(u_j) cancels the random half
                 uj ^= oz
                 vj ^= ox
             self.u.append(uj)

@@ -110,9 +110,8 @@ def garden_hose(state, qubit, p, q, source):
                       (qsim.Z, az), (qsim.X, ax)):
         if bit:
             st = qsim.apply_gate(st, gate, [qubit])
-    if st is state:  # never hand back (or relabel) the caller's object
+    if st is state:  # never hand back the caller's object
         st = state.copy()
-    st.owners[qubit] = BOB
     return st, (m1x, m1z, m2x, m2z), (bx, bz), "out1" if p == 0 else "out2"
 
 
@@ -239,8 +238,7 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
         alice_bits[2 * i + 1] = rec.mask_z.reveal()
     # Bob's trap ancillas join the register unmasked, in |0>
     for _ in range(traps):
-        st = qsim.QuantumState(np.kron([1, 0], st.vec),
-                               owners=st.owners + [BOB])
+        st = qsim.QuantumState(np.kron([1, 0], st.vec))
     plan = trap_plan(n, traps, plan_rng)
 
     # step 2: Bob evaluates, correcting each T via the distributed gadget.
@@ -303,7 +301,7 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
     bob_return = []
     for i in range(n):
         st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
-                                    sender=BOB, new_owner=ALICE, tag="return")
+                                    sender=BOB, tag="return")
         bob_return.append((rec.mask_x.reveal(), rec.mask_z.reveal()))
 
     # step 4: 2n distributed evaluations; Bob folds his return-teleport bit

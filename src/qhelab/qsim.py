@@ -9,6 +9,10 @@ Conventions used throughout the package:
 - Global phase is never compared; state equality means fidelity >= 1 - tol.
 - Bell measurement outcome (m_x, m_z) (`harness.bell_measure_with`) means
   the teleported qubit needs the correction X^{m_x} Z^{m_z}.
+- A register is plain linear algebra: which party holds a qubit is the
+  protocol code's bookkeeping, and a protocol whose measurements read a
+  fixed classical channel (schemes 8 and 9) runs as that channel with no
+  register.
 """
 
 from __future__ import annotations
@@ -81,14 +85,9 @@ C_IY = controlled(1j * _Y, "C-iY")            # controlled i*sigma_y
 
 
 class QuantumState:
-    """Statevector over an ordered register.
+    """Statevector over an ordered register."""
 
-    Each qubit carries an owner label ("Alice" or "Bob"); ownership is
-    plumbing for the protocol harness and has no effect on the linear
-    algebra.
-    """
-
-    def __init__(self, data, owners=None):
+    def __init__(self, data):
         data = np.asarray(data, dtype=complex)
         if data.ndim != 1:
             raise ValueError("expected a statevector")
@@ -99,12 +98,9 @@ class QuantumState:
             raise ValueError("statevector is not normalized")
         self.vec = data
         self.num_qubits = n
-        self.owners = list(owners) if owners else ["Alice"] * n
-        if len(self.owners) != n:
-            raise ValueError("owner list length mismatch")
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.vec.copy(), self.owners)
+        return QuantumState(self.vec.copy())
 
     def density(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())
@@ -116,14 +112,14 @@ def basis_state(n: int, index: int = 0) -> QuantumState:
     return QuantumState(v)
 
 
-def product_state(*single_qubit_vecs, owners=None) -> QuantumState:
+def product_state(*single_qubit_vecs) -> QuantumState:
     """Build |v_{n-1}> x ... x |v_0> from per-qubit vectors listed for
     qubits 0, 1, ... in order (little-endian composition)."""
     out = np.array([1.0], dtype=complex)
     for v in single_qubit_vecs:
         out = np.kron(np.asarray(v, dtype=complex), out)
     out = out / np.linalg.norm(out)
-    return QuantumState(out, owners=owners)
+    return QuantumState(out)
 
 
 def random_state(n: int, rng) -> QuantumState:
@@ -155,7 +151,7 @@ def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
     if gate.arity != len(targets):
         raise ValueError(f"gate {gate.name} arity {gate.arity} != {len(targets)} targets")
     arr = _tensor_apply(state.vec.reshape((2,) * n), n, gate.matrix, targets)
-    return QuantumState(arr.reshape(-1), state.owners)
+    return QuantumState(arr.reshape(-1))
 
 
 _BASIS_ROT = {"Z": None, "X": H, "Y": Gate("Wy", _H @ np.diag([1, -1j]), 1)}
@@ -193,35 +189,32 @@ def measure(state: QuantumState, basis: str, qubit: int, force):
     sel = [slice(None)] * n
     sel[n - 1 - qubit] = 1 - outcome
     arr[tuple(sel)] = 0
-    post = QuantumState(arr.reshape(-1) / math.sqrt(p), st.owners)
+    post = QuantumState(arr.reshape(-1) / math.sqrt(p))
     rot_inv = _BASIS_ROT_INV[basis]
     if rot_inv is not None:  # rotate back so the register stays in its own frame
         post = apply_gate(post, rot_inv, [qubit])
     return outcome, post
 
 
-def epr_extend(state: QuantumState, owner_a="Alice", owner_b="Bob"):
+def epr_extend(state: QuantumState):
     """Append an EPR pair (|00>+|11>)/sqrt2 as the two highest qubits.
 
-    Returns (state, index_first_half, index_second_half); the first half is
-    labeled owner_a, the second owner_b.
+    Returns (state, index_first_half, index_second_half).
     """
     n = state.num_qubits
     epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    out = QuantumState(np.kron(epr, state.vec), state.owners + [owner_a, owner_b])
-    return out, n, n + 1
+    return QuantumState(np.kron(epr, state.vec)), n, n + 1
 
 
 def remove_qubit(state: QuantumState, qubit: int, bit: int) -> QuantumState:
     """Drop a qubit known to be in the computational state |bit>."""
     n = state.num_qubits
     axis = n - 1 - qubit
-    owners = [o for i, o in enumerate(state.owners) if i != qubit]
     arr = np.take(state.vec.reshape((2,) * n), bit, axis=axis).reshape(-1)
     norm = np.linalg.norm(arr)
     if abs(norm - 1) > 1e-8:
         raise ValueError("qubit is not definitely in that basis state")
-    return QuantumState(arr / norm, owners)
+    return QuantumState(arr / norm)
 
 
 def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:
@@ -259,7 +252,9 @@ def trace_distance(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     if rho.ndim == 1:
-        return 0.5 * float(np.sum(np.abs(rho - sigma)))
+        diff = rho - sigma
+        np.abs(diff, out=diff)  # one buffer: the rows may near the cap
+        return 0.5 * float(np.sum(diff))
     eig = np.linalg.eigvalsh(rho - sigma)
     return 0.5 * float(np.sum(np.abs(eig)))
 

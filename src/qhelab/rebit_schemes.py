@@ -161,7 +161,6 @@ def _run(circuit, input_state, source, scheme, mask_bits=None):
         for q, mb in zip(range(1, n), mask_bits):
             if mb:
                 st = qsim.apply_gate(st, qsim.ry(math.pi), [q])
-            st.owners[q] = BOB
             bob_local.add(q)
     for layer in circuit.layers:
         if layer.kind == "ydiag":
@@ -182,12 +181,10 @@ def _run(circuit, input_state, source, scheme, mask_bits=None):
             st = qsim.apply_gate(st, qsim.X, [q])
         if z:
             st = qsim.apply_gate(st, qsim.Z, [q])
-        st.owners[q] = ALICE
     if mask_bits is not None:
         for q, mb in zip(range(1, n), mask_bits):
             if mb:
                 st = qsim.apply_gate(st, qsim.ry(-math.pi), [q])
-            st.owners[q] = ALICE
     px, pz = frames[n]
     if px != pz:
         raise AssertionError("phase-qubit frame left {I, Y}; bookkeeping bug")

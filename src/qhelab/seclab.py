@@ -189,8 +189,10 @@ def _view_row(scheme, params, x):
     inputs = _inputs(x, n)
     bits = len(inputs[0]) * (k + 1)
     _check_entries(2 ** bits, f"outcome row over {bits} class bits")
-    row = sum(_pair_row(xbits, k, shared_s=(scheme == "7"))
-              for xbits in inputs) / len(inputs)
+    row = _pair_row(inputs[0], k, shared_s=(scheme == "7"))
+    for xbits in inputs[1:]:  # in place: a row may near the entry cap
+        row += _pair_row(xbits, k, shared_s=(scheme == "7"))
+    row /= len(inputs)
     if row.min() < -1e-9 or abs(row.sum() - 1.0) > 1e-9:
         raise ValueError("outcome row is not a probability distribution")
     return row
@@ -314,24 +316,6 @@ def cmi_uniform(scheme, n, k) -> float:
     return qsim.mutual_information(table)
 
 
-def cmi_formula(kind, n, k) -> float:
-    """Closed forms for the shared-basis scheme's mutual information.
-
-    k1_exact: exact value at k=1 for any n.  n2_exact: exact value at n=2
-    for any k.  two_bit_lower: the part induced by single- and two-bit
-    correlations only, a lower-bound reference rather than an exact CMI.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if kind == "k1_exact":
-        return n - 1 + 0.5 ** n
-    if kind == "n2_exact":
-        return 3.0 / 2 ** k - 1.0 / 2 ** (2 * k)
-    if kind == "two_bit_lower":
-        return n - (2 ** k - 1) * (1 - (1 - 0.5 ** k) ** n)
-    raise ValueError(f"unknown formula kind {kind!r}")
-
-
 def per_bit_information(scheme, k) -> float:
     """Mutual information between one uniform input bit and the outcomes on
     its own k pad pairs (schemes 4 and 7) or k qubits (scheme 8).
@@ -433,7 +417,7 @@ class ProbeAlice(AdversaryStrategy):
         return self.parameters["target"]
 
     def probe_state(self):
-        return qsim.QuantumState(_PROBE_VEC.copy(), owners=[ALICE, ALICE])
+        return qsim.QuantumState(_PROBE_VEC.copy())
 
     def measure_pair(self, state, x_ij, s, v, fwd_z1, fwd_x2, source):
         st = state

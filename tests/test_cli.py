@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
 from qhelab import cli
+from qhelab.harness import ProtocolError
 from test_seclab import cmi7_oracle, theorem6_c0_oracle
 
 
@@ -110,6 +112,7 @@ def test_audit_theorem6_past_the_view_cap(tmp_path, capsys):
     assert rc == 0
     c0, spread = _rows(out)
     assert c0["metric"] == "trace-distance-c0" and c0["observed"] == 0.82421875
+    assert c0["expected"] == 0.82421875 and c0["pass"]
     assert spread["metric"] == "trace-distance-spread" and spread["pass"]
     assert spread["observed"] == 0.0
     rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
@@ -117,7 +120,7 @@ def test_audit_theorem6_past_the_view_cap(tmp_path, capsys):
                    "--output", str(out)])
     assert rc == 0
     c0, spread = _rows(out)
-    assert c0["observed"] == float(theorem6_c0_oracle(4, 4))
+    assert c0["observed"] == c0["expected"] == float(theorem6_c0_oracle(4, 4))
     assert spread["pass"] and spread["observed"] == 0.0
     rc = cli.main(["audit", "--metric", "trace-distance", "--scheme", "7",
                    "--n", "4", "--k", "6", "--seed", "0"])
@@ -139,6 +142,25 @@ def test_audit_cmi_and_comm(tmp_path):
     assert row["expected"] == 2 + 2 and row["observed"] == 4
 
 
+def test_audit_rows_carry_the_rank_law(tmp_path):
+    """Every scheme-7 c0 and CMI row, and every scheme-8 CMI row, checks
+    its observed value against an exact expected value."""
+    out = tmp_path / "r.jsonl"
+    grid = ["--n", "1..3", "--k", "1..3", "--seed", "0", "--output", str(out)]
+    for metric, scheme, oracle in (("trace-distance", "7", theorem6_c0_oracle),
+                                   ("cmi", "7", cmi7_oracle)):
+        assert cli.main(["audit", "--metric", metric, "--scheme", scheme,
+                         *grid]) == 0
+        rows = [r for r in _rows(out) if r["metric"] != "trace-distance-spread"]
+        assert len(rows) == 9
+        for row in rows:
+            want = float(oracle(row["params"]["n"], row["params"]["k"]))
+            assert row["expected"] == row["observed"] == want, row
+    assert cli.main(["audit", "--metric", "cmi", "--scheme", "8", *grid]) == 0
+    assert all(r["pass"] and r["tolerance"] == cli.TOL_EXACT
+               for r in _rows(out))
+
+
 def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
     """The CMI audits build only the outcome table (2^n x 2^(n(k+1))
     lumped entries for scheme 7, 2^n x 2^(k(n+1)) for scheme 8), so they
@@ -154,7 +176,7 @@ def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
                    "--k", "2", "--seed", "0", "--output", str(out)])
     assert rc == 0
     (row,) = _rows(out)
-    assert row["observed"] == float(cmi7_oracle(5, 2))
+    assert row["observed"] == row["expected"] == float(cmi7_oracle(5, 2))
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "7", "--n", "5",
                    "--k", "4", "--seed", "0"])
     assert rc == 2
@@ -164,6 +186,7 @@ def test_audit_cmi_refuses_by_table_size(tmp_path, capsys):
     assert rc == 0
     (row,) = _rows(out)
     assert abs(row["observed"] - 0.13669799) < 1e-8
+    assert abs(row["expected"] - row["observed"]) < 1e-12 and row["pass"]
     rc = cli.main(["audit", "--metric", "cmi", "--scheme", "8", "--n", "5",
                    "--k", "4", "--seed", "0"])
     assert rc == 2
@@ -385,6 +408,38 @@ def test_enumeration_budget_exit_2(monkeypatch, tmp_path, capsys, workers):
                      "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert "exceeded 3 hidden bits" in json.loads(line)["error"]
+    assert not out.exists()
+
+
+@dataclass
+class _Fault:
+    """A point function that raises `exc` at k = 2; a module-level class,
+    so that a worker process can unpickle it."""
+
+    exc: type
+
+    def __call__(self, args, n, k, seed):
+        if k == 2:
+            raise self.exc("injected fault")
+        return []
+
+
+@pytest.mark.parametrize("exc", [ProtocolError, AssertionError])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, workers, exc):
+    """A protocol fault or a failed internal check inside a grid point is
+    neither a refused argument (2) nor a failed row (1): exit 3 with one
+    JSON error line naming the command, scheme and point."""
+    monkeypatch.setenv("QHELAB_WORKERS", workers)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_audit_point", _Fault(exc))
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["audit", "--metric", "trace-distance", "--scheme", "4",
+                     "--k", "1..3", "--seed", "1", "--output", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": f"{exc.__name__}: injected fault", "command": "audit",
+        "scheme": "4", "n": 1, "k": 2, "seed": 1001}
     assert not out.exists()
 
 

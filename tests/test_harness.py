@@ -17,13 +17,13 @@ from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, NeedMoreBits,
 from test_rebit_schemes import _pauli_from_bits
 
 
-def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
+def teleport_literal(state, qubit, withhold, source):
     """Reference implementation through an explicit EPR pair; used to check
     that teleport_symbolic induces the same channel.  Returns
     (state, (residual_x, residual_z)) with the teleported content moved
-    back to `qubit`'s position via the EPR second half then relabeled."""
+    back to `qubit`'s position via the EPR second half."""
     withhold = set(withhold)
-    st, a_q, b_q = qsim.epr_extend(state, owner_a="sender", owner_b=new_owner)
+    st, a_q, b_q = qsim.epr_extend(state)
     (mx, mz), st = bell_measure_with(source, st, qubit, a_q)
     # receiver corrects the disclosed components
     if "x" not in withhold and mx:
@@ -36,7 +36,6 @@ def teleport_literal(state, qubit, withhold, source, new_owner=BOB):
         [qubit, b_q])
     st = qsim.remove_qubit(st, b_q, mz)
     st = qsim.remove_qubit(st, a_q, mx)
-    st.owners[qubit] = new_owner
     residual = (mx if "x" in withhold else 0, mz if "z" in withhold else 0)
     return st, residual
 
@@ -209,20 +208,12 @@ def test_symbolic_teleport_withheld_masks_reveal():
 @pytest.mark.parametrize("withhold", [set(), {"x"}, {"z"}, {"x", "z"}])
 def test_symbolic_teleport_leaves_input_untouched(withhold):
     psi = qsim.random_state(2, np.random.default_rng(9))
-    vec, owners = psi.vec.copy(), list(psi.owners)
+    vec = psi.vec.copy()
     for a, b in itertools.product((0, 1), repeat=2):
         forced = [a] * ("x" in withhold) + [b] * ("z" in withhold)
         out, _ = teleport_symbolic(psi, 0, withhold, FixedBits(forced))
-        assert out is not psi and out.owners[0] == BOB
-        assert np.array_equal(psi.vec, vec) and psi.owners == owners
-
-
-def test_teleport_transfers_ownership():
-    rng = np.random.default_rng(8)
-    psi = qsim.random_state(1, rng)
-    st, _ = teleport_symbolic(psi, 0, set(), RandomBits(rng), Transcript(),
-                              sender=ALICE, new_owner=BOB)
-    assert st.owners[0] == BOB
+        assert out is not psi
+        assert np.array_equal(psi.vec, vec)
 
 
 # --- the Pauli-frame rule table -------------------------------------------

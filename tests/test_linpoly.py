@@ -1,5 +1,6 @@
 """Linear-polynomial protocols: correctness, communication, validation."""
 
+import functools
 import itertools
 import types
 
@@ -7,10 +8,77 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhelab import linpoly as lp
+from qhelab import harness, linpoly as lp
 from qhelab import qsim
 from qhelab.harness import (ALICE, FixedBits, ProtocolError, RandomBits,
-                            comm_audit, enumerate_hidden_adaptive)
+                            comm_audit, enumerate_hidden_adaptive,
+                            measure_with, teleport_symbolic)
+
+
+class LiteralScheme8(lp.Scheme8Instance):
+    """Scheme 8 as the paper states it: per pad index j, an (n+1)-qubit
+    register of single-qubit encodings (qubit n carries t_j) teleported to
+    the circuit party, which CNOT-pairs its a_i=1 qubits and measures each
+    control in X and each target in Z.  The reference for the classical
+    channel that lp.Scheme8Instance runs."""
+
+    def data_phase(self):
+        n, k, src = self.poly.n, self.k, self.source
+        s = [src.bit("s") for _ in range(k)]
+        t = [src.bit("t") for _ in range(k)]
+        x_split = [lp._split_bit(self.x[i], k, src) for i in range(n)]
+        self.shares = lp.PadShares(x_split, s, t)
+        self.states = []
+        for j in range(k):
+            vecs = [lp._ENC[(x_split[i][j], s[j])] for i in range(n)]
+            vecs.append(lp._ENC[(t[j], s[j])])
+            st = qsim.product_state(*vecs)
+            for q in range(n + 1):
+                st, _ = teleport_symbolic(st, q, set(), src, self.transcript,
+                                          sender=self.data_party,
+                                          tag=f"send-{j}")
+            self.states.append(st)
+        return self
+
+    def circuit_phase(self, send=True):
+        ones = [i for i, ai in enumerate(self.poly.a) if ai == 1]
+        self.w = len(ones) & 1
+        pairs = [(ones[p], ones[p + 1]) for p in range(0, len(ones) - 1, 2)]
+        if self.w:
+            pairs.append((ones[-1], self.poly.n))
+        self.u, self.v, self.R = [], [], []
+        for j in range(self.k):
+            st, uj, vj = self.states[j], 0, 0
+            for ctrl, tgt in pairs:
+                st = qsim.apply_gate(st, qsim.CNOT, [ctrl, tgt])
+                ox, st = measure_with(self.source, st, "X", ctrl)
+                oz, st = measure_with(self.source, st, "Z", tgt)
+                uj ^= oz
+                vj ^= ox
+            self.u.append(uj)
+            self.v.append(vj)
+            self.R.append(uj ^ vj)
+        if send:
+            self.transcript.record(self.circuit_party, self.R, tag="R")
+            self.transcript.record(self.circuit_party, [self.w], tag="w")
+        return list(self.R), self.w
+
+
+def _literal(run, *args):
+    """Run a scheme-8 or scheme-9 runner on the literal reference."""
+    channel = lp.Scheme8Instance
+    lp.Scheme8Instance = LiteralScheme8
+    try:
+        return run(*args)
+    finally:
+        lp.Scheme8Instance = channel
+
+
+def _all_cases(n):
+    """Every (x, polynomial) of arity n."""
+    for xv, av, c in itertools.product(range(2 ** n), range(2 ** n), (0, 1)):
+        yield ([(xv >> i) & 1 for i in range(n)],
+               lp.LinearPolynomial(tuple((av >> i) & 1 for i in range(n)), c))
 
 
 def test_polynomial_basics():
@@ -109,6 +177,75 @@ def test_scheme8_exhaustive_branches(x, a):
     weight = sum(2.0 ** -len(bits) for bits, _ in leaves)
     assert abs(weight - 1.0) < 1e-9
     assert all(out == poly.evaluate(x) for _, out in leaves)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 2), (3, 1)])
+def test_scheme8_channel_matches_literal_on_every_branch(n, k):
+    """On every (x, a, c) and every hidden-bit branch the channel draws the
+    same bits and gives the same output and transcript as the literal
+    single-qubit protocol."""
+    for x, poly in _all_cases(n):
+        def run(src, x=x, poly=poly):
+            out, tr = lp.run_scheme8(x, poly, k, src)
+            return out, tr.serialize()
+
+        channel = list(enumerate_hidden_adaptive(run))
+        literal = _literal(lambda: list(enumerate_hidden_adaptive(run)))
+        assert channel == literal
+        assert all(out == poly.evaluate(x) for _, (out, _) in channel)
+
+
+def test_scheme9_channel_matches_literal_on_every_branch():
+    """Scheme 9 at n=1, k'=1 (outer k=2): both scheme-8 instances, the
+    outer one and the role-reversed inner one, run as the channel."""
+    for x, poly in _all_cases(1):
+        def run(src, x=x, poly=poly):
+            out, tr = lp.run_scheme9(x, poly, 1.5, 1, src)
+            return out, tr.serialize()
+
+        channel = list(enumerate_hidden_adaptive(run))
+        literal = _literal(lambda: list(enumerate_hidden_adaptive(run)))
+        assert channel == literal
+        assert all(out == poly.evaluate(x) for _, (out, _) in channel)
+
+
+@pytest.mark.parametrize("runner,n,size", [
+    (lambda x, poly, k, rng: lp.run_scheme8(x, poly, k, rng), 5, 3),
+    (lambda x, poly, k, rng: lp.run_scheme8(x, poly, k, rng), 4, 4),
+    (lambda x, poly, k, rng: lp.run_scheme9(x, poly, 1.5, k, rng), 3, 2),
+], ids=["scheme8-5-3", "scheme8-4-4", "scheme9-3-2"])
+def test_channel_matches_literal_on_seeded_runs(runner, n, size):
+    """Past exhaustive sizes: seeded runs give the same output and
+    transcript, and leave the generator in the same state."""
+    rng = np.random.default_rng(n * 100 + size)
+    for trial in range(30):
+        x = [int(b) for b in rng.integers(0, 2, size=n)]
+        poly = lp.LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
+                                   int(rng.integers(0, 2)))
+        runs = []
+        for run in (runner, functools.partial(_literal, runner)):
+            gen = np.random.default_rng(trial)
+            out, tr = run(x, poly, size, RandomBits(gen))
+            runs.append((out, tr.serialize(), int(gen.integers(1 << 30))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == poly.evaluate(x)
+
+
+def test_scheme8_and_9_build_no_register(monkeypatch):
+    """The channel calls no qsim function, symbolic teleport or
+    measurement."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the channel builds no register")
+
+    for name in ("product_state", "apply_gate", "measure", "QuantumState"):
+        monkeypatch.setattr(qsim, name, forbidden)
+    for name in ("teleport_symbolic", "measure_with"):
+        monkeypatch.setattr(lp, name, forbidden)
+        monkeypatch.setattr(harness, name, forbidden)
+    rng = np.random.default_rng(3)
+    for x, poly in _all_cases(2):
+        assert lp.run_scheme8(x, poly, 2, rng)[0] == poly.evaluate(x)
+        assert lp.run_scheme9(x, poly, 1.5, 2, rng)[0] == poly.evaluate(x)
 
 
 def test_scheme10_exhaustive_branches():

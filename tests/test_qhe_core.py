@@ -7,8 +7,8 @@ import pytest
 
 from qhelab import qhe_core as qc
 from qhelab import qsim
-from qhelab.harness import (ALICE, BOB, RandomBits, bell_measure_with,
-                            conjugate_frame, enumerate_hidden, measure_with)
+from qhelab.harness import (RandomBits, bell_measure_with, conjugate_frame,
+                            enumerate_hidden, measure_with)
 
 
 def _value(form, bits):
@@ -127,7 +127,7 @@ def garden_hose_literal(state, qubit, p, q, source):
     n0 = st.num_qubits
     half = {}
     for name in "ABCD":
-        st, left, right = qsim.epr_extend(st, owner_a=BOB, owner_b=ALICE)
+        st, left, right = qsim.epr_extend(st)
         half[name] = (left, right)
 
     route = "A" if p == 0 else "B"
@@ -158,7 +158,6 @@ def garden_hose_literal(state, qubit, p, q, source):
     for idx in sorted(known, reverse=True):
         st = qsim.remove_qubit(st, idx, known[idx])
     assert st.num_qubits == n0
-    st.owners[qubit] = BOB
     return st, (m1x, m1z, m2x, m2z), (bx, bz), "out1" if p == 0 else "out2"
 
 
@@ -200,18 +199,17 @@ def test_garden_hose_channel_matches_literal_gadget(p, q):
     for (bits_c, out_c), (bits_l, out_l) in zip(channel, literal):
         assert bits_c == bits_l
         assert out_c[1:] == out_l[1:]
-        assert out_c[0].owners == out_l[0].owners
         assert qsim.fidelity(out_c[0], out_l[0]) >= 1 - 1e-12
 
 
 @pytest.mark.parametrize("p,q", list(itertools.product((0, 1), repeat=2)))
 def test_garden_hose_leaves_input_untouched(p, q):
     psi = qsim.random_state(2, np.random.default_rng(2 * p + q))
-    vec, owners = psi.vec.copy(), list(psi.owners)
+    vec = psi.vec.copy()
     for _, (st, *_) in enumerate_hidden(
             lambda src: qc.garden_hose(psi, 0, p, q, src), 7):
         assert st is not psi
-        assert np.array_equal(psi.vec, vec) and psi.owners == owners
+        assert np.array_equal(psi.vec, vec)
 
 
 @pytest.mark.parametrize("a,b", list(itertools.product((0, 1), repeat=2)))

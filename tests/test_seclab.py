@@ -555,24 +555,26 @@ def test_bob_view_uniform_mixes_inputs():
 
 # --- information measures -------------------------------------------------
 
+def two_bit_lower(n, k):
+    """The part of scheme 7's CMI induced by single- and two-bit
+    correlations only: a lower-bound reference, not an exact value."""
+    return n - (2 ** k - 1) * (1 - (1 - 0.5 ** k) ** n)
+
+
 def test_cmi_matches_closed_forms():
-    assert abs(seclab.cmi_uniform("7", 2, 1)
-               - seclab.cmi_formula("k1_exact", 2, 1)) < 1e-9
+    """The rank law at k = 1 is n - 1 + 2^-n, and at n = 2 it is
+    3 * 2^-k - 2^-2k."""
+    assert seclab.cmi_uniform("7", 2, 1) == 1.25
     assert abs(seclab.cmi_uniform("7", 3, 1) - 2.125) < 1e-9
-    assert abs(seclab.cmi_uniform("7", 2, 2)
-               - seclab.cmi_formula("n2_exact", 2, 2)) < 1e-9
-    assert abs(seclab.cmi_formula("n2_exact", 2, 2) - 11 / 16) < 1e-12
-    # the exact closed forms are the k = 1 and n = 2 cases of the rank law
+    assert seclab.cmi_uniform("7", 2, 2) == 11 / 16
     for n in range(1, 7):
-        assert seclab.cmi_formula("k1_exact", n, 1) == cmi7_oracle(n, 1)
+        assert cmi7_oracle(n, 1) == n - 1 + Fraction(1, 2 ** n)
     for k in range(1, 7):
-        assert seclab.cmi_formula("n2_exact", 2, k) == cmi7_oracle(2, k)
+        assert cmi7_oracle(2, k) == 3 * Fraction(1, 2 ** k) - \
+            Fraction(1, 2 ** (2 * k))
     # the two-bit lower bound coincides with the exact value at k=1
     for n in range(1, 6):
-        assert abs(seclab.cmi_formula("two_bit_lower", n, 1)
-                   - seclab.cmi_formula("k1_exact", n, 1)) < 1e-12
-    with pytest.raises(ValueError):
-        seclab.cmi_formula("nope", 1, 1)
+        assert abs(two_bit_lower(n, 1) - float(cmi7_oracle(n, 1))) < 1e-12
     with pytest.raises(ValueError):
         seclab.cmi_uniform("4", 1, 1)
 
