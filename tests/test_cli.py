@@ -479,13 +479,25 @@ _GOLDEN = [
     (["run", "--scheme", "5", "--n", "2", "--k", "2", "--R", "2", "--trials",
       "10", "--seed", "7"],
      "8d523fe691cec6f14a97489061eda18686b3a44a1d1e3a091aab85661f7642d2"),
+    # scheme-4 adversary reports; the honest one's coin-flip guesses follow
+    # run_scheme4's draws, so it pins the hidden-bit stream
+    (["adversary", "--party", "bob", "--scheme", "4", "--trials", "300",
+      "--seed", "17"],
+     "c2d7a10e7dad57ed0a19ca4c5170965f7965337fec8f17893ee499d3facd972e"),
+    (["adversary", "--scheme", "4", "--strategy", "probe", "--n", "2", "--k",
+      "2", "--trials", "300", "--seed", "17"],
+     "ee639c4ae7b825be8fa18b0f2b4d3827302c271ff58dc3988faf4de0f35b6c1d"),
+    (["adversary", "--scheme", "4", "--strategy", "honest", "--n", "2", "--k",
+      "2", "--trials", "300", "--seed", "17"],
+     "7f3cac3f66e91d5f8318603ac8a2808e9ca6cb7dd85b16c3fe57048d6e6cccae"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", _GOLDEN, ids=[
     "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
     "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi", "scheme1-run",
-    "scheme2-run", "scheme5-run"])
+    "scheme2-run", "scheme5-run", "scheme4-bob", "scheme4-probe",
+    "scheme4-honest"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0
