@@ -273,7 +273,8 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
     Applies X^a Z^b with fresh uniform (a, b) and discloses exactly the
     non-withheld correction bits (the receiver applies those immediately,
     so the residual mask is only the withheld part).  `withhold` is a set
-    drawn from {"x", "z"}.
+    drawn from {"x", "z"}.  A `state` of None draws and records the masks
+    alone and gives None back, for a qubit tracked by its Pauli frame.
     """
     withhold = set(withhold)
     if not withhold <= {"x", "z"}:
@@ -283,6 +284,15 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
     # which is the identity channel, so it is emitted as a constant 0.
     a = source.bit("teleport-x") if "x" in withhold else 0
     b = source.bit("teleport-z") if "z" in withhold else 0
+    disclosed = [0] * (2 - len(withhold))
+    if transcript is not None and disclosed:
+        transcript.record(sender, disclosed, tag=tag)
+    rec = TeleportRecord(
+        mask_x=SecretBit(a, "teleport-x") if "x" in withhold else 0,
+        mask_z=SecretBit(b, "teleport-z") if "z" in withhold else 0,
+    )
+    if state is None:
+        return None, rec
     # receiver's uncorrected state is X^a Z^b |psi>, matching the literal
     # EPR channel under our Bell-outcome convention
     st = state
@@ -292,13 +302,6 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         st = qsim.apply_gate(st, qsim.X, [qubit])
     if st is state:  # never hand back the caller's object
         st = state.copy()
-    disclosed = [0] * (2 - len(withhold))
-    if transcript is not None and disclosed:
-        transcript.record(sender, disclosed, tag=tag)
-    rec = TeleportRecord(
-        mask_x=SecretBit(a, "teleport-x") if "x" in withhold else 0,
-        mask_z=SecretBit(b, "teleport-z") if "z" in withhold else 0,
-    )
     return st, rec
 
 

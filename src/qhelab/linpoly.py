@@ -6,7 +6,9 @@ and (a, c) from Alice:
 
 - scheme 4: each input bit is split into k pads; each pad is encoded into a
   two-qubit state whose basis is chosen by a fresh secret bit, round-tripped
-  through Bob, and decoded from measurement parities.
+  through Bob, and decoded from measurement parities.  An honest pair's
+  decoded parity is a fixed function of its pad and mask bits, so it runs
+  as that Pauli-frame channel; only a pair a cheater touches is a register.
 - scheme 7: same, but the basis bit is shared across all pads with the same
   pad index, compressing Bob's return messages from n*k to k bits.
 - scheme 8: single-qubit encodings with an extra pad qubit t_j per index;
@@ -23,7 +25,8 @@ Schemes 4, 8 and 10 have a distributed mode that omits Bob's final mask
 bit and leaves the result as the XOR of one bit per party; higher-level
 protocols compose through that mode.  Schemes 5 and 6 (qhe_core) evaluate
 each form of Bob's Pauli frame this way: the form's int bitmask becomes a
-LinearPolynomial with its bit 0 as c and bit v+1 as a_v.
+LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
+register protocols are the references in tests/test_linpoly.py.
 """
 
 from __future__ import annotations
@@ -139,11 +142,16 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     Intermediate m trades Bob->Alice communication against data privacy.
     Returns (bit, transcript) or (DistributedBit, transcript).
 
+    An honest pad pair runs as its Pauli-frame channel: its teleports draw
+    and record masks without a register, and Alice's deterministic outcomes
+    enter in closed form.  Only a pair that a strategy touches is a
+    two-qubit register.
+
     `alice_strategy` is an optional cheating-Alice plugin (m=1 only).  It
-    may substitute the encoding of one pad pair (probe_target/probe_state)
-    and then supplies that pair's decoded contribution itself
-    (measure_pair), seeing exactly what a real Alice would see: the
-    returned qubits, her own withheld forward bits, and Bob's v bit.
+    substitutes the encoding of pad pair (0, 0) (probe_state) and then
+    supplies that pair's decoded contribution itself (measure_pair),
+    seeing exactly what a real Alice would see: the returned qubits, her
+    own withheld forward bits, and Bob's v bit.
 
     `bob_strategy` is an optional cheating-Bob plugin; its intercept hook
     sees each received pair before Bob's honest processing and may measure
@@ -157,7 +165,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         raise ValueError("block size m must divide n")
     if alice_strategy is not None and m != 1:
         raise ValueError("adversary strategies support only m=1")
-    probe = alice_strategy.probe_target(n, k) if alice_strategy else None
+    probe = (0, 0) if alice_strategy else None
     source = as_source(rng)
     transcript = Transcript()
     blocks = n // m
@@ -165,6 +173,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     # Alice: pads, basis bits, encodings, forward teleports.  She withholds
     # the Z correction on the first qubit and the X correction on the second;
     # t_ij is whichever of the two stays relevant under her measurement basis.
+    # A pair's state is None unless a strategy touches it.
     s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
     x_split = [_split_bit(x[i], k, source) for i in range(n)]
     shares = PadShares(x_split, s, [[None] * k for _ in range(n)])
@@ -172,16 +181,17 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     for i in range(n):
         for j in range(k):
             s_ij = s[i // m][j]
+            st = None
             if probe == (i, j):
                 st = alice_strategy.probe_state()
-            else:
+            elif bob_strategy is not None:
                 st = encode_pair(x_split[i][j], s_ij)
             st, rec1 = teleport_symbolic(st, 0, {"z"}, source, transcript,
                                          sender=ALICE, tag=f"fwd-{i}-{j}")
             st, rec2 = teleport_symbolic(st, 1, {"x"}, source, transcript,
                                          sender=ALICE, tag=f"fwd-{i}-{j}")
             shares.t[i][j] = rec2.mask_x if s_ij == 0 else rec1.mask_z
-            fwd[i, j] = (rec1, rec2)
+            fwd[i, j] = (rec1.mask_z.reveal(), rec2.mask_x.reveal())
             states[i, j] = st
 
     # Bob: CNOT exactly when a_i=0, then return teleports withholding all
@@ -191,7 +201,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
             st = states[i, j]
             if bob_strategy is not None:
                 st = bob_strategy.intercept(st, i, j, source)
-            if poly.a[i] == 0:
+            if poly.a[i] == 0 and st is not None:
                 st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
             st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source)
             st, ret2 = teleport_symbolic(st, 1, {"x", "z"}, source)
@@ -224,13 +234,21 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
                 if probe == (i, j):
                     g = alice_strategy.measure_pair(
                         states[i, j], x_split[i][j], s[b][j], v[b][j],
-                        fwd[i, j][0].mask_z.reveal(),
-                        fwd[i, j][1].mask_x.reveal(), source)
-                    continue
-                basis = "Z" if s[b][j] == 0 else "X"
-                o1, st = measure_with(source, states[i, j], basis, 0)
-                o2, st = measure_with(source, st, basis, 1)
-                g ^= o1 ^ o2 ^ shares.t[i][j].reveal()
+                        *fwd[i, j], source)
+                elif states[i, j] is None:
+                    # The forward masks leave Z values (x, a2) or X values
+                    # (b1, x), Bob's CNOT (a_i=0) adds x into the other
+                    # qubit and the return masks' X (s=0) or Z (s=1) parts
+                    # flip both, so o1 ^ o2 ^ t_ij = a_i x_ij ^ their parity.
+                    r1, r2 = returns[i, j]
+                    flips = (r1.mask_x ^ r2.mask_x if s[b][j] == 0
+                             else r1.mask_z ^ r2.mask_z)
+                    g ^= (poly.a[i] & x_split[i][j]) ^ flips.reveal()
+                else:
+                    basis = "Z" if s[b][j] == 0 else "X"
+                    o1, st = measure_with(source, states[i, j], basis, 0)
+                    o2, st = measure_with(source, st, basis, 1)
+                    g ^= o1 ^ o2 ^ shares.t[i][j].reveal()
             y0 ^= g
     bob_bit = poly.c ^ y_total
     if distributed:

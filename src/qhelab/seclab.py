@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -381,24 +381,17 @@ def _oneway_pairing_information(n, k):
 
 
 # --- adversary strategies -------------------------------------------------
-
-@dataclass
-class AdversaryStrategy:
-    """A scripted deviation; the protocol runners verify that a strategy is
-    only ever plugged into its own party's interface."""
-
-    party: str
-    parameters: dict = field(default_factory=dict)
-
+# A strategy is a scripted deviation; its `party` says which party's
+# interface of run_scheme4 it plugs into, and the runner checks that.
 
 _PROBE_VEC = np.array([1.0, 1.0, 1.0, -1.0]) / 2
 # (|0>|+> + |1>|->)/sqrt2 on (first, second); Bob's conditional CNOT sends
 # it to (|0>|+> -+ |1>|->)/sqrt2, two orthogonal states indexed by a_i.
 
 
-class ProbeAlice(AdversaryStrategy):
-    """Substitute one pad pair with an entangled probe, identify Bob's
-    coefficient a_i from the returned pair, and fake that pair's decoded
+class ProbeAlice:
+    """Substitute pad pair (i, j) = (0, 0) with an entangled probe, identify
+    Bob's coefficient a_i from the returned pair, and fake that pair's decoded
     contribution.
 
     Decode: undo the known forward masks (they commute with Bob's possible
@@ -409,12 +402,10 @@ class ProbeAlice(AdversaryStrategy):
     so her reported share is wrong with probability 1/2.
     """
 
-    def __init__(self, target=(0, 0)):
-        super().__init__(ALICE, {"target": target})
-        self.identified = []
+    party = ALICE
 
-    def probe_target(self, n, k):
-        return self.parameters["target"]
+    def __init__(self):
+        self.identified = []
 
     def probe_state(self):
         return qsim.QuantumState(_PROBE_VEC.copy())
@@ -432,13 +423,12 @@ class ProbeAlice(AdversaryStrategy):
         return (a_hat & x_ij) ^ xobs  # guesses Bob's mx2 ^ mz2 as 0
 
 
-class MeasuringBob(AdversaryStrategy):
+class MeasuringBob:
     """Measure every received pair in the fixed Z-first/X-second basis,
     whose pad-bit guess rate bob_guess_rate gives exactly, then continue
     the protocol on the collapsed state."""
 
-    def __init__(self):
-        super().__init__(BOB)
+    party = BOB
 
     def intercept(self, state, i, j, source):
         _, st = measure_with(source, state, "Z", 0)
@@ -510,13 +500,12 @@ def cheating_alice(scheme, strategy, params, rng, trials=10_000):
                                 int(rng.integers(0, 2)))
         if strategy == "honest":  # no deviation: a coin-flip guess
             out, _ = run_scheme4(x, poly, k, rng)
-            a_hat, i0 = int(rng.integers(0, 2)), 0
+            a_hat = int(rng.integers(0, 2))
         else:
             strat = ProbeAlice()
             out, _ = run_scheme4(x, poly, k, rng, alice_strategy=strat)
             a_hat = strat.identified[-1]
-            i0 = strat.probe_target(n, k)[0]
-        identified += int(a_hat == poly.a[i0])
+        identified += int(a_hat == poly.a[0])
         errors += int(out != poly.evaluate(x))
     id_lo, id_hi = wilson_interval(identified, trials)
     err_lo, err_hi = wilson_interval(errors, trials)

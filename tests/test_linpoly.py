@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhelab import harness, linpoly as lp
-from qhelab import qsim
-from qhelab.harness import (ALICE, FixedBits, ProtocolError, RandomBits,
-                            comm_audit, enumerate_hidden_adaptive,
-                            measure_with, teleport_symbolic)
+from qhelab import qhe_core as qc
+from qhelab import qsim, seclab
+from qhelab.harness import (ALICE, BOB, FixedBits, ProtocolError,
+                            RandomBits, Transcript, comm_audit,
+                            enumerate_hidden_adaptive, measure_with,
+                            teleport_symbolic)
 
 
 class LiteralScheme8(lp.Scheme8Instance):
@@ -72,6 +74,73 @@ def _literal(run, *args):
         return run(*args)
     finally:
         lp.Scheme8Instance = channel
+
+
+def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
+                    alice_strategy=None):
+    """Scheme 4 with every pad pair a two-qubit register: encoded,
+    teleported to Bob, CNOTed when a_i = 0, teleported back and measured by
+    Alice in her basis; `alice_strategy` probes pair (0, 0) as in
+    lp.run_scheme4.  The reference for the honest pairs' Pauli-frame
+    channel."""
+    n, source, transcript = poly.n, harness.as_source(rng), Transcript()
+    blocks = n // m
+    s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
+    x_split = [lp._split_bit(x[i], k, source) for i in range(n)]
+    states, t, fwd, returns = {}, {}, {}, {}
+    for i in range(n):
+        for j in range(k):
+            s_ij = s[i // m][j]
+            if alice_strategy is not None and (i, j) == (0, 0):
+                st = alice_strategy.probe_state()
+            else:
+                st = lp.encode_pair(x_split[i][j], s_ij)
+            st, rec1 = teleport_symbolic(st, 0, {"z"}, source, transcript,
+                                         sender=ALICE, tag=f"fwd-{i}-{j}")
+            st, rec2 = teleport_symbolic(st, 1, {"x"}, source, transcript,
+                                         sender=ALICE, tag=f"fwd-{i}-{j}")
+            t[i, j] = (rec2.mask_x if s_ij == 0 else rec1.mask_z).reveal()
+            fwd[i, j] = (rec1.mask_z.reveal(), rec2.mask_x.reveal())
+            states[i, j] = st
+    for i in range(n):
+        for j in range(k):
+            st = states[i, j]
+            if poly.a[i] == 0:
+                st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
+            st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source)
+            st, ret2 = teleport_symbolic(st, 1, {"x", "z"}, source)
+            states[i, j] = st
+            returns[i, j] = [(r.mask_x.reveal(), r.mask_z.reveal())
+                             for r in (ret1, ret2)]
+    y_total = 0
+    v = [[0] * k for _ in range(blocks)]
+    for b in range(blocks):
+        for j in range(k):
+            for i in range(b * m, (b + 1) * m):
+                for mx, mz in returns[i, j]:
+                    y_total ^= mx
+                    v[b][j] ^= mx ^ mz
+            transcript.record(BOB, [v[b][j]], tag=f"v-{b}-{j}")
+    y0 = 0
+    for b in range(blocks):
+        for j in range(k):
+            g = s[b][j] & v[b][j]
+            for i in range(b * m, (b + 1) * m):
+                if alice_strategy is not None and (i, j) == (0, 0):
+                    g = alice_strategy.measure_pair(
+                        states[i, j], x_split[i][j], s[b][j], v[b][j],
+                        *fwd[i, j], source)
+                    continue
+                basis = "Z" if s[b][j] == 0 else "X"
+                o1, st = measure_with(source, states[i, j], basis, 0)
+                o2, st = measure_with(source, st, basis, 1)
+                g ^= o1 ^ o2 ^ t[i, j]
+            y0 ^= g
+    bob_bit = poly.c ^ y_total
+    if distributed:
+        return lp.DistributedBit(y0, bob_bit), transcript
+    transcript.record(BOB, [bob_bit], tag="final")
+    return y0 ^ bob_bit, transcript
 
 
 def _all_cases(n):
@@ -231,21 +300,106 @@ def test_channel_matches_literal_on_seeded_runs(runner, n, size):
         assert runs[0][0] == poly.evaluate(x)
 
 
-def test_scheme8_and_9_build_no_register(monkeypatch):
-    """The channel calls no qsim function, symbolic teleport or
-    measurement."""
+# Every case at (1, 1); past it, one case whose pairs take both a_i values
+# and a nonzero a_i x_ij term, since every branch of one case already costs
+# the literal reference seconds.
+_WIDE = ([1, 1], lp.LinearPolynomial((0, 1), 1))
+
+
+@pytest.mark.parametrize("n,k,m,cases", [
+    (1, 1, 1, list(_all_cases(1))),
+    (2, 1, 1, [_WIDE]),
+    (2, 1, 2, [_WIDE]),
+    (1, 2, 1, [([1], lp.LinearPolynomial((1,), 0))]),
+], ids=["1-1-1", "2-1-1", "2-1-2", "1-2-1"])
+def test_scheme4_channel_matches_literal_on_every_branch(n, k, m, cases):
+    """On every hidden-bit branch the honest pairs' channel consumes the
+    same bits and gives the same output and transcript as the literal
+    two-qubit registers."""
+    for x, poly in cases:
+        width = harness.hidden_bit_count(
+            lambda src: lp.run_scheme4(x, poly, k, src, m=m))
+        runs = []
+        for runner in (lp.run_scheme4, literal_scheme4):
+            def run(src, runner=runner):
+                out, tr = runner(x, poly, k, src, m=m)
+                return out, tr.serialize()
+
+            runs.append(list(harness.enumerate_hidden(run, width)))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 2 ** width
+        assert all(out == poly.evaluate(x) for _, (out, _) in runs[0])
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_scheme4_channel_matches_literal_on_seeded_runs(n, k):
+    """Past exhaustive sizes, at m = 1 and m = n in both output modes:
+    seeded runs give the same output and transcript, and leave the
+    generator in the same state."""
+    rng = np.random.default_rng(n * 100 + k)
+    for trial in range(30):
+        x = [int(b) for b in rng.integers(0, 2, size=n)]
+        poly = lp.LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
+                                   int(rng.integers(0, 2)))
+        m, distributed = (1, n)[trial % 2], trial % 4 >= 2
+        runs = []
+        for runner in (lp.run_scheme4, literal_scheme4):
+            gen = np.random.default_rng(trial)
+            out, tr = runner(x, poly, k, RandomBits(gen), distributed, m)
+            runs.append((out, tr.serialize(), int(gen.integers(1 << 30))))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["honest", "probe"])
+def test_scheme6_channel_matches_literal(monkeypatch, probe):
+    """Scheme 6 reaches scheme 4 once per frame form; under honest and
+    probing Alice the channel and the literal pairs give the same
+    transcripts, final state and generator state."""
+    def run(seed):
+        gen = np.random.default_rng(seed)
+        out = qc.run_scheme6(qc.random_clifford_t(2, 2, gen),
+                             qsim.random_state(2, gen), 2, 2, gen,
+                             alice_strategy=seclab.ProbeAlice() if probe
+                             else None, rng_bob=np.random.default_rng(seed))
+        return (out.aborted, out.transcript.serialize(),
+                [tr.serialize() for tr in out.report.instance_transcripts],
+                None if out.state is None else out.state.vec.tobytes(),
+                int(gen.integers(1 << 30)))
+
+    seeds = range(3)
+    channel = [run(seed) for seed in seeds]
+    monkeypatch.setattr(qc, "run_scheme4", literal_scheme4)
+    assert channel == [run(seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("run,teleports", [
+    (lambda x, poly, rng: lp.run_scheme8(x, poly, 2, rng)[0], False),
+    (lambda x, poly, rng: lp.run_scheme9(x, poly, 1.5, 2, rng)[0], False),
+    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng)[0], True),
+    (lambda x, poly, rng: lp.run_scheme7(x, poly, 2, rng)[0], True),
+    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng,
+                                         distributed=True)[0].value, True),
+    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng, distributed=True,
+                                         m=2)[0].value, True),
+], ids=["scheme8", "scheme9", "scheme4", "scheme7", "scheme4-distributed",
+        "scheme7-distributed"])
+def test_channel_builds_no_register(monkeypatch, run, teleports):
+    """The channels call no qsim function or measurement; schemes 8 and 9
+    make no symbolic teleport either, and the honest scheme-4 pairs draw
+    their teleport masks without a register."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the channel builds no register")
 
     for name in ("product_state", "apply_gate", "measure", "QuantumState"):
         monkeypatch.setattr(qsim, name, forbidden)
-    for name in ("teleport_symbolic", "measure_with"):
+    names = ("measure_with",) if teleports else ("teleport_symbolic",
+                                                 "measure_with")
+    for name in names:
         monkeypatch.setattr(lp, name, forbidden)
         monkeypatch.setattr(harness, name, forbidden)
     rng = np.random.default_rng(3)
     for x, poly in _all_cases(2):
-        assert lp.run_scheme8(x, poly, 2, rng)[0] == poly.evaluate(x)
-        assert lp.run_scheme9(x, poly, 1.5, 2, rng)[0] == poly.evaluate(x)
+        assert run(x, poly, rng) == poly.evaluate(x)
 
 
 def test_scheme10_exhaustive_branches():
