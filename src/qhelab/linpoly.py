@@ -144,8 +144,8 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
 
     An honest pad pair runs as its Pauli-frame channel: its teleports draw
     and record masks without a register, and Alice's deterministic outcomes
-    enter in closed form.  Only a pair that a strategy touches is a
-    two-qubit register.
+    enter in closed form; tests/test_linpoly.py keeps the literal pairs as
+    the reference.  Only a pair that a strategy touches is a register.
 
     `alice_strategy` is an optional cheating-Alice plugin (m=1 only).  It
     substitutes the encoding of pad pair (0, 0) (probe_state) and then
