@@ -463,6 +463,18 @@ def _grid_points(args):
     if args.command == "run" and args.scheme == "6":
         raise ValueError("scheme 6 has no run mode; use the adversary "
                          "command for scheme 6")
+    # an axis or flag that a point ignores would repeat its rows or run
+    # another mode than the one asked for
+    if (args.command == "audit" and args.metric == "trace-distance"
+            and args.scheme in ("4", "8") and ns != [1]):
+        raise ValueError(f"the scheme-{args.scheme} trace-distance audit "
+                         "is per variable and takes --n 1 only")
+    if args.scheme in ("1", "2") and ks != [1]:
+        raise ValueError(f"scheme {args.scheme} has no k; it takes --k 1 "
+                         "only")
+    if getattr(args, "exhaustive", False) and args.scheme in ("1", "2", "5"):
+        raise ValueError(f"scheme {args.scheme} runs fidelity trials and "
+                         "has no --exhaustive mode")
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):

@@ -217,30 +217,6 @@ def remove_qubit(state: QuantumState, qubit: int, bit: int) -> QuantumState:
     return QuantumState(arr / norm)
 
 
-def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:
-    keep = sorted(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    # iteratively trace out discarded qubits, highest index first
-    cur = rho
-    cur_n = n
-    cur_map = list(range(n))  # current qubit index -> original index
-    for q in sorted(set(range(n)) - set(keep), reverse=True):
-        pos = cur_map.index(q)
-        cur = _trace_out_one(cur, cur_n, pos)
-        cur_n -= 1
-        cur_map.pop(pos)
-    return cur
-
-
-def _trace_out_one(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    arr = rho.reshape((2,) * n + (2,) * n)
-    r_ax = n - 1 - qubit
-    c_ax = 2 * n - 1 - qubit
-    out = np.trace(arr, axis1=r_ax, axis2=c_ax)
-    return out.reshape(2 ** (n - 1), 2 ** (n - 1))
-
-
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma.
 

@@ -6,6 +6,9 @@ phase qubit always the highest index.  Real Y-diagonal unitaries act on
 such states without touching the phase qubit; a logical R_z(theta) becomes
 a controlled-R_y(2*theta) from the data qubit onto the phase qubit.
 
+The uncertain-rotation gadget runs as the channel its EPR pair implements:
+two uniform outcomes and one Y rotation, with no ancilla.
+
 Y eigenbasis convention: |y+-> = (|0> +- i|1>)/sqrt(2).
 """
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .harness import measure_with
 
 ATOL = 1e-9
 
@@ -112,7 +114,8 @@ def build_c_matrix(exp: YDiagExpansion) -> np.ndarray:
 def correction_flag(m: int, s: int, j: int, mode: str = "rotation") -> int:
     """Frozen correction table: the data qubit carries R_y(pi)^r times the
     target rotation.  Derived once by exhausting the four measurement
-    branches symbolically; the regression test re-derives it numerically."""
+    branches symbolically; the gadget's channel applies it, and the tests
+    check it against the literal EPR gadget on every branch."""
     if mode == "rotation":
         return s ^ ((j % 2) & (m ^ 1))
     if mode == "ty":
@@ -128,20 +131,19 @@ def uncertain_gadget(state, data_qubit, j, source, mode="rotation"):
     ty mode: target R_y(pi/4); Bob picks j in {1,3} from Alice's outcome m
     (j=1 if m=1 else 3) and rotates by j*pi/4.
 
+    Runs as the channel the EPR gadget implements: Alice's outcome m and
+    Bob's outcome s are uniform for every register state, because
+    <psi|R_y(pi)_q|psi> is purely imaginary, and given them the data qubit
+    carries R_y(pi)^r times the target, r = correction_flag(m, s, j, mode).
+    The literal gadget is the reference in tests/test_rebit.py.
+
     Returns (state, m, s, r).
     """
     if mode == "rotation" and j not in (0, 1, 2, 3):
         raise ValueError("j must be in {0,1,2,3}")
-    st, a, b = qsim.epr_extend(state)
-    st = qsim.apply_gate(st, qsim.C_IY, [a, data_qubit])
-    st = qsim.apply_gate(st, qsim.ry(math.pi / 2), [a])
-    m, st = measure_with(source, st, "Z", a)
-    if mode == "ty":
-        j = 1 if m == 1 else 3
-        st = qsim.apply_gate(st, qsim.ry(j * math.pi / 4), [b])
-    else:
-        st = qsim.apply_gate(st, qsim.ry(j * math.pi / 2), [b])
-    s, st = measure_with(source, st, "Z", b)
-    st = qsim.remove_qubit(st, b, s)
-    st = qsim.remove_qubit(st, a, m)
-    return st, m, s, correction_flag(m, s, j, mode)
+    m = source.outcome(0.5)
+    s = source.outcome(0.5)
+    angle = math.pi / 4 if mode == "ty" else j * math.pi / 2
+    r = correction_flag(m, s, j, mode)  # the ty row needs only (m, s)
+    st = qsim.apply_gate(state, qsim.ry(angle + r * math.pi), [data_qubit])
+    return st, m, s, r

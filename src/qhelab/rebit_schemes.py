@@ -15,13 +15,13 @@ the end Bob discloses the data-qubit corrections: 2 bits per data qubit,
 2n total.  The residual phase-qubit correction is always I or sigma_y, and
 sigma_y on the phase qubit is a global phase on the decoded state, so it
 is never sent.  The simulation runs each layer's
-gadget as the channel it implements, with no EPR ancillas; the literal
-gadget is the reference in tests/test_rebit_schemes.py.
+gadget as the channel it implements, with no EPR ancillas, and Bob's view
+is one density on his gadget halves; the literal gadget and the literal
+view are the references in tests/test_rebit_schemes.py.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -212,64 +212,29 @@ def simplified_mask_variant(circuit, input_state, source):
 # --- Bob-view privacy computation ----------------------------------------
 
 def bob_view(circuit, input_state, scheme=2):
-    """Bob's exact view: the classical gadget-outcome message plus his gadget
-    halves, before his own processing (which is a fixed channel given the
-    message and so cannot increase distinguishability).
+    """Bob's exact view before his own processing (a fixed channel given
+    the message, so it cannot increase distinguishability): the density of
+    his gadget halves, one qubit per gadget, the first gadget's half lowest.
 
-    Alice's operations never depend on Bob's messages until the final
-    correction step, so her side is simulated coherently and her measured
-    ancillas are projected branch by branch.  Returns {m: (prob, rho_bob)}.
+    Alice's outcome m on each gadget is uniform for every input, and given
+    m Bob's half is his half of "|+> controlling i*sigma_y onto the data
+    qubit" conjugated by Z^(1-m), a unitary that m fixes.  So the message
+    adds nothing to the distance between two views, and the view is the
+    one density below; a circuit without gadgets leaves Bob nothing, the
+    1x1 density [[1]].  The literal EPR version, one density per message,
+    is the reference in tests/test_rebit_schemes.py.
     """
     circuit.validate_for(scheme)
     n = circuit.n
-    st = input_state.copy()
-    a_idx, b_idx = [], []
+    st = input_state
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
     for layer in circuit.layers:
         if layer.kind == "ydiag":
             for q in layer.qubits:
-                st, a, b = qsim.epr_extend(st)
-                a_idx.append(a)
-                b_idx.append(b)
-                st = qsim.apply_gate(st, qsim.C_IY, [a, q])
-                st = qsim.apply_gate(st, qsim.ry(math.pi / 2), [a])
+                st = qsim.QuantumState(np.kron(plus, st.vec))
+                st = qsim.apply_gate(st, qsim.C_IY, [st.num_qubits - 1, q])
         else:
             st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
                                  [layer.qubits[0], n])
-    total = st.num_qubits
-    vec = st.vec.reshape((2,) * total)
-    view = {}
-    for m in itertools.product((0, 1), repeat=len(a_idx)):
-        sel = [slice(None)] * total
-        for a, bit in zip(a_idx, m):
-            sel[total - 1 - a] = bit
-        branch = vec[tuple(sel)].reshape(-1)  # qubits minus the a ancillas
-        p = float(np.linalg.norm(branch) ** 2)
-        if p < 1e-15:
-            view[m] = (0.0, None)
-            continue
-        sub = qsim.QuantumState(branch / math.sqrt(p))
-        # surviving register: data+phase then b qubits in allocation order
-        remaining = [q for q in range(total) if q not in a_idx]
-        keep = [remaining.index(b) for b in b_idx]
-        rho = qsim.partial_trace_matrix(sub.density(), sub.num_qubits, keep)
-        view[m] = (p, rho)
-    return view
-
-
-def view_distance(view_a, view_b) -> float:
-    """Trace distance between two Bob views (classical message register
-    tensored with the quantum part)."""
-    keys = set(view_a) | set(view_b)
-    total = 0.0
-    for key in keys:
-        pa, ra = view_a.get(key, (0.0, None))
-        pb, rb = view_b.get(key, (0.0, None))
-        if ra is None and rb is None:
-            continue
-        if ra is None:
-            total += pb
-        elif rb is None:
-            total += pa
-        else:
-            total += qsim.trace_distance(pa * ra, pb * rb)
-    return total
+    halves = st.vec.reshape(-1, 2 ** (n + 1))
+    return halves @ halves.conj().T

@@ -147,46 +147,53 @@ def _product_real_encoded(n, rng, complex_first=False):
     return qsim.QuantumState(rebit.rebit_encode(qsim.QuantumState(psi)))
 
 
+def _ydiag_layers(n, thetas, rz):
+    """Global R_y-product layers at the given angles, with the rz layer
+    after the first."""
+    layers = [rs.Layer("ydiag", tuple(range(n)),
+                       u=rs.named_generator("ry_product", n, theta))
+              for theta in thetas]
+    return rs.AlmostCommutingCircuit(n, layers[:1] + [rz] + layers[1:])
+
+
 def test_criterion5_scheme1_input_independence():
-    for n in (1, 2):
+    # n = 3 with a second ydiag layer: 6 gadgets
+    for n, thetas in ((1, (0.8,)), (2, (0.8,)), (3, (0.8, 1.9))):
         rng = np.random.default_rng(50 + n)
-        circuit = rs.AlmostCommutingCircuit(n, [
-            rs.Layer("ydiag", tuple(range(n)),
-                     u=rs.named_generator("ry_product", n, 0.8)),
-            rs.Layer("rz", (0,), j=3),
-        ])
+        circuit = _ydiag_layers(n, thetas, rs.Layer("rz", (0,), j=3))
         ref = rs.bob_view(circuit, _product_real_encoded(n, rng), scheme=1)
         for i in range(20):
             view = rs.bob_view(
                 circuit, _product_real_encoded(n, rng, complex_first=i % 2),
                 scheme=1)
-            assert rs.view_distance(ref, view) < TOL
+            assert qsim.trace_distance(ref, view) < TOL
 
 
 def test_criterion5_scheme2_pair_indistinguishability_and_witness():
     rng = np.random.default_rng(60)
-    circuit = rs.AlmostCommutingCircuit(2, [
-        rs.Layer("ydiag", (0, 1), u=rs.named_generator("ry_product", 2, 0.8)),
-        rs.Layer("rz", (1,), j=1),
-    ])
-    for trial in range(5):
-        e1 = _product_real_encoded(2, rng)
-        e2 = e1.copy()
-        for q in range(2):
-            e2 = qsim.apply_gate(e2, qsim.ry(math.pi), [q])
-        e2 = qsim.apply_gate(e2, qsim.ry(float(rng.uniform(0, 2 * math.pi))),
-                             [2])
-        d = rs.view_distance(rs.bob_view(circuit, e1, scheme=2),
-                             rs.bob_view(circuit, e2, scheme=2))
-        assert d < TOL
+    circuit = _ydiag_layers(2, (0.8,), rs.Layer("rz", (1,), j=1))
+    # and a 3-qubit circuit with two ydiag layers
+    for n, circ in ((2, circuit),
+                    (3, _ydiag_layers(3, (0.8, 2.3),
+                                      rs.Layer("rz", (1,), j=1)))):
+        for trial in range(5):
+            e1 = _product_real_encoded(n, rng)
+            e2 = e1.copy()
+            for q in range(n):
+                e2 = qsim.apply_gate(e2, qsim.ry(math.pi), [q])
+            e2 = qsim.apply_gate(
+                e2, qsim.ry(float(rng.uniform(0, 2 * math.pi))), [n])
+            d = qsim.trace_distance(rs.bob_view(circ, e1, scheme=2),
+                                    rs.bob_view(circ, e2, scheme=2))
+            assert d < TOL
     # the distinguishable pair: (|00> +- |11>)/sqrt2
     plus = np.zeros(4)
     plus[0] = plus[3] = 1 / math.sqrt(2)
     minus = plus.copy()
     minus[3] = -minus[3]
     enc = lambda v: qsim.QuantumState(rebit.rebit_encode(qsim.QuantumState(v)))
-    d = rs.view_distance(rs.bob_view(circuit, enc(plus), scheme=2),
-                         rs.bob_view(circuit, enc(minus), scheme=2))
+    d = qsim.trace_distance(rs.bob_view(circuit, enc(plus), scheme=2),
+                            rs.bob_view(circuit, enc(minus), scheme=2))
     assert d >= 0.5
 
 

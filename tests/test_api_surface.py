@@ -11,6 +11,9 @@ they call belongs in the test file that calls it.
 Every optional parameter of a function in `src/qhelab` is passed by some
 call in `src/qhelab`, `tests/` or `bench/`; a default that nothing
 overrides is a constant.
+
+Every import in a module of `src/qhelab` is used by that module, unless
+its line is marked `# noqa: F401`.
 """
 
 import ast
@@ -272,3 +275,50 @@ def test_parameter_guard_sees_each_kind_of_call():
     plain, star = calls["f"]
     assert _passes(plain, 1, "y") and not _passes(plain, 2, "z")
     assert _passes(star, 2, "z")
+
+
+def _unused_imports(source):
+    """Names that an import in `source` binds and nothing else in it
+    refers to; `from __future__` imports and lines marked `# noqa: F401`
+    are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for a in node.names:
+            name = a.asname or a.name.split(".")[0]
+            if name not in used:
+                out.append(name)
+    return out
+
+
+def test_every_import_is_used():
+    unused = [f"{path.stem}.{name}" for path in sorted(PKG.glob("*.py"))
+              for name in _unused_imports(path.read_text())]
+    assert not unused, "imports that nothing in their module uses: " + \
+        ", ".join(unused)
+
+
+def test_import_guard_sees_each_kind_of_import():
+    """Plain, dotted, aliased and from-imports count; a use as an attribute
+    root, a call or an annotation counts as a use."""
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import json, sys\n"
+        "from . import qsim, rebit\n"
+        "from .harness import (ALICE,\n"
+        "                      BOB)\n"
+        "from .harness import measure_with  # noqa: F401\n"
+        "def f(x: qsim.Gate) -> None:\n"
+        "    return os.path.join(np.pi, json.dumps(ALICE))\n")
+    assert sorted(_unused_imports(source)) == ["BOB", "rebit", "sys"]

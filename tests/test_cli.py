@@ -397,6 +397,30 @@ def test_degenerate_counts_exit_2(tmp_path, capsys):
         assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--metric", "trace-distance", "--scheme", "4", "--n", "1..2"],
+    ["audit", "--metric", "trace-distance", "--scheme", "8", "--n", "2"],
+    ["run", "--scheme", "2", "--k", "1..2", "--trials", "1"],
+    ["run", "--scheme", "1", "--k", "2", "--trials", "1"],
+    ["audit", "--metric", "comm", "--scheme", "2", "--k", "2"],
+    ["run", "--scheme", "5", "--exhaustive", "--trials", "1"],
+    ["run", "--scheme", "1", "--exhaustive", "--trials", "1"],
+    ["run", "--scheme", "2", "--exhaustive", "--trials", "1"],
+], ids=["scheme4-distance-n", "scheme8-distance-n", "scheme2-k-axis",
+        "scheme1-k", "scheme2-comm-k", "scheme5-exhaustive",
+        "scheme1-exhaustive", "scheme2-exhaustive"])
+def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
+    """An axis or flag that a point ignores would repeat its rows or
+    silently run another mode, so it is refused: the per-variable distance
+    audits have no n, schemes 1 and 2 no k, and the fidelity schemes no
+    exhaustive mode."""
+    out = tmp_path / "r.jsonl"
+    assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_enumeration_budget_exit_2(monkeypatch, tmp_path, capsys, workers):
     """An exhaustive run that needs more hidden bits than --max-bits is a

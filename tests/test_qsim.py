@@ -163,16 +163,6 @@ def test_teleportation_correction_convention(force):
     assert qsim.fidelity(post, psi) > 1 - 1e-10
 
 
-def test_partial_trace_of_product():
-    rng = np.random.default_rng(3)
-    a, b = qsim.random_state(1, rng), qsim.random_state(2, rng)
-    joint = qsim.QuantumState(np.kron(b.vec, a.vec)).density()
-    rho_a = qsim.partial_trace_matrix(joint, 3, [0])
-    assert np.allclose(rho_a, a.density(), atol=1e-10)
-    rho_b = qsim.partial_trace_matrix(joint, 3, [1, 2])
-    assert np.allclose(rho_b, b.density(), atol=1e-10)
-
-
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
 @settings(deadline=None, max_examples=50)
 def test_trace_distance_of_diagonals_matches_dense(seed, dim):

@@ -7,14 +7,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhelab import qsim, rebit
-from qhelab.harness import enumerate_hidden
+from qhelab.harness import FixedBits, RandomBits, enumerate_hidden, measure_with
 from qhelab.rebit_schemes import named_generator
+from test_rebit_schemes import _RecordingBits
 
 
 def rx(theta: float) -> qsim.Gate:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return qsim.Gate(f"Rx({theta:g})",
                      np.array([[c, -1j * s], [-1j * s, c]]), 1)
+
+
+def literal_uncertain_gadget(state, data_qubit, j, source, mode="rotation"):
+    """The literal EPR gadget (the reference that rebit.uncertain_gadget,
+    its channel, is checked against): Alice applies controlled-i*sigma_y
+    from her half onto the data qubit, R_y(pi/2) and a Z measurement; Bob
+    rotates his half by R_y(j*pi/2) (ty mode: R_y(j*pi/4) with j from m)
+    and measures it in Z."""
+    st, a, b = qsim.epr_extend(state)
+    st = qsim.apply_gate(st, qsim.C_IY, [a, data_qubit])
+    st = qsim.apply_gate(st, qsim.ry(math.pi / 2), [a])
+    m, st = measure_with(source, st, "Z", a)
+    if mode == "ty":
+        j = 1 if m == 1 else 3
+        st = qsim.apply_gate(st, qsim.ry(j * math.pi / 4), [b])
+    else:
+        st = qsim.apply_gate(st, qsim.ry(j * math.pi / 2), [b])
+    s, st = measure_with(source, st, "Z", b)
+    st = qsim.remove_qubit(st, b, s)
+    st = qsim.remove_qubit(st, a, m)
+    return st, m, s, rebit.correction_flag(m, s, j, mode)
 
 
 def uncertain_rz(state, data_qubit, k, source):
@@ -154,3 +176,50 @@ def test_uncertain_rz_all_branches(k):
 
     for bits, out in enumerate_hidden(run, 2):
         assert qsim.fidelity(out, target) > 1 - 1e-9
+
+
+# (mode, j): every j of the rotation mode; the ty mode picks j from m
+_GADGET_CASES = [("rotation", 0), ("rotation", 1), ("rotation", 2),
+                 ("rotation", 3), ("ty", 0), ("ty", 2)]
+
+
+@pytest.mark.parametrize("mode,j", _GADGET_CASES)
+def test_uncertain_gadget_channel_matches_literal_on_every_branch(mode, j):
+    """On all four (m, s) branches, for every data qubit of 1-3-qubit
+    registers, the channel returns the literal gadget's (m, s, r) and its
+    state, and the literal gadget's outcomes are all uniform."""
+    rng = np.random.default_rng(_GADGET_CASES.index((mode, j)))
+    for width in (1, 2, 3):
+        for q in range(width):
+            psi = qsim.random_state(width, rng)
+            for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+                src_l, src_c = _RecordingBits(bits), FixedBits(bits)
+                out_l, *flags_l = literal_uncertain_gadget(psi, q, j, src_l,
+                                                           mode)
+                out_c, *flags_c = rebit.uncertain_gadget(psi, q, j, src_c,
+                                                         mode)
+                assert src_l.pos == src_c.pos == 2
+                assert np.allclose(src_l.p0s, 0.5, atol=1e-12)
+                assert flags_l == flags_c
+                assert qsim.fidelity(out_c, out_l) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_uncertain_gadget_channel_matches_literal_on_seeded_runs(width):
+    """A chain of gadgets over every mode, j and data qubit, drawn from
+    two equally seeded generators, gives the same outcomes and states and
+    leaves both generators in the same state."""
+    rng = np.random.default_rng(30 + width)
+    psi = qsim.random_state(width, rng)
+    src_l = RandomBits(np.random.default_rng(width))
+    src_c = RandomBits(np.random.default_rng(width))
+    st_l = st_c = psi
+    for _ in range(10):
+        for mode, j in _GADGET_CASES:
+            q = int(rng.integers(width))
+            st_l, *flags_l = literal_uncertain_gadget(st_l, q, j, src_l, mode)
+            st_c, *flags_c = rebit.uncertain_gadget(st_c, q, j, src_c, mode)
+            assert flags_l == flags_c
+            assert qsim.fidelity(st_c, st_l) >= 1 - 1e-10
+    assert (src_l.rng.bit_generator.state
+            == src_c.rng.bit_generator.state)

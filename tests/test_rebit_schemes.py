@@ -211,21 +211,126 @@ def test_validate_for_scheme_restrictions():
         c2.validate_for(2)
 
 
+def literal_bob_view(circuit, input_state, scheme=2):
+    """Bob's view with literal EPR gadgets (the reference that
+    rebit_schemes.bob_view, its channel, is checked against): Alice's side
+    is simulated coherently and her measured ancillas are projected branch
+    by branch.  Returns {m: (prob, rho)}, rho the density of Bob's halves
+    given the message m, the first gadget's half lowest."""
+    circuit.validate_for(scheme)
+    n = circuit.n
+    st = input_state.copy()
+    a_idx = []
+    for layer in circuit.layers:
+        if layer.kind == "ydiag":
+            for q in layer.qubits:
+                st, a, _ = qsim.epr_extend(st)
+                a_idx.append(a)
+                st = qsim.apply_gate(st, qsim.C_IY, [a, q])
+                st = qsim.apply_gate(st, qsim.ry(math.pi / 2), [a])
+        else:
+            st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
+                                 [layer.qubits[0], n])
+    total = st.num_qubits
+    vec = st.vec.reshape((2,) * total)
+    view = {}
+    for m in itertools.product((0, 1), repeat=len(a_idx)):
+        sel = [slice(None)] * total
+        for a, bit in zip(a_idx, m):
+            sel[total - 1 - a] = bit
+        # the data and phase qubits lowest, then the halves in order
+        halves = vec[tuple(sel)].reshape(-1, 2 ** (n + 1))
+        p = float(np.linalg.norm(halves) ** 2)
+        view[m] = (p, halves @ halves.conj().T / p)
+    return view
+
+
+def _z_mask(m):
+    """Diagonal of the product of Z on each half whose message bit is 0."""
+    diag = np.ones(2 ** len(m))
+    for i, bit in enumerate(m):
+        if bit == 0:
+            diag *= 1 - 2 * ((np.arange(diag.size) >> i) & 1)
+    return diag
+
+
+def _view_cases():
+    """(circuit, scheme) pairs: random circuits of schemes 1 and 2 with 1-2
+    data qubits and 1-3 layers, and a complex Y-diagonal layer."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for scheme in ("1", "2"):
+        for n in (1, 2):
+            for depth in (1, 2, 3):
+                cases.append((cli.random_accircuit(scheme, n, depth, rng),
+                              int(scheme)))
+    cases.append((rs.AlmostCommutingCircuit(2, [
+        rs.Layer("ydiag", (0, 1), u=rs.named_generator("exp_yy", 2, 0.3)),
+        rs.Layer("rz", (0,), j=3),
+        rs.Layer("ydiag", (0, 1), u=rs.named_generator("ry_product", 2, 1.2)),
+    ], require_real=False), 2))
+    return cases
+
+
+def _encoded_inputs(n, rng):
+    """Two complex inputs and one real one, rebit-encoded."""
+    real = rng.normal(size=2 ** n)
+    states = [qsim.random_state(n, rng), qsim.random_state(n, rng),
+              qsim.QuantumState((real / np.linalg.norm(real)).astype(complex))]
+    return [qsim.QuantumState(rebit.rebit_encode(psi)) for psi in states]
+
+
+def test_bob_view_channel_matches_literal_view():
+    """Every message m of the literal view has probability 2^-G for G
+    gadgets, its density is the channel's view conjugated by Z^(1-m), and
+    the literal distance (sum over m) equals the channel views' distance."""
+    rng = np.random.default_rng(9)
+    for circuit, scheme in _view_cases():
+        views, literals = [], []
+        for enc in _encoded_inputs(circuit.n, rng):
+            view = rs.bob_view(circuit, enc, scheme=scheme)
+            literal = literal_bob_view(circuit, enc, scheme=scheme)
+            gadgets = sum(len(layer.qubits) for layer in circuit.layers
+                          if layer.kind == "ydiag")
+            assert len(literal) == 2 ** gadgets
+            assert view.shape == (2 ** gadgets,) * 2
+            for m, (p, rho) in literal.items():
+                assert abs(p - 2.0 ** -gadgets) < 1e-12
+                z = _z_mask(m)
+                assert np.allclose(rho, z[:, None] * view * z[None, :],
+                                   atol=1e-12)
+            views.append(view)
+            literals.append(literal)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            summed = sum(qsim.trace_distance(pa * ra, pb * rb)
+                         for (pa, ra), (pb, rb)
+                         in zip(literals[i].values(), literals[j].values()))
+            assert abs(summed - qsim.trace_distance(views[i], views[j])) \
+                < 1e-12
+
+
 def test_bob_view_is_input_independent():
     """Scheme 2 privacy: Bob's full view (message plus gadget halves) is the
-    same density matrix for any two inputs."""
-    circuit = rs.AlmostCommutingCircuit(1, [
+    same density matrix for any two inputs.  A circuit without gadgets
+    leaves Bob nothing: the 1x1 view [[1]]."""
+    gadget = rs.AlmostCommutingCircuit(1, [
         rs.Layer("ydiag", (0,), u=rs.named_generator("ry_product", 1, 0.8)),
         rs.Layer("rz", (0,), j=1),
     ])
-    rng = np.random.default_rng(3)
-    views = []
-    for psi in (qsim.random_state(1, rng), qsim.random_state(1, rng),
-                qsim.basis_state(1, 0)):
-        enc = qsim.QuantumState(rebit.rebit_encode(psi))
-        views.append(rs.bob_view(circuit, enc, scheme=2))
-    assert rs.view_distance(views[0], views[1]) < 1e-9
-    assert rs.view_distance(views[0], views[2]) < 1e-9
+    rz_only = rs.AlmostCommutingCircuit(1, [rs.Layer("rz", (0,), j=1),
+                                            rs.Layer("rz", (0,), j=3)])
+    for circuit in (gadget, rz_only):
+        rng = np.random.default_rng(3)
+        views = []
+        for psi in (qsim.random_state(1, rng), qsim.random_state(1, rng),
+                    qsim.basis_state(1, 0)):
+            enc = qsim.QuantumState(rebit.rebit_encode(psi))
+            views.append(rs.bob_view(circuit, enc, scheme=2))
+        assert qsim.trace_distance(views[0], views[1]) < 1e-9
+        assert qsim.trace_distance(views[0], views[2]) < 1e-9
+    # the views of the gadget-free circuit
+    assert np.allclose(views[0], [[1.0]], atol=1e-12)
+    assert qsim.trace_distance(views[0], views[1]) < 1e-15
 
 
 def test_physical_oracle_agrees_with_logical():
@@ -298,7 +403,8 @@ def test_gadget_channel_matches_literal_gadget(qubits, u, real, bob_local):
 def test_rebit_runs_stay_on_the_data_register(monkeypatch, n):
     """Schemes 1 and 2 and the mask variant add no ancilla: no gate acts on
     more than the n data qubits plus the phase qubit, and no EPR pair,
-    measurement or ancilla removal happens."""
+    measurement or ancilla removal happens.  Nor do Bob's view and the
+    uncertain-rotation gadget, whose registers are wider."""
     widths = []
     apply_gate = qsim.apply_gate
 
@@ -322,3 +428,11 @@ def test_rebit_runs_stay_on_the_data_register(monkeypatch, n):
             enc = qsim.QuantumState(rebit.rebit_encode(qsim.random_state(n, rng)))
             runner(circuit, enc, RandomBits(rng))
     assert widths and max(widths) == n + 1
+    for scheme in (1, 2):
+        circuit = cli.random_accircuit(str(scheme), n, 4, rng)
+        enc = qsim.QuantumState(rebit.rebit_encode(qsim.random_state(n, rng)))
+        rs.bob_view(circuit, enc, scheme=scheme)
+    for q in range(n):
+        for mode in ("rotation", "ty"):
+            rebit.uncertain_gadget(qsim.random_state(n, rng), q, 1,
+                                   RandomBits(rng), mode)

@@ -13,6 +13,42 @@ from qhelab import qsim, seclab
 from test_qsim import holevo
 
 
+def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:
+    """The reduced density of an n-qubit rho on the qubits in `keep`, in
+    their register order (the reference for the literal views below)."""
+    keep = sorted(keep)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    # iteratively trace out discarded qubits, highest index first
+    cur = rho
+    cur_n = n
+    cur_map = list(range(n))  # current qubit index -> original index
+    for q in sorted(set(range(n)) - set(keep), reverse=True):
+        pos = cur_map.index(q)
+        cur = _trace_out_one(cur, cur_n, pos)
+        cur_n -= 1
+        cur_map.pop(pos)
+    return cur
+
+
+def _trace_out_one(rho: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    arr = rho.reshape((2,) * n + (2,) * n)
+    r_ax = n - 1 - qubit
+    c_ax = 2 * n - 1 - qubit
+    out = np.trace(arr, axis1=r_ax, axis2=c_ax)
+    return out.reshape(2 ** (n - 1), 2 ** (n - 1))
+
+
+def test_partial_trace_of_product():
+    rng = np.random.default_rng(3)
+    a, b = qsim.random_state(1, rng), qsim.random_state(2, rng)
+    joint = qsim.QuantumState(np.kron(b.vec, a.vec)).density()
+    rho_a = partial_trace_matrix(joint, 3, [0])
+    assert np.allclose(rho_a, a.density(), atol=1e-10)
+    rho_b = partial_trace_matrix(joint, 3, [1, 2])
+    assert np.allclose(rho_b, b.density(), atol=1e-10)
+
+
 def splits_literal(x, k):
     """All pad tuples of length k XORing to x."""
     out = []
@@ -287,7 +323,7 @@ def test_views_match_split_enumeration(scheme, n, k):
             got = seclab.bob_view(scheme, {"k": k}, x).density
             want = joint_view_literal(scheme, [x], k)
             if scheme == "8":  # no t_j qubits in a per-variable view
-                want = qsim.partial_trace_matrix(want, 2 * k, range(k, 2 * k))
+                want = partial_trace_matrix(want, 2 * k, range(k, 2 * k))
             assert np.abs(got - want).max() < 1e-15
     for v in range(2 ** n):
         xbits = seclab._bits(v, n)
@@ -522,7 +558,7 @@ def factorization_gap(scheme, n, k, x) -> float:
     prod = np.array([[1.0]])
     for i in range(n):
         keep = range((n - 1 - i) * q, (n - i) * q)  # variable i sits high
-        prod = np.kron(prod, qsim.partial_trace_matrix(joint, n * q, keep))
+        prod = np.kron(prod, partial_trace_matrix(joint, n * q, keep))
     return qsim.trace_distance(joint, prod)
 
 
