@@ -4,7 +4,15 @@ Commands:
 
 - run: correctness experiments over a parameter grid (exhaustive hidden-bit
   enumeration or seeded trials for the classical-output schemes, fidelity
-  trials for the circuit-evaluation schemes).
+  trials for the circuit-evaluation schemes).  Exhaustive mode enumerates
+  only the control bits (basis bits, and scheme 8's and 9's t) and makes
+  one symbolic run per control branch, whose output is an F2 affine form in
+  the other hidden bits: a constant form is right or wrong on all 2^vars
+  leaves of the branch, a non-constant one wrong on exactly half.  So the
+  counts equal those of leaf-by-leaf enumeration.  `--max-bits` bounds the
+  bits of one leaf (control bits plus variables), and a point that needs
+  more than _MAX_EXHAUSTIVE_RUNS symbolic runs is refused before anything
+  runs.
 - audit: privacy metrics and communication accounting against registered
   expected values.
 - adversary: scripted cheating strategies with Monte Carlo rates.
@@ -39,8 +47,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qsim, rebit, rebit_schemes, seclab
-from .harness import (ProtocolError, RandomBits, comm_audit,
-                      enumerate_hidden_adaptive)
+from .harness import (Form, ProtocolError, RandomBits, SymbolicBits,
+                      comm_audit, enumerate_hidden_adaptive, hidden_bit_count)
 from .linpoly import (LinearPolynomial, run_scheme4, run_scheme7, run_scheme8,
                       run_scheme9, run_scheme10)
 from .qhe_core import CliffordTCircuit, random_clifford_t, run_scheme5
@@ -121,10 +129,55 @@ _CLASSICAL = {
 }
 
 
+# symbolic runs one exhaustive grid point may make: 2^(2n+1) cases times
+# 2^control branches each
+_MAX_EXHAUSTIVE_RUNS = 2 ** 18
+
+
+def _exhaustive_preflight(args, n, k, seed):
+    """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS, counting
+    its control bits with one symbolic run."""
+    poly = LinearPolynomial((1,) * n, 0)
+    control = hidden_bit_count(lambda src: _CLASSICAL[args.scheme](
+        [0] * n, poly, k, SymbolicBits(src), args.gamma, args.k_prime))
+    runs = 2 ** (2 * n + 1 + control)
+    if runs > _MAX_EXHAUSTIVE_RUNS:
+        raise ValueError(f"exhaustive run at n={n}, k={k} needs {runs} "
+                         f"symbolic runs (2^{2 * n + 1} cases x 2^{control} "
+                         f"control branches), over the cap of "
+                         f"{_MAX_EXHAUSTIVE_RUNS}")
+
+
+def _exhaustive_case(run, x, poly, k, args):
+    """(failures, cases) of one (x, poly) over every hidden-bit leaf, from
+    one symbolic run per control branch."""
+    want = poly.evaluate(x)
+    failures = cases = 0
+
+    def branch(fixed):
+        source = SymbolicBits(fixed)
+        got = run(x, poly, k, source, args.gamma, args.k_prime)[0]
+        return got, source.vars
+
+    for control, (got, nvars) in enumerate_hidden_adaptive(
+            branch, max_bits=args.max_bits):
+        if len(control) + nvars > args.max_bits:
+            raise ValueError(f"enumeration exceeded {args.max_bits} hidden "
+                             "bits")
+        leaves = 2 ** nvars
+        cases += leaves
+        mask = got.mask if isinstance(got, Form) else got
+        if mask >> 1:  # a non-constant affine form is balanced
+            failures += leaves // 2
+        elif mask != want:
+            failures += leaves
+    return failures, cases
+
+
 def _classical_point(args, n, k, seed):
     """One grid point of the classical-output schemes: count failing cases
-    over all (x, a, c), either exhausting the hidden randomness per case or
-    running seeded trials."""
+    over all (x, a, c), either over every hidden-bit leaf per case or over
+    seeded trials."""
     run = _CLASSICAL[args.scheme]
     failures = cases = 0
     rng = np.random.default_rng(seed)
@@ -136,12 +189,9 @@ def _classical_point(args, n, k, seed):
                     tuple((av >> i) & 1 for i in range(n)), c)
                 want = poly.evaluate(x)
                 if args.exhaustive:
-                    for _, got in enumerate_hidden_adaptive(
-                            lambda src: run(x, poly, k, src, args.gamma,
-                                            args.k_prime)[0],
-                            max_bits=args.max_bits):
-                        cases += 1
-                        failures += int(got != want)
+                    fails, leaves = _exhaustive_case(run, x, poly, k, args)
+                    failures += fails
+                    cases += leaves
                 else:
                     for _ in range(args.trials):
                         got = run(x, poly, k, RandomBits(rng), args.gamma,
@@ -573,6 +623,9 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, commands[args.command])
         points = _grid_points(args)
+        if getattr(args, "exhaustive", False):
+            for point in points:
+                _execute_point(_exhaustive_preflight, args, point)
         execute = functools.partial(_execute_point, point_fn, args)
         workers = _worker_count(len(points))
         if workers > 1:

@@ -7,6 +7,13 @@ Transcript, so communication accounting is exact.  Bits that a party keeps
 secret (teleportation mask bits, basis choices) are wrapped in SecretBit;
 the Transcript refuses to record them, which turns "a hidden bit leaked
 into a message" into a loud test failure instead of a silent privacy bug.
+
+Hidden bits come from a source: RandomBits for seeded runs, FixedBits to
+replay one branch, and SymbolicBits for exhaustive runs of the classical
+schemes.  SymbolicBits replays only the control bits (tags "s" and "t")
+and hands out every other bit as a fresh variable, a Form; one run per
+control branch then gives the output as an F2 affine form in the other
+bits, which stands for all 2^vars leaves of that branch at once.
 """
 
 from __future__ import annotations
@@ -31,15 +38,15 @@ class SecretBit:
 
     __slots__ = ("_value", "tag")
 
-    def __init__(self, value: int, tag: str = ""):
-        self._value = int(value) & 1
+    def __init__(self, value, tag: str = ""):
+        self._value = value & 1  # a known bit or a Form
         self.tag = tag
 
-    def reveal(self) -> int:
+    def reveal(self):
         return self._value
 
     def __xor__(self, other):
-        o = other.reveal() if isinstance(other, SecretBit) else int(other)
+        o = other.reveal() if isinstance(other, SecretBit) else other
         return SecretBit(self._value ^ o, self.tag)
 
     __rxor__ = __xor__
@@ -60,6 +67,47 @@ class ProtocolError(Exception):
     pass
 
 
+class Form:
+    """One hidden bit held symbolically, as an F2 affine form.
+
+    `mask` follows conjugate_frame's convention: bit 0 is the constant and
+    bit v+1 the coefficient of variable v.  A form combines with a form or
+    a known bit by ^, and with a known bit by &.  Anything that needs its
+    value (bool, int, ==, or the product of two forms) raises
+    ProtocolError, so a run that completes is affine in its variables, and
+    a variable that reaches control flow is a loud fault, not a wrong count.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __xor__(self, other):
+        if isinstance(other, Form):
+            return Form(self.mask ^ other.mask)
+        if isinstance(other, int):
+            return Form(self.mask ^ (other & 1))
+        return NotImplemented
+
+    __rxor__ = __xor__
+
+    def __and__(self, other):
+        if isinstance(other, Form):
+            raise ProtocolError("a product of two symbolic bits is not "
+                                "affine")
+        if isinstance(other, int):
+            return self if other & 1 else Form(0)
+        return NotImplemented
+
+    __rand__ = __and__
+
+    def _refuse(self, *_):
+        raise ProtocolError("a symbolic bit reached control flow")
+
+    __bool__ = __int__ = __index__ = __eq__ = _refuse
+
+
 class Transcript:
     """Ordered record of every inter-party classical message."""
 
@@ -67,10 +115,15 @@ class Transcript:
         self.messages: list[Message] = []
 
     def record(self, sender: str, bits, tag: str = ""):
+        """Append one message; a Form is kept as it is, for a symbolic run
+        that reads outputs and bit counts but never serializes."""
         if sender not in (ALICE, BOB):
             raise ProtocolError(f"unknown sender {sender!r}")
         clean = []
         for b in bits:
+            if isinstance(b, Form):
+                clean.append(b)
+                continue
             if isinstance(b, SecretBit):
                 raise ProtocolError(
                     f"secret bit {b.tag!r} almost written to the transcript")
@@ -96,6 +149,8 @@ class Transcript:
         """
         lines = []
         for m in self.messages:
+            if any(isinstance(b, Form) for b in m.bits):
+                raise ProtocolError(f"message {m.tag!r} holds symbolic bits")
             packed = int("1" + "".join(str(b) for b in m.bits), 2)
             lines.append(f"{m.round} {m.sender} {m.tag or '-'} {packed:x}")
         return "\n".join(lines)
@@ -176,6 +231,33 @@ class CountingBits(RandomBits):
     def outcome(self, p0: float) -> int:
         self.count += 1
         return super().outcome(p0)
+
+
+class SymbolicBits:
+    """Hidden-bit source for exhaustive runs of the classical schemes.
+
+    The control bits, tagged "s" (basis bits) or "t" (scheme 8's pad bits,
+    which scheme 9 turns into inner coefficients), steer control flow, so
+    they replay from the wrapped FixedBits.  Every other bit() and every
+    uniform outcome is a fresh variable: the Form with bit `vars` set after
+    the draw.  A biased outcome has no affine form and is refused.
+    """
+
+    def __init__(self, fixed):
+        self.fixed = fixed
+        self.vars = 0
+
+    def bit(self, tag: str = ""):
+        if tag in ("s", "t"):
+            return self.fixed.bit(tag)
+        self.vars += 1
+        return Form(1 << self.vars)
+
+    def outcome(self, p0: float):
+        if p0 != 0.5:
+            raise ProtocolError(f"a symbolic outcome must be uniform, not "
+                                f"p0={p0}")
+        return self.bit()
 
 
 def hidden_bit_count(run_fn) -> int:

@@ -27,6 +27,12 @@ protocols compose through that mode.  Schemes 5 and 6 (qhe_core) evaluate
 each form of Bob's Pauli frame this way: the form's int bitmask becomes a
 LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
 register protocols are the references in tests/test_linpoly.py.
+
+Once the control bits (basis bits s, and scheme 8's t) are fixed, an
+honest run's pads, fillers, teleport masks and uniform outcomes enter only
+through XOR and through AND with a known bit.  So the runners take
+harness.Form values for those bits, which is how the CLI's exhaustive mode
+runs them.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class PadShares:
 def _split_bit(x, k, source):
     """k random pads XORing to x."""
     pads = [source.bit("pad") for _ in range(k - 1)]
-    last = int(x) & 1
+    last = x & 1  # a known bit or a Form
     for p in pads:
         last ^= p
     pads.append(last)
@@ -282,7 +288,7 @@ class Scheme8Instance:
     def __init__(self, x, poly, k, source, transcript=None,
                  data_party=ALICE, circuit_party=BOB):
         _check_params(x, poly, k)
-        self.x = [int(b) & 1 for b in x]
+        self.x = list(x)  # known bits, or Forms in scheme 9's inner run
         self.poly = poly
         self.k = k
         self.source = source

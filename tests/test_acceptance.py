@@ -9,6 +9,7 @@ with tolerance 1e-9.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from qhelab import cli, linpoly as lp, qhe_core as qc, qsim, rebit
 from qhelab import rebit_schemes as rs
 from qhelab import seclab
 from qhelab.harness import (RandomBits, comm_audit, enumerate_hidden,
-                            enumerate_hidden_adaptive)
+                            enumerate_hidden_adaptive, hidden_bit_count)
 
 TOL = 1e-9
 FID = 1 - 1e-8
@@ -72,6 +73,31 @@ def test_criterion1_linear_polynomial_correctness(scheme):
                     got = _CLASSICAL[scheme](x, poly, k, RandomBits(rng))
                     failures += int(got != want)
         assert failures == 0, (scheme, n, k)
+
+
+@pytest.mark.parametrize("scheme,ns,ks", [
+    ("4", "2..3", "1..2"), ("7", "2..3", "1..2"), ("8", "2..3", "1..2"),
+    ("10", "2..3", "1..2"), ("9", "1..2", "1")])
+def test_criterion1_symbolic_exhaustive_grid(scheme, ns, ks, tmp_path):
+    """The CLI's exhaustive mode covers every hidden-bit leaf at sizes the
+    seeded trials above only sample, and no leaf fails.  Outside scheme 9,
+    whose inner pairing (and so its bit count) follows the outer s and t,
+    a case's runs all draw the same number of bits, so each row must count
+    2^(bits of one run) leaves per (x, a, c) case."""
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["run", "--scheme", scheme, "--n", ns, "--k", ks,
+                     "--exhaustive", "--max-bits", "64", "--seed", "1",
+                     "--output", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == len(cli._parse_range(ns)) * len(cli._parse_range(ks))
+    for row in rows:
+        n, k = row["params"]["n"], row["params"]["k"]
+        assert row["observed"] == 0 and row["pass"], row
+        if scheme != "9":
+            leaves = sum(2 ** hidden_bit_count(
+                lambda src: _CLASSICAL[scheme](x, poly, k, src))
+                for x, poly in _cases(n))
+            assert row["params"]["cases"] == leaves, row
 
 
 # --- criterion 2: interactive Clifford+T evaluation ------------------------

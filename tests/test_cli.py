@@ -1,13 +1,17 @@
 """Batch runner: report rows, grids, reproducibility, exit codes."""
 
+import argparse
 import hashlib
+import inspect
 import json
+import textwrap
 from dataclasses import dataclass
 
 import pytest
 
-from qhelab import cli
-from qhelab.harness import ProtocolError
+from qhelab import cli, linpoly as lp
+from qhelab.harness import ProtocolError, enumerate_hidden_adaptive
+from test_linpoly import _all_cases
 from test_seclab import cmi7_oracle, theorem6_c0_oracle
 
 
@@ -433,6 +437,120 @@ def test_enumeration_budget_exit_2(monkeypatch, tmp_path, capsys, workers):
     (line,) = capsys.readouterr().err.splitlines()
     assert "exceeded 3 hidden bits" in json.loads(line)["error"]
     assert not out.exists()
+
+
+# --- exhaustive runs: symbolic control branches against literal leaves ------
+
+_ENUM = argparse.Namespace(gamma=1.5, k_prime=1, max_bits=64)
+
+
+def _literal_case(run, x, poly, k):
+    """(failures, cases) of one (x, poly) from replaying every hidden-bit
+    leaf on a FixedBits: the reference for the CLI's symbolic runs."""
+    want = poly.evaluate(x)
+    outs = [got for _, got in enumerate_hidden_adaptive(
+        lambda src: run(x, poly, k, src, _ENUM.gamma, _ENUM.k_prime)[0],
+        max_bits=_ENUM.max_bits)]
+    return sum(int(got != want) for got in outs), len(outs)
+
+
+# every point where literal enumeration finishes; past (1, 1), schemes 4
+# and 7 take a few cases (all 32 at (1, 2) cost the literal route 30 s)
+_FEW = [([1], lp.LinearPolynomial((1,), 0)),
+        ([1], lp.LinearPolynomial((0,), 1))]
+
+
+@pytest.mark.parametrize("scheme,n,k,cases", [
+    *[("10", n, k, None) for n in (1, 2, 3) for k in (1, 2)],
+    *[("8", n, k, None) for n, k in ((1, 1), (2, 1), (1, 2), (2, 2))],
+    ("4", 1, 1, None), ("7", 1, 1, None), ("9", 1, 1, None),
+    ("4", 1, 2, _FEW), ("7", 1, 2, _FEW[:1]),
+])
+def test_symbolic_exhaustive_matches_literal(scheme, n, k, cases):
+    """One symbolic run per control branch gives each case's (failures,
+    cases) exactly as replaying every leaf does, and the grid point's row
+    sums them."""
+    run = cli._CLASSICAL[scheme]
+    total = [0, 0]
+    for x, poly in cases or _all_cases(n):
+        want = _literal_case(run, x, poly, k)
+        assert cli._exhaustive_case(run, x, poly, k, _ENUM) == want, (x, poly)
+        total = [t + w for t, w in zip(total, want)]
+    if cases is None:
+        args = argparse.Namespace(**vars(_ENUM), scheme=scheme,
+                                  exhaustive=True)
+        assert list(cli._classical_point(args, n, k, 0)) == total
+
+
+def _mutant(fn, old, new):
+    """`fn` recompiled from its source with the one `old` made `new`."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(lp))
+    exec(compile(source.replace(old, new), lp.__file__, "exec"), namespace)
+    mutant = namespace[fn.__name__]
+    return lambda x, poly, k, src, *_: mutant(x, poly, k, src)
+
+
+@pytest.mark.parametrize("fn,old,new,n,k", [
+    (lp.run_scheme10, "y0 ^= s[j] & R[j]", "y0 ^= 0", 2, 2),
+    (lp.run_scheme10, "if s[j] == 0", "if s[j] == 1", 2, 2),
+    (lp.run_scheme4, "g ^= (poly.a[i] & x_split[i][j]) ^ flips.reveal()",
+     "g ^= flips.reveal()", 1, 1),
+], ids=["scheme10-no-s-and-R", "scheme10-swapped-slots",
+        "scheme4-no-a-x-term"])
+def test_symbolic_exhaustive_counts_mutant_failures(fn, old, new, n, k):
+    """A broken protocol fails on the same number of leaves both ways,
+    and on some."""
+    run = _mutant(fn, old, new)
+    symbolic = literal = (0, 0)
+    for x, poly in _all_cases(n):
+        symbolic = [a + b for a, b in zip(
+            symbolic, cli._exhaustive_case(run, x, poly, k, _ENUM))]
+        literal = [a + b for a, b in zip(literal,
+                                         _literal_case(run, x, poly, k))]
+    assert symbolic == literal and symbolic[0] > 0
+
+
+def test_exhaustive_preflight_refuses_before_enumerating(monkeypatch,
+                                                         capsys):
+    """An exhaustive point past the cap is refused with exit 2 after one
+    symbolic run per grid point, before any point is enumerated: a runner
+    that fails past that many calls is never reached again."""
+    runner = cli._CLASSICAL["9"]
+    argv = ["run", "--scheme", "9", "--exhaustive", "--max-bits", "64",
+            "--seed", "1", "--n"]
+    for ns, points in (("3", 1), ("1..3", 3)):
+        calls = []
+
+        def preflight_only(*args, calls=calls, points=points):
+            calls.append(args[:3])  # (x, poly, k)
+            if len(calls) > points:
+                raise AssertionError("a protocol run past the preflight")
+            return runner(*args)
+
+        monkeypatch.setitem(cli._CLASSICAL, "9", preflight_only)
+        assert cli.main(argv + [ns]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "524288 symbolic runs" in json.loads(line)["error"]
+        assert [len(x) for x, _, _ in calls] == cli._parse_range(ns)
+
+
+def test_symbolic_bit_in_control_flow_exit_3(monkeypatch, capsys):
+    """A runner that branches on a pad is an internal error (exit 3, one
+    JSON line), not a wrong count."""
+    def branching(x, poly, k, src, *_):
+        if src.bit("pad"):
+            return 1, None
+        return 0, None
+
+    monkeypatch.setitem(cli._CLASSICAL, "10", branching)
+    assert cli.main(["run", "--scheme", "10", "--n", "1", "--exhaustive",
+                     "--seed", "1"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ProtocolError: a symbolic bit reached control flow",
+        "command": "run", "scheme": "10", "n": 1, "k": 1, "seed": 1}
 
 
 @dataclass

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhelab import qsim, rebit
-from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, NeedMoreBits,
-                            ProtocolError, RandomBits, SecretBit, Transcript,
-                            as_source, bell_measure_with, comm_audit,
-                            conjugate_frame, enumerate_hidden,
-                            enumerate_hidden_adaptive, hidden_bit_count,
-                            measure_with, teleport_symbolic)
+from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, Form,
+                            NeedMoreBits, ProtocolError, RandomBits,
+                            SecretBit, SymbolicBits, Transcript, as_source,
+                            bell_measure_with, comm_audit, conjugate_frame,
+                            enumerate_hidden, enumerate_hidden_adaptive,
+                            hidden_bit_count, measure_with,
+                            teleport_symbolic)
 from test_rebit_schemes import _pauli_from_bits
 
 
@@ -290,3 +291,67 @@ def test_frame_rules_are_linear_over_f2(gate, nvars, data):
     conjugate_frame(constants, gate, targets)
     assert [tuple(_value(f, assignment) for f in pair)
             for pair in frames] == constants
+
+
+# --- symbolic hidden bits ---------------------------------------------------
+
+@given(st.integers(1, 12), st.data())
+@settings(deadline=None, max_examples=200)
+def test_form_algebra_is_evaluation_linear(nvars, data):
+    """^ with a form or a known bit and & with a known bit commute with
+    evaluating the forms at any assignment, on either side of the
+    operator."""
+    masks = st.integers(0, 2 ** (nvars + 1) - 1)
+    a, b = Form(data.draw(masks)), Form(data.draw(masks))
+    bit = data.draw(st.sampled_from([0, 1, True]))
+    assignment = 1 | data.draw(st.integers(0, 2 ** nvars - 1)) << 1
+
+    def value(x):
+        return _value(x.mask, assignment) if isinstance(x, Form) else x
+
+    assert value(a ^ b) == value(a) ^ value(b)
+    assert value(a ^ bit) == value(bit ^ a) == value(a) ^ int(bit)
+    assert value(a & bit) == value(bit & a) == value(a) & int(bit)
+
+
+def test_form_refuses_its_value():
+    """A symbolic bit that reaches control flow, or a product of two, is a
+    protocol fault rather than a silently wrong count."""
+    a, b = Form(0b10), Form(0b101)
+    for use in (bool, int, lambda f: f == 1, lambda f: f != 0,
+                lambda f: f & b, lambda f: b & f, lambda f: [0][f],
+                lambda f: f in (0, 1)):
+        with pytest.raises(ProtocolError):
+            use(a)
+
+
+def test_symbolic_bits_replay_control_bits_only():
+    """Tags s and t replay from the wrapped FixedBits; every other bit and
+    every uniform outcome is a fresh variable; a biased outcome is
+    refused."""
+    fixed = FixedBits([1, 0])
+    src = SymbolicBits(fixed)
+    assert src.bit("s") == 1
+    pad, outcome = src.bit("pad"), src.outcome(0.5)
+    assert src.bit("t") == 0 and fixed.pos == 2
+    assert (pad.mask, outcome.mask, src.vars) == (0b10, 0b100, 2)
+    with pytest.raises(NeedMoreBits):
+        src.bit("s")
+    with pytest.raises(ProtocolError, match="uniform"):
+        src.outcome(0.3)
+
+
+def test_forms_pass_through_secrets_and_transcripts():
+    """SecretBit carries a form through reveal(); a transcript stores
+    forms as they are, counts them, and refuses to serialize them."""
+    pad = Form(0b10)
+    secret = SecretBit(pad, "mask") ^ SecretBit(1, "other")
+    assert secret.reveal().mask == 0b11
+    assert (SecretBit(1) ^ pad).reveal().mask == 0b11
+    tr = Transcript()
+    tr.record(BOB, [pad, 1], tag="R")
+    assert tr.bits_from(BOB)[0] is pad and comm_audit(tr, "Bob->Alice") == 2
+    with pytest.raises(ProtocolError, match="symbolic"):
+        tr.serialize()
+    with pytest.raises(ProtocolError):
+        tr.record(BOB, [SecretBit(pad, "mask")])
