@@ -519,9 +519,10 @@ def _grid_points(args):
             and args.scheme in ("4", "8") and ns != [1]):
         raise ValueError(f"the scheme-{args.scheme} trace-distance audit "
                          "is per variable and takes --n 1 only")
-    if args.scheme in ("1", "2") and ks != [1]:
-        raise ValueError(f"scheme {args.scheme} has no k; it takes --k 1 "
-                         "only")
+    if args.scheme in ("1", "2", "9") and ks != [1]:
+        why = ("sets k = ceil(gamma n) itself" if args.scheme == "9"
+               else "has no k")
+        raise ValueError(f"scheme {args.scheme} {why}; it takes --k 1 only")
     if getattr(args, "exhaustive", False) and args.scheme in ("1", "2", "5"):
         raise ValueError(f"scheme {args.scheme} runs fidelity trials and "
                          "has no --exhaustive mode")

@@ -37,9 +37,11 @@ row is a tensor product of closed-form one-variable laws
 of two rows.  The one-way scheme (8) has views that do not commute, so
 its distances compare dense densities (`bob_view`); its tables are
 tensor products of one-variable laws too, the lumped law for its Z/X
-pairing attack.  Its densities and laws average over the pad splits of a
-bit by one kron recursion (`_pad_average`).  Every view, row and table is
-refused past 2^24 entries before it is built.
+pairing attack.  Its densities come from one Pauli form: a pad b in basis
+s has density (I + (-1)^b sigma_s)/2 with sigma_0 = Z and sigma_1 = X, so
+k pads that XOR to x average to (I + (-1)^x S_s)/2^k with S_s the kron of
+the sigma_{s_j}.  Every view, row and table is refused past 2^24 entries
+before it is built.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ from .qhe_core import run_scheme6
 # 12-qubit density, a row of n(k+1) = 24 class bits
 _ENTRY_CAP = 2 ** 24
 
-# _PZ[b], _PX[b]: one-way qubit density for pad bit b in basis s = 0, 1
-_PZ = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-_PX = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+# _SIGMA[s]: the Pauli matrix of a one-way pad in basis s (Z, then X);
+# real float64, so that view eigensolves stay on the real LAPACK routine
+_SIGMA = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # P(Hadamard-basis outcome 0 | computational bit 0) = cos^2(pi/8); the same
 # number appears for |+> versus |->, so the outcome law is basis-blind.
 _C8 = math.cos(math.pi / 8) ** 2
@@ -74,21 +76,6 @@ def _check_entries(entries, what):
     if entries > _ENTRY_CAP:
         raise ValueError(f"{what} has {entries} entries, more than the cap "
                          f"{_ENTRY_CAP}")
-
-
-def _pad_average(steps):
-    """Average over the pad splits of one bit: steps[j] = (object for pad
-    bit 0, object for pad bit 1) of pad j; returns (average for x = 0,
-    average for x = 1) of the kron of the chosen objects, pad 0 outermost.
-
-    A bit b splits as (pads of value b ^ p, p) for p uniform, so each extra
-    pad is one kron per value.  The objects may be outcome vectors or
-    density matrices."""
-    q = tuple(steps[0])
-    for step in steps[1:]:
-        q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
-                  for b in (0, 1))
-    return q
 
 
 def _bits(value, n):
@@ -110,17 +97,6 @@ def _inputs(x, n):
 
 
 # --- one-way Bob-view densities -------------------------------------------
-
-def _joint_view(xbits, k):
-    """View of all of Bob's one-way qubits: the kron of the per-variable
-    views, averaged over the basis bits shared by all variables; the t_j
-    qubits sit below and average to I/2."""
-    acc = 0
-    for s in itertools.product((0, 1), repeat=k):
-        q = _pad_average([(_PZ, _PX)[sj] for sj in s])
-        acc = acc + functools.reduce(np.kron, [q[x] for x in xbits])
-    return np.kron(acc, np.eye(2 ** k) / 2 ** k) / 2 ** k
-
 
 @dataclass(frozen=True)
 class BobView:
@@ -161,6 +137,11 @@ def bob_view(scheme, params, x) -> BobView:
     `x` is a single bit (per-variable view), a bit tuple (joint view over
     the whole input, with the t_j qubits), or "uniform" (mixture over all
     inputs of the joint view).  params carries n (joint views only) and k.
+
+    With its own basis bits per pad, a variable's view is
+    (I + (-1)^x A^{kron k})/2^k with A = (Z + X)/2.  The joint view averages
+    the kron of the variables' (I + (-1)^{x_i} S_s)/2^k over the shared s,
+    and the uniform mixture is I/2^(k(n+1)).
     """
     scheme = str(scheme)
     k = int(params["k"])
@@ -171,14 +152,22 @@ def bob_view(scheme, params, x) -> BobView:
     per_variable = isinstance(x, (int, np.integer))
     qubits = k if per_variable else k * (n + 1)
     _check_entries(4 ** qubits, f"view on {qubits} qubits")
+    eye = np.eye(2 ** k)
     if per_variable:
         (x,) = inputs[0]
-        step = tuple((_PZ[b] + _PX[b]) / 2 for b in (0, 1))
-        return BobView(scheme, 1, k, x, _pad_average([step] * k)[x])
+        a = functools.reduce(np.kron, [(_SIGMA[0] + _SIGMA[1]) / 2] * k)
+        return BobView(scheme, 1, k, x, (eye + (-1) ** x * a) / 2 ** k)
     if x == "uniform":
-        rho = sum(_joint_view(xbits, k) for xbits in inputs) / len(inputs)
-        return BobView(scheme, n, k, "uniform", rho)
-    return BobView(scheme, n, k, tuple(inputs[0]), _joint_view(inputs[0], k))
+        return BobView(scheme, n, k, "uniform",
+                       np.eye(2 ** qubits) / 2 ** qubits)
+    acc = 0  # from int 0: every zero entry of the sum is +0
+    for s in itertools.product(_SIGMA, repeat=k):
+        pauli = functools.reduce(np.kron, s)
+        pm = ((eye + pauli) / 2 ** k, (eye - pauli) / 2 ** k)
+        acc = acc + functools.reduce(np.kron, [pm[b] for b in inputs[0]])
+    # the t_j qubits sit below and average to I/2
+    rho = np.kron(acc, eye / 2 ** k) / 2 ** k
+    return BobView(scheme, n, k, tuple(inputs[0]), rho)
 
 
 def _view_row(scheme, params, x):
@@ -282,9 +271,16 @@ def _pair_table(n, k, shared_s, with_s=False):
 
 def _oneway_law(k):
     """Hadamard-basis outcome law of one variable's k one-way qubits,
-    averaged over its pad splits: q[x, m]."""
-    return np.stack(_pad_average([(np.array([_C8, 1 - _C8]),
-                                   np.array([1 - _C8, _C8]))] * k))
+    averaged over its pad splits: q[x, m].
+
+    A bit b splits as (pads of value b ^ p, p) for p uniform, so each extra
+    pad is one kron per value, pad 0 outermost."""
+    step = (np.array([_C8, 1 - _C8]), np.array([1 - _C8, _C8]))
+    q = step
+    for _ in range(k - 1):
+        q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
+                  for b in (0, 1))
+    return np.stack(q)
 
 
 def _oneway_table(n, k):

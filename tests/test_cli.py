@@ -410,14 +410,15 @@ def test_degenerate_counts_exit_2(tmp_path, capsys):
     ["run", "--scheme", "5", "--exhaustive", "--trials", "1"],
     ["run", "--scheme", "1", "--exhaustive", "--trials", "1"],
     ["run", "--scheme", "2", "--exhaustive", "--trials", "1"],
+    ["run", "--scheme", "9", "--n", "1", "--k", "1..2", "--trials", "2"],
 ], ids=["scheme4-distance-n", "scheme8-distance-n", "scheme2-k-axis",
         "scheme1-k", "scheme2-comm-k", "scheme5-exhaustive",
-        "scheme1-exhaustive", "scheme2-exhaustive"])
+        "scheme1-exhaustive", "scheme2-exhaustive", "scheme9-k"])
 def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
     """An axis or flag that a point ignores would repeat its rows or
     silently run another mode, so it is refused: the per-variable distance
-    audits have no n, schemes 1 and 2 no k, and the fidelity schemes no
-    exhaustive mode."""
+    audits have no n, schemes 1 and 2 no k, scheme 9 sets its own k, and
+    the fidelity schemes have no exhaustive mode."""
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -632,6 +633,14 @@ _GOLDEN = [
     (["adversary", "--scheme", "4", "--strategy", "honest", "--n", "2", "--k",
       "2", "--trials", "300", "--seed", "17"],
      "7f3cac3f66e91d5f8318603ac8a2808e9ca6cb7dd85b16c3fe57048d6e6cccae"),
+    # scheme-8 audits: the per-variable view distances (dense eigensolves)
+    # and the one-way outcome-table CMI
+    (["audit", "--metric", "trace-distance", "--scheme", "8", "--k", "1..6",
+      "--seed", "0"],
+     "bfed7d206933e599763424fec222a30a739276ee0507ea17d0d7687a65fdf0cc"),
+    (["audit", "--metric", "cmi", "--scheme", "8", "--n", "1..3", "--k",
+      "1..2", "--seed", "0"],
+     "19c7e65bfbe5fdcbf792039e5f0ea421f2fca2aeff93dcf97dd20d21fb9617f1"),
 ]
 
 
@@ -639,7 +648,7 @@ _GOLDEN = [
     "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
     "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi", "scheme1-run",
     "scheme2-run", "scheme5-run", "scheme4-bob", "scheme4-probe",
-    "scheme4-honest"])
+    "scheme4-honest", "scheme8-trace-distance", "scheme8-cmi"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

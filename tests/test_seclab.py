@@ -69,6 +69,47 @@ def pad_average_literal(steps, x):
     return sum(terms) / len(terms)
 
 
+# PZ[b], PX[b]: one-way qubit density for pad bit b in basis s = 0, 1
+PZ = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+PX = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+
+
+def pad_average(steps):
+    """Pad average by recursion: steps[j] = (object for pad bit 0, object
+    for pad bit 1) of pad j; returns (average for x = 0, average for
+    x = 1) of the kron of the chosen objects, pad 0 outermost.  A bit b
+    splits as (pads of value b ^ p, p) for p uniform, so each extra pad is
+    one kron per value."""
+    q = tuple(steps[0])
+    for step in steps[1:]:
+        q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
+                  for b in (0, 1))
+    return q
+
+
+def oneway_view_recursion(x, k):
+    """Reference scheme-8 view built by the pad recursion over densities,
+    in the order of its additions, so that the closed-form views must
+    match it bit for bit, signs of zeros included: a bit x (per-variable
+    view) or a bit tuple (joint view, the t_j qubits below)."""
+    if isinstance(x, int):
+        step = tuple((PZ[b] + PX[b]) / 2 for b in (0, 1))
+        return pad_average([step] * k)[x]
+    acc = 0
+    for s in itertools.product((0, 1), repeat=k):
+        q = pad_average([(PZ, PX)[sj] for sj in s])
+        acc = acc + functools.reduce(np.kron, [q[b] for b in x])
+    return np.kron(acc, np.eye(2 ** k) / 2 ** k) / 2 ** k
+
+
+def assert_bitwise_equal(got, want):
+    """Equal entries and equal signs of zero (a dense eigensolve depends on
+    both)."""
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def pair_outcome_vec(b, s):
     """Distribution of (Z on first qubit, X on second) over one pad pair
     holding pad bit b in basis s; outcome index = 2*o_first + o_second."""
@@ -121,8 +162,8 @@ def pair_density_literal(b, s):
     holds pad bit b in basis s, the non-carrier qubit is I/2."""
     mix = np.eye(2) / 2
     if s == 0:
-        return np.kron(seclab._PZ[b], mix)
-    return np.kron(mix, seclab._PX[b])
+        return np.kron(PZ[b], mix)
+    return np.kron(mix, PX[b])
 
 
 def variable_view_literal(xi, k, s_vec):
@@ -149,13 +190,13 @@ def joint_view_literal(scheme, xbits, k):
         for i, x in enumerate(xbits):
             s_vec = s if shared else s[i * k:(i + 1) * k]
             views.append(pad_average_literal(
-                [(seclab._PZ, seclab._PX)[b] for b in s_vec], x)
+                [(PZ, PX)[b] for b in s_vec], x)
                 if scheme == "8" else variable_view_literal(x, k, s_vec))
-        term = functools.reduce(np.kron, views)
-        if scheme == "8":
-            term = np.kron(term, np.eye(2 ** k) / 2 ** k)
-        acc = acc + term
-    return acc / len(settings)
+        acc = acc + functools.reduce(np.kron, views)
+    acc = acc / len(settings)
+    if scheme == "8":
+        acc = np.kron(acc, np.eye(2 ** k) / 2 ** k)
+    return acc
 
 
 def view_literal(scheme, x, n, k):
@@ -281,27 +322,30 @@ def test_pad_average_matches_split_enumeration(k):
         laws,
         [(pair_density_literal(0, s), pair_density_literal(1, s))
          for s in s_vec],
-        [(seclab._PZ, seclab._PX)[s] for s in s_vec],
+        [(PZ, PX)[s] for s in s_vec],
         [PAIR_OUTCOMES[:, 1 - s] for s in s_vec],
         [PAIR_OUTCOMES] * k,
     ]
     for steps in cases:
-        got = seclab._pad_average(steps)
+        got = pad_average(steps)
         for x in (0, 1):
             want = pad_average_literal(steps, x)
             assert got[x].shape == want.shape
             assert np.abs(got[x] - want).max() < 1e-15
 
 
-@pytest.mark.parametrize("scheme", ["4", "7", "8"])
-@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
-                                 (2, 2), (3, 1)])
+@pytest.mark.parametrize("n,k,scheme", [
+    (n, k, scheme) for n, k in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
+                                (2, 2), (3, 1)] for scheme in ("4", "7", "8")
+] + [(1, 5, "8"), (1, 6, "8"), (2, 3, "8"), (3, 2, "8")])
 def test_views_match_split_enumeration(scheme, n, k):
     """Per-variable views (averaged over the basis bits) and joint views of
     every input against split- and setting-enumerated densities.  The
     round-trip schemes' views are their outcome rows: in the pair basis
     the enumerated density must be diagonal, and its diagonal summed into
-    classes must be exactly the row."""
+    classes must be exactly the row.  The one-way scheme's closed-form
+    views also equal the pad recursion bit for bit, signs of zeros
+    included."""
     if scheme != "8":
         u = pair_basis_literal(n * k)
         inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
@@ -318,18 +362,19 @@ def test_views_match_split_enumeration(scheme, n, k):
         with pytest.raises(ValueError):
             seclab.bob_view(scheme, {"n": n, "k": k}, inputs[0])
         return
-    if n == 1:
-        for x in (0, 1):
-            got = seclab.bob_view(scheme, {"k": k}, x).density
-            want = joint_view_literal(scheme, [x], k)
-            if scheme == "8":  # no t_j qubits in a per-variable view
-                want = partial_trace_matrix(want, 2 * k, range(k, 2 * k))
-            assert np.abs(got - want).max() < 1e-15
+    params = {"n": n, "k": k}
     for v in range(2 ** n):
-        xbits = seclab._bits(v, n)
-        got = seclab.bob_view(scheme, {"n": n, "k": k}, tuple(xbits)).density
-        want = joint_view_literal(scheme, xbits, k)
-        assert np.abs(got - want).max() < 1e-15
+        xbits = tuple(seclab._bits(v, n))
+        literal = joint_view_literal("8", list(xbits), k)
+        checks = [(xbits, oneway_view_recursion(xbits, k), literal)]
+        if n == 1:  # no t_j qubits in a per-variable view
+            checks.append((v, oneway_view_recursion(v, k),
+                           partial_trace_matrix(literal, 2 * k,
+                                                range(k, 2 * k))))
+        for x, ref, want in checks:
+            got = seclab.bob_view("8", params, x).density
+            assert_bitwise_equal(got, ref)
+            assert np.abs(got - want).max() < 1e-15
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1),
@@ -368,7 +413,7 @@ def test_table_size_guard(monkeypatch):
     def no_build(*args):
         raise AssertionError("table built past the cap")
 
-    monkeypatch.setattr(seclab, "_pad_average", no_build)
+    monkeypatch.setattr(seclab, "_oneway_law", no_build)
     monkeypatch.setattr(seclab, "_variable_law", no_build)
     for call in (lambda: seclab.cmi_uniform("8", 5, 4),
                  lambda: seclab.cmi_uniform("7", 5, 4),
@@ -467,10 +512,13 @@ def test_pair_scheme_per_variable_distance(scheme, k, want):
     assert abs(got - want) < 1e-10
 
 
-@pytest.mark.parametrize("k,want", [(1, 1 / math.sqrt(2)), (2, 0.5)])
+@pytest.mark.parametrize("k,want", [(1, 1 / math.sqrt(2)), (2, 0.5)] + [
+    (k, 2 ** (-k / 2)) for k in range(3, 11)])
 def test_oneway_per_variable_distance(k, want):
+    """The per-variable views differ by 2^(1-k) A^{kron k} with
+    A = (Z + X)/2, whose eigenvalues are +-2^(-k/2) each 2^(k-1) times."""
     got = seclab.privacy_distance("8", {"k": k}, 0, 1)
-    assert abs(got - want) < 1e-10
+    assert abs(got - want) < 1e-15
 
 
 def test_theorem6_constants_are_input_independent():
@@ -582,11 +630,16 @@ def test_bob_view_validation_and_caps():
 
 
 def test_bob_view_uniform_mixes_inputs():
-    params = {"n": 1, "k": 1}
-    uni = seclab.bob_view("8", params, "uniform").density
-    avg = (seclab.bob_view("8", params, (0,)).density
-           + seclab.bob_view("8", params, (1,)).density) / 2
-    assert np.allclose(uni, avg, atol=1e-12)
+    """The uniform view is I/dim, and bit for bit the mean of the joint
+    views of every input."""
+    for n, k in [(1, 1), (2, 2), (3, 1), (2, 3)]:
+        params = {"n": n, "k": k}
+        uni = seclab.bob_view("8", params, "uniform").density
+        dim = 2 ** (k * (n + 1))
+        assert_bitwise_equal(uni, np.eye(dim) / dim)
+        joints = [seclab.bob_view("8", params, tuple(seclab._bits(v, n)))
+                  for v in range(2 ** n)]
+        assert_bitwise_equal(uni, sum(j.density for j in joints) / 2 ** n)
 
 
 # --- information measures -------------------------------------------------
