@@ -48,7 +48,7 @@ import numpy as np
 
 from . import qsim, rebit, rebit_schemes, seclab
 from .harness import (Form, ProtocolError, RandomBits, SymbolicBits,
-                      comm_audit, enumerate_hidden_adaptive, hidden_bit_count)
+                      comm_audit, enumerate_hidden, hidden_bit_count)
 from .linpoly import (LinearPolynomial, run_scheme4, run_scheme7, run_scheme8,
                       run_scheme9, run_scheme10)
 from .qhe_core import CliffordTCircuit, random_clifford_t, run_scheme5
@@ -134,12 +134,17 @@ _CLASSICAL = {
 _MAX_EXHAUSTIVE_RUNS = 2 ** 18
 
 
-def _exhaustive_preflight(args, n, k, seed):
-    """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS, counting
-    its control bits with one symbolic run."""
+def _control_bits(run, n, k, args):
+    """Control bits one exhaustive run at (n, k) draws, counted with one
+    symbolic run; every case draws as many."""
     poly = LinearPolynomial((1,) * n, 0)
-    control = hidden_bit_count(lambda src: _CLASSICAL[args.scheme](
+    return hidden_bit_count(lambda src: run(
         [0] * n, poly, k, SymbolicBits(src), args.gamma, args.k_prime))
+
+
+def _exhaustive_preflight(args, n, k, seed):
+    """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS."""
+    control = _control_bits(_CLASSICAL[args.scheme], n, k, args)
     runs = 2 ** (2 * n + 1 + control)
     if runs > _MAX_EXHAUSTIVE_RUNS:
         raise ValueError(f"exhaustive run at n={n}, k={k} needs {runs} "
@@ -148,9 +153,9 @@ def _exhaustive_preflight(args, n, k, seed):
                          f"{_MAX_EXHAUSTIVE_RUNS}")
 
 
-def _exhaustive_case(run, x, poly, k, args):
+def _exhaustive_case(run, x, poly, k, control, args):
     """(failures, cases) of one (x, poly) over every hidden-bit leaf, from
-    one symbolic run per control branch."""
+    one symbolic run per branch of its `control` control bits."""
     want = poly.evaluate(x)
     failures = cases = 0
 
@@ -159,9 +164,10 @@ def _exhaustive_case(run, x, poly, k, args):
         got = run(x, poly, k, source, args.gamma, args.k_prime)[0]
         return got, source.vars
 
-    for control, (got, nvars) in enumerate_hidden_adaptive(
-            branch, max_bits=args.max_bits):
-        if len(control) + nvars > args.max_bits:
+    if control > args.max_bits:
+        raise ValueError(f"enumeration exceeded {args.max_bits} hidden bits")
+    for _, (got, nvars) in enumerate_hidden(branch, control):
+        if control + nvars > args.max_bits:
             raise ValueError(f"enumeration exceeded {args.max_bits} hidden "
                              "bits")
         leaves = 2 ** nvars
@@ -181,6 +187,8 @@ def _classical_point(args, n, k, seed):
     run = _CLASSICAL[args.scheme]
     failures = cases = 0
     rng = np.random.default_rng(seed)
+    if args.exhaustive:
+        control = _control_bits(run, n, k, args)
     for xv in range(2 ** n):
         x = [(xv >> i) & 1 for i in range(n)]
         for av in range(2 ** n):
@@ -189,7 +197,8 @@ def _classical_point(args, n, k, seed):
                     tuple((av >> i) & 1 for i in range(n)), c)
                 want = poly.evaluate(x)
                 if args.exhaustive:
-                    fails, leaves = _exhaustive_case(run, x, poly, k, args)
+                    fails, leaves = _exhaustive_case(run, x, poly, k,
+                                                     control, args)
                     failures += fails
                     cases += leaves
                 else:

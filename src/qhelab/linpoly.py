@@ -6,9 +6,10 @@ and (a, c) from Alice:
 
 - scheme 4: each input bit is split into k pads; each pad is encoded into a
   two-qubit state whose basis is chosen by a fresh secret bit, round-tripped
-  through Bob, and decoded from measurement parities.  An honest pair's
-  decoded parity is a fixed function of its pad and mask bits, so it runs
-  as that Pauli-frame channel; only a pair a cheater touches is a register.
+  through Bob, and decoded from measurement parities.  Every pair runs as
+  its Pauli-frame channel: an honest pair's decoded parity is a fixed
+  function of its pad and mask bits, a measuring Bob's pair is two Z/X
+  eigenstates, and a probing Alice's pair two stabilizer signs.
 - scheme 7: same, but the basis bit is shared across all pads with the same
   pad index, compressing Bob's return messages from n*k to k bits.
 - scheme 8: single-qubit encodings with an extra pad qubit t_j per index;
@@ -28,11 +29,11 @@ each form of Bob's Pauli frame this way: the form's int bitmask becomes a
 LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
 register protocols are the references in tests/test_linpoly.py.
 
-Once the control bits (basis bits s, and scheme 8's t) are fixed, an
-honest run's pads, fillers, teleport masks and uniform outcomes enter only
-through XOR and through AND with a known bit.  So the runners take
-harness.Form values for those bits, which is how the CLI's exhaustive mode
-runs them.
+Once the control bits (basis bits s, and scheme 8's t) are fixed, a run's
+pads, fillers, teleport masks and uniform outcomes enter only through XOR
+and through AND with a known bit; a measuring Bob's run too.  So the
+runners take harness.Form values for those bits, which is how the CLI's
+exhaustive mode runs them.
 """
 
 from __future__ import annotations
@@ -40,20 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import qsim
 from .harness import (ALICE, BOB, ProtocolError, Transcript, as_source,
-                      measure_with, teleport_symbolic)
-
-_SQ = 1.0 / math.sqrt(2.0)
-# single-qubit encoding vectors indexed by (bit, basis)
-_ENC = {
-    (0, 0): np.array([1.0, 0.0]),
-    (1, 0): np.array([0.0, 1.0]),
-    (0, 1): np.array([_SQ, _SQ]),
-    (1, 1): np.array([_SQ, -_SQ]),
-}
+                      teleport_symbolic)
+# unused here, but the bench tracer's self-test checks this binding
+from .harness import measure_with  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -118,25 +109,20 @@ def _check_params(x, poly, k):
         raise ValueError(f"input length {len(x)} != polynomial arity {poly.n}")
 
 
-def encode_pair(x: int, s: int) -> qsim.QuantumState:
-    """Two-qubit pad encoding: x=0 -> |00> or |++>, x=1 -> |10> or |+->.
-
-    In the Z-basis variant (s=0) the first qubit carries x; in the X-basis
-    variant (s=1) the second qubit carries x as a relative sign.
-    """
-    if s == 0:
-        first, second = _ENC[(int(x) & 1, 0)], _ENC[(0, 0)]
-    else:
-        first, second = _ENC[(0, 1)], _ENC[(int(x) & 1, 1)]
-    return qsim.product_state(first, second)
-
-
 # --- schemes 4 and 7 ------------------------------------------------------
 
 def _check_party(strategy, party):
     if strategy is not None and getattr(strategy, "party", party) != party:
         raise ProtocolError(f"strategy for {strategy.party} plugged into "
                             f"{party}'s interface")
+
+
+def _measure_eigenstate(qubit, basis, source):
+    """Measure a qubit held as a Z/X eigenstate (held basis, bit) in
+    `basis`: its own basis reads the bit, the other draws one uniform
+    outcome.  Returns the collapsed qubit."""
+    held, bit = qubit
+    return basis, bit if held == basis else source.outcome(0.5)
 
 
 def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
@@ -148,20 +134,22 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     Intermediate m trades Bob->Alice communication against data privacy.
     Returns (bit, transcript) or (DistributedBit, transcript).
 
-    An honest pad pair runs as its Pauli-frame channel: its teleports draw
-    and record masks without a register, and Alice's deterministic outcomes
-    enter in closed form; tests/test_linpoly.py keeps the literal pairs as
-    the reference.  Only a pair that a strategy touches is a register.
+    Every pad pair runs as its Pauli-frame channel, with no register: the
+    teleports draw and record masks only.  tests/test_linpoly.py keeps the
+    literal two-qubit pairs, cheaters included, as the reference.
+
+    `bob_strategy` is an optional cheating-Bob plugin.  Its intercept hook
+    gets each received pair as two Z/X eigenstates ((basis, bit), (basis,
+    bit)) and returns it measured: a Z-basis first qubit and an X-basis
+    second, which Bob's CNOT leaves alone.  Alice's basis-s reads in the
+    other basis then draw one uniform outcome each.
 
     `alice_strategy` is an optional cheating-Alice plugin (m=1 only).  It
-    substitutes the encoding of pad pair (0, 0) (probe_state) and then
-    supplies that pair's decoded contribution itself (measure_pair),
-    seeing exactly what a real Alice would see: the returned qubits, her
-    own withheld forward bits, and Bob's v bit.
-
-    `bob_strategy` is an optional cheating-Bob plugin; its intercept hook
-    sees each received pair before Bob's honest processing and may measure
-    it (the post-measurement state continues through the protocol).
+    substitutes pad pair (0, 0) with the probe, the +1 eigenstate of X(x)Z
+    and Z(x)X, and supplies that pair's decoded contribution itself
+    (measure_pair), seeing what a real Alice would see: the returned pair
+    as the sign bits of those stabilizers, her own withheld forward bits,
+    and Bob's v bit.  Only one party may cheat in a run.
     """
     _check_params(x, poly, k)
     _check_party(alice_strategy, ALICE)
@@ -171,48 +159,48 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         raise ValueError("block size m must divide n")
     if alice_strategy is not None and m != 1:
         raise ValueError("adversary strategies support only m=1")
+    if alice_strategy is not None and bob_strategy is not None:
+        raise ValueError("only one party may cheat in a run")
     probe = (0, 0) if alice_strategy else None
     source = as_source(rng)
     transcript = Transcript()
     blocks = n // m
 
-    # Alice: pads, basis bits, encodings, forward teleports.  She withholds
-    # the Z correction on the first qubit and the X correction on the second;
+    # Alice: pads, basis bits, forward teleports.  She withholds the Z
+    # correction on the first qubit and the X correction on the second;
     # t_ij is whichever of the two stays relevant under her measurement basis.
-    # A pair's state is None unless a strategy touches it.
     s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
     x_split = [_split_bit(x[i], k, source) for i in range(n)]
     shares = PadShares(x_split, s, [[None] * k for _ in range(n)])
-    states, returns, fwd = {}, {}, {}
+    fwd = {}
     for i in range(n):
         for j in range(k):
-            s_ij = s[i // m][j]
-            st = None
-            if probe == (i, j):
-                st = alice_strategy.probe_state()
-            elif bob_strategy is not None:
-                st = encode_pair(x_split[i][j], s_ij)
-            st, rec1 = teleport_symbolic(st, 0, {"z"}, source, transcript,
-                                         sender=ALICE, tag=f"fwd-{i}-{j}")
-            st, rec2 = teleport_symbolic(st, 1, {"x"}, source, transcript,
-                                         sender=ALICE, tag=f"fwd-{i}-{j}")
-            shares.t[i][j] = rec2.mask_x if s_ij == 0 else rec1.mask_z
+            _, rec1 = teleport_symbolic(None, 0, {"z"}, source, transcript,
+                                        sender=ALICE, tag=f"fwd-{i}-{j}")
+            _, rec2 = teleport_symbolic(None, 1, {"x"}, source, transcript,
+                                        sender=ALICE, tag=f"fwd-{i}-{j}")
+            shares.t[i][j] = rec2.mask_x if s[i // m][j] == 0 else rec1.mask_z
             fwd[i, j] = (rec1.mask_z.reveal(), rec2.mask_x.reveal())
-            states[i, j] = st
 
     # Bob: CNOT exactly when a_i=0, then return teleports withholding all
     # correction bits; the withheld bits are his sigma_y/sigma_z mask record.
+    # A cheating Bob first gets each pair: in basis s_ij = 0 the Z values
+    # (x_ij, forward X mask), in basis 1 the X values (forward Z mask, x_ij).
+    pairs, returns = {}, {}
     for i in range(n):
         for j in range(k):
-            st = states[i, j]
             if bob_strategy is not None:
-                st = bob_strategy.intercept(st, i, j, source)
-            if poly.a[i] == 0 and st is not None:
-                st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
-            st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source)
-            st, ret2 = teleport_symbolic(st, 1, {"x", "z"}, source)
-            states[i, j] = st
-            returns[i, j] = (ret1, ret2)
+                z1, x2 = fwd[i, j]
+                pairs[i, j] = pair = bob_strategy.intercept(
+                    (("Z", x_split[i][j]), ("Z", x2)) if s[i // m][j] == 0
+                    else (("X", z1), ("X", x_split[i][j])), source)
+                if poly.a[i] == 0 and [b for b, _ in pair] != ["Z", "X"]:
+                    raise ProtocolError("Bob's CNOT on this pair has no "
+                                        "eigenstate channel")
+            _, ret1 = teleport_symbolic(None, 0, {"x", "z"}, source)
+            _, ret2 = teleport_symbolic(None, 1, {"x", "z"}, source)
+            returns[i, j] = [(r.mask_x.reveal(), r.mask_z.reveal())
+                             for r in (ret1, ret2)]
 
     # Bob's mask bookkeeping: X^mx Z^mz = (phase) Y^mx Z^(mx^mz), so the
     # sigma_y mask bit per qubit is mx and the sigma_z mask bit is mx^mz.
@@ -223,9 +211,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         for j in range(k):
             par = 0
             for i in range(b * m, (b + 1) * m):
-                for rec in returns[i, j]:
-                    mx = rec.mask_x.reveal()
-                    mz = rec.mask_z.reveal()
+                for mx, mz in returns[i, j]:
                     y_total ^= mx
                     par ^= mx ^ mz
             v[b][j] = par
@@ -237,24 +223,31 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         for j in range(k):
             g = s[b][j] & v[b][j]
             for i in range(b * m, (b + 1) * m):
+                r1, r2 = returns[i, j]
                 if probe == (i, j):
+                    # The forward masks' Z (first qubit) and X (second)
+                    # and Bob's CNOT (a_i=0) flip the X(x)Z sign; each
+                    # return mask flips a sign its part anticommutes with.
+                    z1, x2 = fwd[i, j]
+                    signs = (z1 ^ x2 ^ poly.a[i] ^ 1 ^ r1[1] ^ r2[0],
+                             r1[0] ^ r2[1])
                     g = alice_strategy.measure_pair(
-                        states[i, j], x_split[i][j], s[b][j], v[b][j],
-                        *fwd[i, j], source)
-                elif states[i, j] is None:
+                        signs, x_split[i][j], v[b][j], z1, x2)
+                elif bob_strategy is not None:
+                    # The return masks' X parts flip Z values and their Z
+                    # parts X values.
+                    basis = "ZX"[s[b][j]]
+                    for (held, bit), (mx, mz) in zip(pairs[i, j], (r1, r2)):
+                        qubit = (held, bit ^ (mx if held == "Z" else mz))
+                        g ^= _measure_eigenstate(qubit, basis, source)[1]
+                    g ^= shares.t[i][j].reveal()
+                else:
                     # The forward masks leave Z values (x, a2) or X values
                     # (b1, x), Bob's CNOT (a_i=0) adds x into the other
                     # qubit and the return masks' X (s=0) or Z (s=1) parts
                     # flip both, so o1 ^ o2 ^ t_ij = a_i x_ij ^ their parity.
-                    r1, r2 = returns[i, j]
-                    flips = (r1.mask_x ^ r2.mask_x if s[b][j] == 0
-                             else r1.mask_z ^ r2.mask_z)
-                    g ^= (poly.a[i] & x_split[i][j]) ^ flips.reveal()
-                else:
-                    basis = "Z" if s[b][j] == 0 else "X"
-                    o1, st = measure_with(source, states[i, j], basis, 0)
-                    o2, st = measure_with(source, st, basis, 1)
-                    g ^= o1 ^ o2 ^ shares.t[i][j].reveal()
+                    flips = r1[s[b][j]] ^ r2[s[b][j]]
+                    g ^= (poly.a[i] & x_split[i][j]) ^ flips
             y0 ^= g
     bob_bit = poly.c ^ y_total
     if distributed:

@@ -112,16 +112,6 @@ def basis_state(n: int, index: int = 0) -> QuantumState:
     return QuantumState(v)
 
 
-def product_state(*single_qubit_vecs) -> QuantumState:
-    """Build |v_{n-1}> x ... x |v_0> from per-qubit vectors listed for
-    qubits 0, 1, ... in order (little-endian composition)."""
-    out = np.array([1.0], dtype=complex)
-    for v in single_qubit_vecs:
-        out = np.kron(np.asarray(v, dtype=complex), out)
-    out = out / np.linalg.norm(out)
-    return QuantumState(out)
-
-
 def random_state(n: int, rng) -> QuantumState:
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return QuantumState(v / np.linalg.norm(v))

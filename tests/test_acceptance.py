@@ -301,6 +301,8 @@ def test_criterion8_cheating_bob_induces_errors():
     res = seclab.cheating_bob("4", {"n": 1, "k": 1},
                               np.random.default_rng(90), trials=10_000)
     assert res["induced_error_rate"] > 0.1
+    lo, hi = res["induced_error_interval"]
+    assert lo <= 0.5 <= hi  # each measured pair leaves one uniform bit
 
 
 def test_criterion8_probe_alice_identifies_and_disturbs():

@@ -475,7 +475,9 @@ def test_symbolic_exhaustive_matches_literal(scheme, n, k, cases):
     total = [0, 0]
     for x, poly in cases or _all_cases(n):
         want = _literal_case(run, x, poly, k)
-        assert cli._exhaustive_case(run, x, poly, k, _ENUM) == want, (x, poly)
+        control = cli._control_bits(run, n, k, _ENUM)
+        assert cli._exhaustive_case(run, x, poly, k, control,
+                                    _ENUM) == want, (x, poly)
         total = [t + w for t, w in zip(total, want)]
     if cases is None:
         args = argparse.Namespace(**vars(_ENUM), scheme=scheme,
@@ -496,8 +498,8 @@ def _mutant(fn, old, new):
 @pytest.mark.parametrize("fn,old,new,n,k", [
     (lp.run_scheme10, "y0 ^= s[j] & R[j]", "y0 ^= 0", 2, 2),
     (lp.run_scheme10, "if s[j] == 0", "if s[j] == 1", 2, 2),
-    (lp.run_scheme4, "g ^= (poly.a[i] & x_split[i][j]) ^ flips.reveal()",
-     "g ^= flips.reveal()", 1, 1),
+    (lp.run_scheme4, "g ^= (poly.a[i] & x_split[i][j]) ^ flips",
+     "g ^= flips", 1, 1),
 ], ids=["scheme10-no-s-and-R", "scheme10-swapped-slots",
         "scheme4-no-a-x-term"])
 def test_symbolic_exhaustive_counts_mutant_failures(fn, old, new, n, k):
@@ -505,9 +507,10 @@ def test_symbolic_exhaustive_counts_mutant_failures(fn, old, new, n, k):
     and on some."""
     run = _mutant(fn, old, new)
     symbolic = literal = (0, 0)
+    control = cli._control_bits(run, n, k, _ENUM)
     for x, poly in _all_cases(n):
         symbolic = [a + b for a, b in zip(
-            symbolic, cli._exhaustive_case(run, x, poly, k, _ENUM))]
+            symbolic, cli._exhaustive_case(run, x, poly, k, control, _ENUM))]
         literal = [a + b for a, b in zip(literal,
                                          _literal_case(run, x, poly, k))]
     assert symbolic == literal and symbolic[0] > 0

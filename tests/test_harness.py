@@ -15,6 +15,7 @@ from qhelab.harness import (ALICE, BOB, CountingBits, FixedBits, Form,
                             enumerate_hidden, enumerate_hidden_adaptive,
                             hidden_bit_count, measure_with,
                             teleport_symbolic)
+from test_qsim import product_state
 from test_rebit_schemes import _pauli_from_bits
 
 
@@ -133,7 +134,7 @@ def test_measure_with_deterministic_outcomes_free():
     src = CountingBits(np.random.default_rng(0))
     out, _ = measure_with(src, qsim.basis_state(1, 1), "Z", 0)
     assert out == 1 and src.count == 0
-    out, _ = measure_with(src, qsim.product_state([1, 1]), "Z", 0)
+    out, _ = measure_with(src, product_state([1, 1]), "Z", 0)
     assert src.count == 1
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import types
 
 import numpy as np
@@ -15,6 +16,7 @@ from qhelab.harness import (ALICE, BOB, FixedBits, ProtocolError,
                             RandomBits, Transcript, comm_audit,
                             enumerate_hidden_adaptive, measure_with,
                             teleport_symbolic)
+from test_qsim import product_state
 
 
 class LiteralScheme8(lp.Scheme8Instance):
@@ -32,9 +34,9 @@ class LiteralScheme8(lp.Scheme8Instance):
         self.shares = lp.PadShares(x_split, s, t)
         self.states = []
         for j in range(k):
-            vecs = [lp._ENC[(x_split[i][j], s[j])] for i in range(n)]
-            vecs.append(lp._ENC[(t[j], s[j])])
-            st = qsim.product_state(*vecs)
+            vecs = [_ENC[(x_split[i][j], s[j])] for i in range(n)]
+            vecs.append(_ENC[(t[j], s[j])])
+            st = product_state(*vecs)
             for q in range(n + 1):
                 st, _ = teleport_symbolic(st, q, set(), src, self.transcript,
                                           sender=self.data_party,
@@ -76,13 +78,63 @@ def _literal(run, *args):
         lp.Scheme8Instance = channel
 
 
+_SQ = 1.0 / math.sqrt(2.0)
+# single-qubit encoding vectors indexed by (bit, basis)
+_ENC = {
+    (0, 0): np.array([1.0, 0.0]),
+    (1, 0): np.array([0.0, 1.0]),
+    (0, 1): np.array([_SQ, _SQ]),
+    (1, 1): np.array([_SQ, -_SQ]),
+}
+# (|0>|+> + |1>|->)/sqrt2 on (first, second); Bob's conditional CNOT sends
+# it to (|0>|+> -+ |1>|->)/sqrt2, two orthogonal states indexed by a_i.
+PROBE_VEC = np.array([1.0, 1.0, 1.0, -1.0]) / 2
+
+
+def encode_pair(x, s):
+    """Two-qubit pad encoding: x=0 -> |00> or |++>, x=1 -> |10> or |+->.
+
+    In the Z-basis variant (s=0) the first qubit carries x; in the X-basis
+    variant (s=1) the second qubit carries x as a relative sign.
+    """
+    if s == 0:
+        first, second = _ENC[(int(x) & 1, 0)], _ENC[(0, 0)]
+    else:
+        first, second = _ENC[(0, 1)], _ENC[(int(x) & 1, 1)]
+    return product_state(first, second)
+
+
+def literal_intercept(state, source):
+    """seclab.MeasuringBob on a register: Z on the first qubit, then X on
+    the second."""
+    _, st = measure_with(source, state, "Z", 0)
+    _, st = measure_with(source, st, "X", 1)
+    return st
+
+
+def literal_probe_decode(strategy, state, x_ij, v, fwd_z1, fwd_x2, source):
+    """seclab.ProbeAlice's decode on a register: undo the forward masks,
+    rotate the second qubit by H and Bell-measure."""
+    st = state
+    if fwd_z1:
+        st = qsim.apply_gate(st, qsim.Z, [0])
+    if fwd_x2:
+        st = qsim.apply_gate(st, qsim.X, [1])
+    st = qsim.apply_gate(st, qsim.H, [1])
+    (xobs, zobs), _ = harness.bell_measure_with(source, st, 0, 1)
+    a_hat = xobs ^ zobs ^ v ^ 1
+    strategy.identified.append(a_hat)
+    return (a_hat & x_ij) ^ xobs
+
+
 def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
-                    alice_strategy=None):
+                    alice_strategy=None, bob_strategy=None):
     """Scheme 4 with every pad pair a two-qubit register: encoded,
     teleported to Bob, CNOTed when a_i = 0, teleported back and measured by
-    Alice in her basis; `alice_strategy` probes pair (0, 0) as in
-    lp.run_scheme4.  The reference for the honest pairs' Pauli-frame
-    channel."""
+    Alice in her basis.  The reference for lp.run_scheme4's channels: an
+    `alice_strategy` (a seclab.ProbeAlice) gets the PROBE_VEC register as
+    pair (0, 0) and its decode runs on that register; a `bob_strategy` (a
+    seclab.MeasuringBob) measures every received register."""
     n, source, transcript = poly.n, harness.as_source(rng), Transcript()
     blocks = n // m
     s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
@@ -92,9 +144,9 @@ def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
         for j in range(k):
             s_ij = s[i // m][j]
             if alice_strategy is not None and (i, j) == (0, 0):
-                st = alice_strategy.probe_state()
+                st = qsim.QuantumState(PROBE_VEC.copy())
             else:
-                st = lp.encode_pair(x_split[i][j], s_ij)
+                st = encode_pair(x_split[i][j], s_ij)
             st, rec1 = teleport_symbolic(st, 0, {"z"}, source, transcript,
                                          sender=ALICE, tag=f"fwd-{i}-{j}")
             st, rec2 = teleport_symbolic(st, 1, {"x"}, source, transcript,
@@ -105,6 +157,8 @@ def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
     for i in range(n):
         for j in range(k):
             st = states[i, j]
+            if bob_strategy is not None:
+                st = literal_intercept(st, source)
             if poly.a[i] == 0:
                 st = qsim.apply_gate(st, qsim.CNOT, [0, 1])
             st, ret1 = teleport_symbolic(st, 0, {"x", "z"}, source)
@@ -127,9 +181,9 @@ def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
             g = s[b][j] & v[b][j]
             for i in range(b * m, (b + 1) * m):
                 if alice_strategy is not None and (i, j) == (0, 0):
-                    g = alice_strategy.measure_pair(
-                        states[i, j], x_split[i][j], s[b][j], v[b][j],
-                        *fwd[i, j], source)
+                    g = literal_probe_decode(
+                        alice_strategy, states[i, j], x_split[i][j],
+                        v[b][j], *fwd[i, j], source)
                     continue
                 basis = "Z" if s[b][j] == 0 else "X"
                 o1, st = measure_with(source, states[i, j], basis, 0)
@@ -161,9 +215,9 @@ def test_polynomial_basics():
 
 
 def test_encode_pair_states():
-    assert abs(lp.encode_pair(1, 0).vec[1] - 1) < 1e-12   # |0>|1>
-    assert abs(lp.encode_pair(0, 0).vec[0] - 1) < 1e-12   # |0>|0>
-    minus_plus = lp.encode_pair(1, 1).vec                 # |->(q1=x) x |+>
+    assert abs(encode_pair(1, 0).vec[1] - 1) < 1e-12  # |0>|1>
+    assert abs(encode_pair(0, 0).vec[0] - 1) < 1e-12  # |0>|0>
+    minus_plus = encode_pair(1, 1).vec                # |->(q1=x) x |+>
     assert abs(minus_plus @ np.array([1, 1, -1, -1]) / 2 - 1) < 1e-12
 
 
@@ -372,6 +426,19 @@ def test_scheme6_channel_matches_literal(monkeypatch, probe):
     assert channel == [run(seed) for seed in seeds]
 
 
+def _forbid_registers(monkeypatch, names):
+    """Make every qsim register call, and the named harness helpers, fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the channel builds no register")
+
+    for name in ("apply_gate", "measure", "QuantumState"):
+        monkeypatch.setattr(qsim, name, forbidden)
+    for name in names:
+        monkeypatch.setattr(harness, name, forbidden)
+        if hasattr(lp, name):
+            monkeypatch.setattr(lp, name, forbidden)
+
+
 @pytest.mark.parametrize("run,teleports", [
     (lambda x, poly, rng: lp.run_scheme8(x, poly, 2, rng)[0], False),
     (lambda x, poly, rng: lp.run_scheme9(x, poly, 1.5, 2, rng)[0], False),
@@ -387,19 +454,111 @@ def test_channel_builds_no_register(monkeypatch, run, teleports):
     """The channels call no qsim function or measurement; schemes 8 and 9
     make no symbolic teleport either, and the honest scheme-4 pairs draw
     their teleport masks without a register."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the channel builds no register")
-
-    for name in ("product_state", "apply_gate", "measure", "QuantumState"):
-        monkeypatch.setattr(qsim, name, forbidden)
-    names = ("measure_with",) if teleports else ("teleport_symbolic",
-                                                 "measure_with")
-    for name in names:
-        monkeypatch.setattr(lp, name, forbidden)
-        monkeypatch.setattr(harness, name, forbidden)
+    _forbid_registers(monkeypatch, ("measure_with",) if teleports
+                      else ("teleport_symbolic", "measure_with"))
     rng = np.random.default_rng(3)
     for x, poly in _all_cases(2):
         assert run(x, poly, rng) == poly.evaluate(x)
+
+
+# a fresh strategy per run, as keyword arguments of run_scheme4
+_CHEATERS = {
+    "bob": lambda: {"bob_strategy": seclab.MeasuringBob()},
+    "probe": lambda: {"alice_strategy": seclab.ProbeAlice()},
+}
+
+
+def _cheater_run(runner, cheater, x, poly, k, source, distributed=False,
+                 m=1):
+    """Output, serialized transcript and the probe's identified bits of one
+    scheme-4 run under a fresh cheater."""
+    strategy = _CHEATERS[cheater]()
+    out, tr = runner(x, poly, k, source, distributed, m, **strategy)
+    alice = strategy.get("alice_strategy")
+    return out, tr.serialize(), alice and alice.identified
+
+
+@pytest.mark.parametrize("cheater", sorted(_CHEATERS))
+def test_cheater_channel_builds_no_register(monkeypatch, cheater):
+    """Under either cheater, run_scheme4 constructs no qsim.QuantumState
+    and calls no qsim function or measurement."""
+    _forbid_registers(monkeypatch, ("measure_with", "bell_measure_with"))
+    rng = np.random.default_rng(3)
+    for x, poly in _all_cases(2):
+        for distributed in (False, True):
+            _cheater_run(lp.run_scheme4, cheater, x, poly, 2,
+                         RandomBits(rng), distributed)
+
+
+@pytest.mark.parametrize("cheater", sorted(_CHEATERS))
+def test_cheater_channel_matches_literal_on_every_branch(cheater):
+    """At (n, k) = (1, 1), on every case and every hidden-bit branch, the
+    cheater's channel consumes the same bits and gives the same output,
+    transcript and identified coefficient as the literal registers."""
+    for x, poly in _all_cases(1):
+        width = harness.hidden_bit_count(lambda src: _cheater_run(
+            lp.run_scheme4, cheater, x, poly, 1, src))
+        for bits in itertools.product((0, 1), repeat=width):
+            runs = []
+            for runner in (lp.run_scheme4, literal_scheme4):
+                src = FixedBits(bits)
+                runs.append((_cheater_run(runner, cheater, x, poly, 1, src),
+                             src.pos))
+            assert runs[0] == runs[1]
+            assert runs[0][1] == width
+
+
+@pytest.mark.parametrize("cheater", sorted(_CHEATERS))
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in (1, 2, 3)])
+def test_cheater_channel_matches_literal_on_seeded_runs(cheater, n, k):
+    """For 200 seeds at m = 1 and m = n (the probe: m = 1 only), in both
+    output modes, seeded runs give the same output, transcript and
+    identified coefficient, and leave the generator in the same state."""
+    rng = np.random.default_rng(n * 10 + k)
+    blocks = (1,) if cheater == "probe" else sorted({1, n})
+    for seed in range(200):
+        x = [int(b) for b in rng.integers(0, 2, size=n)]
+        poly = lp.LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
+                                   int(rng.integers(0, 2)))
+        for m, distributed in itertools.product(blocks, (False, True)):
+            runs = []
+            for runner in (lp.run_scheme4, literal_scheme4):
+                gen = np.random.default_rng(seed)
+                runs.append((_cheater_run(runner, cheater, x, poly, k,
+                                          RandomBits(gen), distributed, m),
+                             gen.random()))
+            assert runs[0] == runs[1]
+
+
+class _PassThroughBob:
+    """A Bob who hands every received pair on unmeasured."""
+
+    party = BOB
+
+    def intercept(self, pair, source):
+        return pair
+
+
+def test_cnot_without_an_eigenstate_channel_is_refused():
+    """The channel takes Bob's CNOT only on a Z-basis control and an
+    X-basis target, which it leaves alone; an unmeasured pair (Z-Z or X-X)
+    under a_i = 0 is refused, and under a_i = 1, with no CNOT, it decodes
+    as the honest pair."""
+    for s_bit in (0, 1):
+        src = FixedBits([s_bit] + [0] * 6)
+        with pytest.raises(ProtocolError):
+            lp.run_scheme4([1], lp.LinearPolynomial((0,), 0), 1, src,
+                           bob_strategy=_PassThroughBob())
+    poly = lp.LinearPolynomial((1, 1), 1)
+    for seed in range(20):
+        runs = []
+        for strategy in (None, _PassThroughBob()):
+            gen = np.random.default_rng(seed)
+            out, tr = lp.run_scheme4([1, 0], poly, 2, RandomBits(gen),
+                                     bob_strategy=strategy)
+            runs.append((out, tr.serialize(), gen.random()))
+        assert runs[0] == runs[1] and runs[0][0] == poly.evaluate([1, 0])
 
 
 def test_scheme10_exhaustive_branches():
@@ -450,6 +609,9 @@ def test_strategy_party_enforcement():
     imposter = types.SimpleNamespace(party=ALICE)
     with pytest.raises(ProtocolError):
         lp.run_scheme4([1], poly, 1, rng, bob_strategy=imposter)
+    with pytest.raises(ValueError):  # one cheating party per run
+        lp.run_scheme4([1], poly, 1, rng, bob_strategy=seclab.MeasuringBob(),
+                       alice_strategy=seclab.ProbeAlice())
 
 
 def test_inner_product_demo():

@@ -10,7 +10,25 @@ import pytest
 
 from qhelab import qhe_core as qc
 from qhelab import qsim, seclab
+from qhelab.harness import Form, SymbolicBits, enumerate_hidden
+from qhelab.linpoly import run_scheme4
+from test_linpoly import PROBE_VEC, _all_cases
 from test_qsim import holevo
+
+
+@pytest.fixture(autouse=True)
+def _views_are_positive(monkeypatch):
+    """Every BobView these tests build must also be positive semidefinite;
+    production builds views positive by construction and skips the
+    eigensolve."""
+    checks = seclab.BobView.__post_init__
+
+    def checked(view):
+        checks(view)
+        if np.linalg.eigvalsh(view.density).min() < -1e-9:
+            raise ValueError("view density is not positive semidefinite")
+
+    monkeypatch.setattr(seclab.BobView, "__post_init__", checked)
 
 
 def partial_trace_matrix(rho: np.ndarray, n: int, keep) -> np.ndarray:
@@ -627,6 +645,8 @@ def test_bob_view_validation_and_caps():
         seclab.bob_view("8", {"n": 2, "k": 1}, (0, 0, 0))
     with pytest.raises(ValueError):
         seclab.BobView("8", 1, 1, 0, np.eye(2))  # trace 2, not a state
+    with pytest.raises(ValueError, match="positive"):  # the tests' check
+        seclab.BobView("8", 1, 1, 0, np.diag([1.5, -0.5]))
 
 
 def test_bob_view_uniform_mixes_inputs():
@@ -782,7 +802,7 @@ def test_holevo_equals_cmi_for_commuting_views():
 def test_probe_state_separates_bob_branches():
     """Bob's conditional CNOT maps the probe to one of two orthogonal
     states, so the coefficient is identifiable with certainty."""
-    probe = qsim.QuantumState(seclab._PROBE_VEC.copy())
+    probe = qsim.QuantumState(PROBE_VEC.copy())
     flipped = qsim.apply_gate(probe, qsim.CNOT, [0, 1])
     assert abs(np.vdot(probe.vec, flipped.vec)) < 1e-12
 
@@ -807,6 +827,30 @@ def test_cheating_bob_bench():
     assert lo > 0.35 and hi < 0.65  # far from an undetectable attack
     with pytest.raises(ValueError):
         seclab.cheating_bob("8", {"k": 1}, 0)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
+                                 for k in (1, 2, 3)])
+def test_cheating_bob_error_is_half_on_every_control_branch(n, k):
+    """Alice reads each pair the measuring Bob collapsed with one uniform
+    outcome in her share, so on every control branch, at m = 1 and m = n,
+    the output is a non-constant affine form in the other hidden bits:
+    wrong on exactly half the leaves, for every (n, k)."""
+    cases = list(_all_cases(n))
+    if n == 3:  # a sample: 512 control branches per case at m = 1
+        rng = np.random.default_rng(n * 10 + k)
+        cases = [cases[i] for i in rng.choice(len(cases), 8, replace=False)]
+    for m in sorted({1, n}):
+        for x, poly in cases:
+            def run(fixed, x=x, poly=poly, m=m):
+                return run_scheme4(
+                    x, poly, k, SymbolicBits(fixed), m=m,
+                    bob_strategy=seclab.MeasuringBob())[0]
+
+            branches = list(enumerate_hidden(run, (n // m) * k))
+            assert len(branches) == 2 ** ((n // m) * k)
+            assert all(isinstance(out, Form) and out.mask >> 1
+                       for _, out in branches)
 
 
 def test_cheating_alice_probe_identifies_but_disturbs():
