@@ -13,7 +13,10 @@ replay one branch, and SymbolicBits for exhaustive runs of the classical
 schemes.  SymbolicBits replays only the control bits (tags "s" and "t")
 and hands out every other bit as a fresh variable, a Form; one run per
 control branch then gives the output as an F2 affine form in the other
-bits, which stands for all 2^vars leaves of that branch at once.
+bits, which stands for all 2^vars leaves of that branch at once.  Every
+source draws a block of bits, draw(count, tag), exactly as `count` calls
+of bit(tag) would draw them, so a protocol that draws its bits in blocks
+consumes the same stream as one that draws them one at a time.
 """
 
 from __future__ import annotations
@@ -171,6 +174,12 @@ class RandomBits:
     def bit(self, tag: str = "") -> int:
         return int(self.rng.integers(2))
 
+    def draw(self, count: int, tag: str = "") -> list:
+        """`count` bits in one generator call.  The generator hands out
+        the same bits, and ends in the same state, as `count` calls of
+        bit(); tests/test_harness.py pins this for the installed numpy."""
+        return self.rng.integers(2, size=count).tolist() if count else []
+
     def outcome(self, p0: float) -> int:
         return 0 if self.rng.random() < p0 else 1
 
@@ -178,7 +187,7 @@ class RandomBits:
 def as_source(rng):
     """A hidden-bit source as is, or a seed or generator wrapped in
     RandomBits."""
-    if hasattr(rng, "bit") and hasattr(rng, "outcome"):
+    if all(hasattr(rng, name) for name in ("bit", "draw", "outcome")):
         return rng
     if hasattr(rng, "integers"):
         return RandomBits(rng)
@@ -209,6 +218,14 @@ class FixedBits:
         self.pos += 1
         return int(b)
 
+    def draw(self, count: int, tag: str = "") -> list:
+        end = self.pos + count
+        if end > len(self.bits):
+            raise NeedMoreBits(f"FixedBits exhausted at {len(self.bits)}")
+        block = [int(b) for b in self.bits[self.pos:end]]
+        self.pos = end
+        return block
+
     def outcome(self, p0: float) -> int:
         b = self.bit()
         p = p0 if b == 0 else 1 - p0
@@ -227,6 +244,10 @@ class CountingBits(RandomBits):
     def bit(self, tag: str = "") -> int:
         self.count += 1
         return super().bit(tag)
+
+    def draw(self, count: int, tag: str = "") -> list:
+        self.count += count
+        return super().draw(count, tag)
 
     def outcome(self, p0: float) -> int:
         self.count += 1
@@ -252,6 +273,13 @@ class SymbolicBits:
             return self.fixed.bit(tag)
         self.vars += 1
         return Form(1 << self.vars)
+
+    def draw(self, count: int, tag: str = "") -> list:
+        if tag in ("s", "t"):
+            return self.fixed.draw(count, tag)
+        first = self.vars + 1
+        self.vars += count
+        return [Form(1 << v) for v in range(first, self.vars + 1)]
 
     def outcome(self, p0: float):
         if p0 != 0.5:
@@ -355,8 +383,7 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
     Applies X^a Z^b with fresh uniform (a, b) and discloses exactly the
     non-withheld correction bits (the receiver applies those immediately,
     so the residual mask is only the withheld part).  `withhold` is a set
-    drawn from {"x", "z"}.  A `state` of None draws and records the masks
-    alone and gives None back, for a qubit tracked by its Pauli frame.
+    drawn from {"x", "z"}.
     """
     withhold = set(withhold)
     if not withhold <= {"x", "z"}:
@@ -373,8 +400,6 @@ def teleport_symbolic(state, qubit, withhold, source, transcript=None,
         mask_x=SecretBit(a, "teleport-x") if "x" in withhold else 0,
         mask_z=SecretBit(b, "teleport-z") if "z" in withhold else 0,
     )
-    if state is None:
-        return None, rec
     # receiver's uncorrected state is X^a Z^b |psi>, matching the literal
     # EPR channel under our Bell-outcome convention
     st = state

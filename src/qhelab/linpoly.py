@@ -29,6 +29,13 @@ each form of Bob's Pauli frame this way: the form's int bitmask becomes a
 LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
 register protocols are the references in tests/test_linpoly.py.
 
+The runners draw their hidden bits in blocks, one source.draw per kind
+(basis bits, pads for all inputs, teleport masks, fillers), in the order
+that the literal protocols draw them one by one, so a seeded run consumes
+the same stream.  Uniform measurement outcomes are still drawn one at a
+time, and so are a measuring Bob's return masks, which his outcomes
+interleave.
+
 Once the control bits (basis bits s, and scheme 8's t) are fixed, a run's
 pads, fillers, teleport masks and uniform outcomes enter only through XOR
 and through AND with a known bit; a measuring Bob's run too.  So the
@@ -39,10 +46,10 @@ exhaustive mode runs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .harness import (ALICE, BOB, ProtocolError, Transcript, as_source,
-                      teleport_symbolic)
+from .harness import (ALICE, BOB, Message, ProtocolError, Transcript,
+                      as_source)
 # unused here, but the bench tracer's self-test checks this binding
 from .harness import measure_with  # noqa: F401
 
@@ -85,21 +92,27 @@ class DistributedBit:
 
 @dataclass
 class PadShares:
-    """Alice's secret pad material for one protocol run."""
+    """The data party's secret pad material for one scheme-8 run."""
 
     x_split: list  # x_split[i][j], XORing over j to x_i
-    s: list        # basis bits; layout depends on the scheme
-    t: list = field(default_factory=list)  # withheld teleport bits / pad bits
+    s: list        # basis bits s_j
+    t: list        # pad bits t_j, carried by qubit n
 
 
-def _split_bit(x, k, source):
-    """k random pads XORing to x."""
-    pads = [source.bit("pad") for _ in range(k - 1)]
-    last = x & 1  # a known bit or a Form
-    for p in pads:
-        last ^= p
-    pads.append(last)
-    return pads
+def _split_bits(x, k, source):
+    """k pads per input bit, XORing to it: x_split[i][j].  The n*(k-1)
+    random pads come in one block, input by input; the last pad of each
+    input is fixed by the others."""
+    pads = source.draw(len(x) * (k - 1), "pad")
+    x_split = []
+    for i, xi in enumerate(x):
+        row = pads[i * (k - 1):(i + 1) * (k - 1)]
+        last = xi & 1  # a known bit or a Form
+        for p in row:
+            last ^= p
+        row.append(last)
+        x_split.append(row)
+    return x_split
 
 
 def _check_params(x, poly, k):
@@ -134,9 +147,11 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     Intermediate m trades Bob->Alice communication against data privacy.
     Returns (bit, transcript) or (DistributedBit, transcript).
 
-    Every pad pair runs as its Pauli-frame channel, with no register: the
-    teleports draw and record masks only.  tests/test_linpoly.py keeps the
-    literal two-qubit pairs, cheaters included, as the reference.
+    Every pad pair runs as its Pauli-frame channel, with no register and no
+    teleport: the hidden bits come in blocks, one each for the basis bits,
+    the pads, the forward masks and (unless Bob cheats) the return masks,
+    in the order the literal protocol draws them.  tests/test_linpoly.py
+    keeps the literal two-qubit pairs, cheaters included, as the reference.
 
     `bob_strategy` is an optional cheating-Bob plugin.  Its intercept hook
     gets each received pair as two Z/X eigenstates ((basis, bit), (basis,
@@ -166,41 +181,41 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     transcript = Transcript()
     blocks = n // m
 
-    # Alice: pads, basis bits, forward teleports.  She withholds the Z
-    # correction on the first qubit and the X correction on the second;
-    # t_ij is whichever of the two stays relevant under her measurement basis.
-    s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
-    x_split = [_split_bit(x[i], k, source) for i in range(n)]
-    shares = PadShares(x_split, s, [[None] * k for _ in range(n)])
-    fwd = {}
-    for i in range(n):
-        for j in range(k):
-            _, rec1 = teleport_symbolic(None, 0, {"z"}, source, transcript,
-                                        sender=ALICE, tag=f"fwd-{i}-{j}")
-            _, rec2 = teleport_symbolic(None, 1, {"x"}, source, transcript,
-                                        sender=ALICE, tag=f"fwd-{i}-{j}")
-            shares.t[i][j] = rec2.mask_x if s[i // m][j] == 0 else rec1.mask_z
-            fwd[i, j] = (rec1.mask_z.reveal(), rec2.mask_x.reveal())
+    # Alice: basis bits, pads, forward teleports.  Pair p = i*k + j
+    # withholds the Z correction on its first qubit, fwd[2p], and the X
+    # correction on its second, fwd[2p + 1], and discloses the other two
+    # as 0 at once; t_ij is whichever withheld bit stays relevant under
+    # her measurement basis.
+    s = source.draw(blocks * k, "s")
+    s = [s[b * k:(b + 1) * k] for b in range(blocks)]
+    x_split = _split_bits(x, k, source)
+    fwd = source.draw(2 * n * k, "fwd")
+    transcript.messages.extend(
+        Message(ALICE, [0], r, f"fwd-{r // (2 * k)}-{r // 2 % k}")
+        for r in range(2 * n * k))
 
     # Bob: CNOT exactly when a_i=0, then return teleports withholding all
-    # correction bits; the withheld bits are his sigma_y/sigma_z mask record.
-    # A cheating Bob first gets each pair: in basis s_ij = 0 the Z values
-    # (x_ij, forward X mask), in basis 1 the X values (forward Z mask, x_ij).
-    pairs, returns = {}, {}
-    for i in range(n):
-        for j in range(k):
-            if bob_strategy is not None:
-                z1, x2 = fwd[i, j]
-                pairs[i, j] = pair = bob_strategy.intercept(
-                    (("Z", x_split[i][j]), ("Z", x2)) if s[i // m][j] == 0
-                    else (("X", z1), ("X", x_split[i][j])), source)
+    # correction bits, ret[4p:4p + 4] = (mx, mz) of each qubit; the
+    # withheld bits are his sigma_y/sigma_z mask record.  A cheating Bob
+    # first gets each pair: in basis s_ij = 0 the Z values (x_ij, forward
+    # X mask), in basis 1 the X values (forward Z mask, x_ij); his
+    # outcomes come between the pairs' return masks.
+    if bob_strategy is None:
+        ret = source.draw(4 * n * k, "return")
+    else:
+        pairs, ret = [], []
+        for i in range(n):
+            for j in range(k):
+                p = i * k + j
+                pair = bob_strategy.intercept(
+                    (("Z", x_split[i][j]), ("Z", fwd[2 * p + 1]))
+                    if s[i // m][j] == 0
+                    else (("X", fwd[2 * p]), ("X", x_split[i][j])), source)
                 if poly.a[i] == 0 and [b for b, _ in pair] != ["Z", "X"]:
                     raise ProtocolError("Bob's CNOT on this pair has no "
                                         "eigenstate channel")
-            _, ret1 = teleport_symbolic(None, 0, {"x", "z"}, source)
-            _, ret2 = teleport_symbolic(None, 1, {"x", "z"}, source)
-            returns[i, j] = [(r.mask_x.reveal(), r.mask_z.reveal())
-                             for r in (ret1, ret2)]
+                pairs.append(pair)
+                ret += source.draw(4, "return")
 
     # Bob's mask bookkeeping: X^mx Z^mz = (phase) Y^mx Z^(mx^mz), so the
     # sigma_y mask bit per qubit is mx and the sigma_z mask bit is mx^mz.
@@ -211,9 +226,10 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         for j in range(k):
             par = 0
             for i in range(b * m, (b + 1) * m):
-                for mx, mz in returns[i, j]:
-                    y_total ^= mx
-                    par ^= mx ^ mz
+                p = i * k + j
+                mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
+                y_total ^= mx1 ^ mx2
+                par ^= mx1 ^ mz1 ^ mx2 ^ mz2
             v[b][j] = par
             transcript.record(BOB, [par], tag=f"v-{b}-{j}")
 
@@ -223,30 +239,31 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         for j in range(k):
             g = s[b][j] & v[b][j]
             for i in range(b * m, (b + 1) * m):
-                r1, r2 = returns[i, j]
+                p = i * k + j
+                z1, x2 = fwd[2 * p], fwd[2 * p + 1]
+                mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
                 if probe == (i, j):
                     # The forward masks' Z (first qubit) and X (second)
                     # and Bob's CNOT (a_i=0) flip the X(x)Z sign; each
                     # return mask flips a sign its part anticommutes with.
-                    z1, x2 = fwd[i, j]
-                    signs = (z1 ^ x2 ^ poly.a[i] ^ 1 ^ r1[1] ^ r2[0],
-                             r1[0] ^ r2[1])
+                    signs = (z1 ^ x2 ^ poly.a[i] ^ 1 ^ mz1 ^ mx2, mx1 ^ mz2)
                     g = alice_strategy.measure_pair(
                         signs, x_split[i][j], v[b][j], z1, x2)
                 elif bob_strategy is not None:
                     # The return masks' X parts flip Z values and their Z
                     # parts X values.
                     basis = "ZX"[s[b][j]]
-                    for (held, bit), (mx, mz) in zip(pairs[i, j], (r1, r2)):
+                    masks = ((mx1, mz1), (mx2, mz2))
+                    for (held, bit), (mx, mz) in zip(pairs[p], masks):
                         qubit = (held, bit ^ (mx if held == "Z" else mz))
                         g ^= _measure_eigenstate(qubit, basis, source)[1]
-                    g ^= shares.t[i][j].reveal()
+                    g ^= x2 if s[b][j] == 0 else z1  # t_ij
                 else:
                     # The forward masks leave Z values (x, a2) or X values
                     # (b1, x), Bob's CNOT (a_i=0) adds x into the other
                     # qubit and the return masks' X (s=0) or Z (s=1) parts
                     # flip both, so o1 ^ o2 ^ t_ij = a_i x_ij ^ their parity.
-                    flips = r1[s[b][j]] ^ r2[s[b][j]]
+                    flips = (mz1 ^ mz2) if s[b][j] else (mx1 ^ mx2)
                     g ^= (poly.a[i] & x_split[i][j]) ^ flips
             y0 ^= g
     bob_bit = poly.c ^ y_total
@@ -296,10 +313,9 @@ class Scheme8Instance:
         encodes t_j) in basis s_j.  Each of the k*(n+1) teleports discloses
         both correction bits, which the receiver applies at once."""
         n, k, src = self.poly.n, self.k, self.source
-        s = [src.bit("s") for _ in range(k)]
-        t = [src.bit("t") for _ in range(k)]
-        x_split = [_split_bit(self.x[i], k, src) for i in range(n)]
-        self.shares = PadShares(x_split, s, t)
+        s = src.draw(k, "s")
+        t = src.draw(k, "t")
+        self.shares = PadShares(_split_bits(self.x, k, src), s, t)
         for j in range(k):
             for _ in range(n + 1):
                 self.transcript.record(self.data_party, [0, 0],
@@ -420,13 +436,14 @@ def run_scheme10(x, poly, k, rng, distributed=False):
     transcript = Transcript()
     n = poly.n
 
-    s = [source.bit("s") for _ in range(k)]
-    x_split = [_split_bit(x[i], k, source) for i in range(n)]
+    s = source.draw(k, "s")
+    x_split = _split_bits(x, k, source)
+    fillers = source.draw(n * k, "filler")
     pairs = {}
     payload = []
     for i in range(n):
         for j in range(k):
-            filler = source.bit("filler")
+            filler = fillers[i * k + j]
             pair = ((x_split[i][j], filler) if s[j] == 0
                     else (filler, x_split[i][j]))
             pairs[i, j] = pair

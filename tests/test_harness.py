@@ -76,6 +76,12 @@ def test_fixed_bits_replay_and_exhaustion():
     assert src.bit() == 1 and src.bit() == 0
     with pytest.raises(NeedMoreBits):
         src.bit()
+    # a block replays the next bits, or raises when fewer remain
+    src = FixedBits([1, 0, 1])
+    assert src.draw(0, "s") == [] and src.draw(2, "s") == [1, 0]
+    with pytest.raises(NeedMoreBits):
+        src.draw(2, "s")
+    assert src.draw(1, "s") == [1] and src.pos == 3
 
 
 def test_fixed_bits_zero_probability_branch():
@@ -88,8 +94,55 @@ def test_counting_bits_and_probe():
     def run(src):
         src.bit()
         src.outcome(0.5)
+        src.draw(5, "pad")
+        src.draw(0, "pad")
         return None
-    assert hidden_bit_count(run) == 2
+    assert hidden_bit_count(run) == 7
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300), st.integers(0, 1))
+@settings(deadline=None, max_examples=300)
+def test_random_bits_block_draw_is_the_scalar_stream(seed, count, before):
+    """draw(count) gives the bits of `count` bit() calls and leaves the
+    generator in the same state, also after an odd number of earlier
+    draws, which leave half of a 32-bit word buffered.  Seeded reports
+    rely on this; a numpy release that breaks it fails here first."""
+    block, scalar = (RandomBits(np.random.default_rng(seed))
+                     for _ in range(2))
+    for src in (block, scalar):
+        for _ in range(before):
+            src.bit("s")
+    bits = block.draw(count, "pad")
+    assert bits == [scalar.bit("pad") for _ in range(count)]
+    assert all(type(b) is int for b in bits)
+    assert block.rng.bit_generator.state == scalar.rng.bit_generator.state
+    assert block.outcome(0.3) == scalar.outcome(0.3)
+
+
+def test_symbolic_bits_block_draws_match_scalar_draws():
+    """SymbolicBits.draw replays tags s and t from the wrapped FixedBits
+    and numbers every other variable as that many bit() calls would."""
+    def scalar(src):
+        return ([src.bit("s"), src.bit("pad"), src.bit("pad"),
+                 src.outcome(0.5), src.bit("t"), src.bit("t"),
+                 src.bit("mask")])
+
+    def block(src):
+        return (src.draw(1, "s") + src.draw(2, "pad") + src.draw(0, "pad")
+                + [src.outcome(0.5)] + src.draw(2, "t") + src.draw(1, "mask"))
+
+    runs = []
+    for run in (scalar, block):
+        fixed = FixedBits([1, 0, 1])
+        src = SymbolicBits(fixed)
+        bits = [b.mask if isinstance(b, Form) else ("known", b)
+                for b in run(src)]
+        runs.append((bits, src.vars, fixed.pos))
+    assert runs[0] == runs[1]
+    assert runs[0] == ([("known", 1), 0b10, 0b100, 0b1000, ("known", 0),
+                        ("known", 1), 0b10000], 4, 3)
+    with pytest.raises(NeedMoreBits):
+        SymbolicBits(FixedBits([1])).draw(2, "s")
 
 
 def test_enumerate_hidden_fixed_width():

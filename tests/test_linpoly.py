@@ -19,6 +19,19 @@ from qhelab.harness import (ALICE, BOB, FixedBits, ProtocolError,
 from test_qsim import product_state
 
 
+def scalar_split(x, k, source):
+    """k pads per input bit, drawn one bit() at a time: the reference for
+    lp._split_bits's block draw."""
+    x_split = []
+    for xi in x:
+        pads = [source.bit("pad") for _ in range(k - 1)]
+        last = xi & 1
+        for p in pads:
+            last ^= p
+        x_split.append(pads + [last])
+    return x_split
+
+
 class LiteralScheme8(lp.Scheme8Instance):
     """Scheme 8 as the paper states it: per pad index j, an (n+1)-qubit
     register of single-qubit encodings (qubit n carries t_j) teleported to
@@ -30,7 +43,7 @@ class LiteralScheme8(lp.Scheme8Instance):
         n, k, src = self.poly.n, self.k, self.source
         s = [src.bit("s") for _ in range(k)]
         t = [src.bit("t") for _ in range(k)]
-        x_split = [lp._split_bit(self.x[i], k, src) for i in range(n)]
+        x_split = scalar_split(self.x, k, src)
         self.shares = lp.PadShares(x_split, s, t)
         self.states = []
         for j in range(k):
@@ -138,7 +151,7 @@ def literal_scheme4(x, poly, k, rng, distributed=False, m=1,
     n, source, transcript = poly.n, harness.as_source(rng), Transcript()
     blocks = n // m
     s = [[source.bit("s") for _ in range(k)] for _ in range(blocks)]
-    x_split = [lp._split_bit(x[i], k, source) for i in range(n)]
+    x_split = scalar_split(x, k, source)
     states, t, fwd, returns = {}, {}, {}, {}
     for i in range(n):
         for j in range(k):
@@ -221,15 +234,24 @@ def test_encode_pair_states():
     assert abs(minus_plus @ np.array([1, 1, -1, -1]) / 2 - 1) < 1e-12
 
 
-@given(st.integers(0, 1), st.integers(1, 6), st.integers(0, 2 ** 16))
+@given(st.lists(st.integers(0, 1), max_size=5), st.integers(1, 6),
+       st.integers(0, 2 ** 16))
 @settings(deadline=None, max_examples=40)
 def test_split_bit_xors_back(x, k, seed):
-    pads = lp._split_bit(x, k, RandomBits(np.random.default_rng(seed)))
-    assert len(pads) == k
-    total = 0
-    for p in pads:
-        total ^= p
-    assert total == x
+    """Each input's k pads XOR back to it, and the block draw gives the
+    pads, and leaves the generator, as one bit() per pad would."""
+    runs = []
+    for split in (lp._split_bits, scalar_split):
+        gen = np.random.default_rng(seed)
+        runs.append((split(x, k, RandomBits(gen)), gen.random()))
+    assert runs[0] == runs[1]
+    x_split = runs[0][0]
+    assert [len(pads) for pads in x_split] == [k] * len(x)
+    for xi, pads in zip(x, x_split):
+        total = 0
+        for p in pads:
+            total ^= p
+        assert total == xi
 
 
 _CASES = [((1,), 0), ((0,), 1), ((1, 1), 1), ((1, 0), 0), ((0, 1, 1), 1)]
@@ -385,13 +407,13 @@ def test_scheme4_channel_matches_literal_on_every_branch(n, k, m, cases):
         assert all(out == poly.evaluate(x) for _, (out, _) in runs[0])
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 2), (4, 3), (34, 1)])
 def test_scheme4_channel_matches_literal_on_seeded_runs(n, k):
-    """Past exhaustive sizes, at m = 1 and m = n in both output modes:
-    seeded runs give the same output and transcript, and leave the
-    generator in the same state."""
+    """At m = 1 and m = n in both output modes, up to the 34 variables of
+    a scheme-6 trap run: seeded runs give the same output and transcript,
+    and leave the generator in the same state."""
     rng = np.random.default_rng(n * 100 + k)
-    for trial in range(30):
+    for trial in range(100):
         x = [int(b) for b in rng.integers(0, 2, size=n)]
         poly = lp.LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
                                    int(rng.integers(0, 2)))
@@ -412,7 +434,7 @@ def test_scheme6_channel_matches_literal(monkeypatch, probe):
     def run(seed):
         gen = np.random.default_rng(seed)
         out = qc.run_scheme6(qc.random_clifford_t(2, 2, gen),
-                             qsim.random_state(2, gen), 2, 2, gen,
+                             qsim.random_state(2, gen), 2, 4, gen,
                              alice_strategy=seclab.ProbeAlice() if probe
                              else None, rng_bob=np.random.default_rng(seed))
         return (out.aborted, out.transcript.serialize(),
@@ -420,7 +442,7 @@ def test_scheme6_channel_matches_literal(monkeypatch, probe):
                 None if out.state is None else out.state.vec.tobytes(),
                 int(gen.integers(1 << 30)))
 
-    seeds = range(3)
+    seeds = range(10)
     channel = [run(seed) for seed in seeds]
     monkeypatch.setattr(qc, "run_scheme4", literal_scheme4)
     assert channel == [run(seed) for seed in seeds]
@@ -439,23 +461,21 @@ def _forbid_registers(monkeypatch, names):
             monkeypatch.setattr(lp, name, forbidden)
 
 
-@pytest.mark.parametrize("run,teleports", [
-    (lambda x, poly, rng: lp.run_scheme8(x, poly, 2, rng)[0], False),
-    (lambda x, poly, rng: lp.run_scheme9(x, poly, 1.5, 2, rng)[0], False),
-    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng)[0], True),
-    (lambda x, poly, rng: lp.run_scheme7(x, poly, 2, rng)[0], True),
-    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng,
-                                         distributed=True)[0].value, True),
-    (lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng, distributed=True,
-                                         m=2)[0].value, True),
+@pytest.mark.parametrize("run", [
+    lambda x, poly, rng: lp.run_scheme8(x, poly, 2, rng)[0],
+    lambda x, poly, rng: lp.run_scheme9(x, poly, 1.5, 2, rng)[0],
+    lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng)[0],
+    lambda x, poly, rng: lp.run_scheme7(x, poly, 2, rng)[0],
+    lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng,
+                                        distributed=True)[0].value,
+    lambda x, poly, rng: lp.run_scheme4(x, poly, 2, rng, distributed=True,
+                                        m=2)[0].value,
 ], ids=["scheme8", "scheme9", "scheme4", "scheme7", "scheme4-distributed",
         "scheme7-distributed"])
-def test_channel_builds_no_register(monkeypatch, run, teleports):
-    """The channels call no qsim function or measurement; schemes 8 and 9
-    make no symbolic teleport either, and the honest scheme-4 pairs draw
-    their teleport masks without a register."""
-    _forbid_registers(monkeypatch, ("measure_with",) if teleports
-                      else ("teleport_symbolic", "measure_with"))
+def test_channel_builds_no_register(monkeypatch, run):
+    """The channels call no qsim function, measurement or symbolic
+    teleport: every hidden bit comes from the source's block draws."""
+    _forbid_registers(monkeypatch, ("teleport_symbolic", "measure_with"))
     rng = np.random.default_rng(3)
     for x, poly in _all_cases(2):
         assert run(x, poly, rng) == poly.evaluate(x)
@@ -482,7 +502,8 @@ def _cheater_run(runner, cheater, x, poly, k, source, distributed=False,
 def test_cheater_channel_builds_no_register(monkeypatch, cheater):
     """Under either cheater, run_scheme4 constructs no qsim.QuantumState
     and calls no qsim function or measurement."""
-    _forbid_registers(monkeypatch, ("measure_with", "bell_measure_with"))
+    _forbid_registers(monkeypatch, ("teleport_symbolic", "measure_with",
+                                    "bell_measure_with"))
     rng = np.random.default_rng(3)
     for x, poly in _all_cases(2):
         for distributed in (False, True):
