@@ -539,6 +539,16 @@ def _grid_points(args):
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):
         raise ValueError("n and k must be positive")
+    # a register past seclab's entry cap is refused before anything is
+    # built: scheme 5 keeps a 2^n statevector, and each random R_y layer
+    # of schemes 1 and 2 is a dense 2^n x 2^n unitary
+    if args.scheme in ("1", "2", "5"):
+        n = max(ns)
+        log_entries = n if args.scheme == "5" else 2 * n
+        if log_entries > seclab._ENTRY_CAP.bit_length() - 1:
+            raise ValueError(f"scheme {args.scheme} at n = {n} builds an "
+                             f"array of 2^{log_entries} entries, more than "
+                             f"the cap {seclab._ENTRY_CAP}")
     if getattr(args, "trials", 1) < 1:
         raise ValueError("--trials must be positive")
     for flag in ("R", "traps", "depth"):

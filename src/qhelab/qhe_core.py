@@ -18,14 +18,14 @@ Pauli corrections.
 
 Scheme 6 is the same evaluation with Bob-side trap qubits whose checkpoint
 measurements catch a cheating Alice with constant probability per trap;
-one evaluator runs both schemes.
+one evaluator runs both schemes.  A trap never interacts with the data, so
+each runs on its own one-qubit register with its own frame, and no register
+is wider than the data register.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import qsim
 from .harness import (ALICE, BOB, Transcript, as_source, conjugate_frame,
@@ -133,7 +133,6 @@ class Scheme5Report:
 
 @dataclass
 class TrapRecord:
-    trap_qubit: int
     expected: int
     observed: int
     passed: bool
@@ -207,16 +206,8 @@ def _masked_fidelity(state, frames, alice_bits, ideal):
     return qsim.fidelity(st, ideal)
 
 
-def trap_plan(n, traps, rng):
-    """Bob's trap layout: per trap, a decorative conjugate CNOT pair onto a
-    random data qubit (net identity, so the trap's checkpoint state stays
-    data independent) followed by H, T, T which drives |0> to the +1 Y
-    eigenstate; the checkpoint measures the trap in the Y basis."""
-    return [{"data_qubit": int(rng.integers(n))} for _ in range(traps)]
-
-
-def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
-              alice_strategy=None, check_soundness=False):
+def _evaluate(circuit, input_state, k, source, traps=0, alice_strategy=None,
+              check_soundness=False):
     """The interactive evaluation behind schemes 5 and 6; with traps=0 it
     is scheme 5 exactly."""
     n = circuit.n
@@ -224,9 +215,8 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
     transcript = Transcript()
     report = Scheme5Report(n=n, r_cap=r_cap, nvars=2 * n + 4 * r_cap)
     # Bob's frame: data qubit i is masked by Alice's key variables 2i and
-    # 2i + 1; his trap ancillas start unmasked
-    frames = ([(1 << (2 * i + 1), 1 << (2 * i + 2)) for i in range(n)]
-              + [(0, 0)] * traps)
+    # 2i + 1
+    frames = [(1 << (2 * i + 1), 1 << (2 * i + 2)) for i in range(n)]
     alice_bits = [0] * report.nvars
 
     # step 1: Alice teleports her data to Bob, withholding every correction
@@ -236,10 +226,6 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
                                     sender=ALICE, tag="input")
         alice_bits[2 * i] = rec.mask_x.reveal()
         alice_bits[2 * i + 1] = rec.mask_z.reveal()
-    # Bob's trap ancillas join the register unmasked, in |0>
-    for _ in range(traps):
-        st = qsim.QuantumState(np.kron([1, 0], st.vec))
-    plan = trap_plan(n, traps, plan_rng)
 
     # step 2: Bob evaluates, correcting each T via the distributed gadget.
     # Pauli gates are absorbed into the mask (constant flips), never applied.
@@ -259,43 +245,34 @@ def _evaluate(circuit, input_state, k, source, traps=0, plan_rng=None,
             report.soundness.append(
                 _masked_fidelity(st, frames, alice_bits, ideal))
 
+    # Bob's traps: each is his own qubit, unmasked in |0>, which H, T, T
+    # drive to the +1 Y eigenstate; it never meets the data, so it runs on
+    # a one-qubit register with a one-entry frame
     trap_records = []
     for t in range(traps):
-        tq = n + t
-        d = plan[t]["data_qubit"]
-        for _ in range(2):  # conjugate pair: joint but net-identity on data
-            st = qsim.apply_gate(st, qsim.CNOT, [d, tq])
-            conjugate_frame(frames, "CNOT", (d, tq))
-        st = qsim.apply_gate(st, qsim.H, [tq])
-        conjugate_frame(frames, "H", (tq,))
+        trap = qsim.apply_gate(qsim.basis_state(1), qsim.H, [0])
+        trap_frames = [(0, 0)]  # H maps the empty mask to itself
         for _ in range(2):
-            st = t_gate_step(st, tq, frames, alice_bits, t_index, k, source,
-                             report, alice_strategy)
+            trap = t_gate_step(trap, 0, trap_frames, alice_bits, t_index, k,
+                               source, report, alice_strategy)
             t_index += 1
         # checkpoint: trap should be the +1 Y eigenstate up to the mask;
         # X and Z each flip the Y outcome, so the relevant mask bit is
         # f_a ^ f_b.  Alice sends her share of it (the "reduced" lower
         # -level instance: no mask bit back from Bob, no correction).
-        form = frames[tq][0] ^ frames[tq][1]
+        form = trap_frames[0][0] ^ trap_frames[0][1]
         if (form >> 1) & ((1 << 2 * n) - 1):
             raise AssertionError("trap polynomial touches data key variables")
         a_share, b_share = _distributed_eval(form, alice_bits, k, source,
                                              report, alice_strategy)
         transcript.record(ALICE, [a_share], tag=f"trap-{t}")
         expected = a_share ^ b_share
-        observed, st = measure_with(source, st, "Y", tq)
-        rec = TrapRecord(tq, expected, observed, observed == expected)
+        observed, _ = measure_with(source, trap, "Y", 0)
+        rec = TrapRecord(expected, observed, observed == expected)
         trap_records.append(rec)
         if not rec.passed:
             transcript.record_abort(BOB, f"trap {t} mismatch")
             return Scheme5Run(None, transcript, report, trap_records, BOB)
-
-    # strip the measured trap qubits: each sits in a Y eigenstate known to
-    # Bob and independent of the data, which Wy maps to |observed>
-    for t in range(traps - 1, -1, -1):
-        tq = n + t
-        st = qsim.apply_gate(st, qsim._BASIS_ROT["Y"], [tq])
-        st = qsim.remove_qubit(st, tq, trap_records[t].observed)
 
     # step 3: Bob teleports the data back, withholding his outcomes
     bob_return = []
@@ -332,14 +309,13 @@ def run_scheme5(circuit, input_state, k, rng, check_soundness=False):
                      check_soundness=check_soundness)
 
 
-def run_scheme6(circuit, input_state, k, traps, rng,
-                alice_strategy=None, rng_bob=None):
-    """Verification wrapper: Bob appends `traps` ancilla qubits in |0>,
-    runs the evaluation with each trap routed through [CNOT(d,t)]^2, H, T,
-    T, then checks each trap's Y-basis checkpoint against the mask share
-    Alice must send; any mismatch aborts.  traps=0 reduces to run_scheme5.
+def run_scheme6(circuit, input_state, k, traps, rng, alice_strategy=None):
+    """Verification wrapper: after the circuit, Bob runs `traps` trap
+    qubits, each on its own one-qubit register: |0>, then H, T, T with both
+    T gates corrected through the distributed gadget, then a Y-basis
+    checkpoint against the mask share Alice must send; any mismatch
+    aborts.  No trap touches the data register.  traps=0 reduces to
+    run_scheme5.
     """
-    plan_rng = rng_bob if rng_bob is not None else np.random.default_rng(0)
-    return _evaluate(circuit, input_state, k, as_source(rng),
-                     traps=traps, plan_rng=plan_rng,
+    return _evaluate(circuit, input_state, k, as_source(rng), traps=traps,
                      alice_strategy=alice_strategy)

@@ -35,19 +35,20 @@ likelihoods (lumping changes no distance, information or guess rate).  A
 row is a tensor product of closed-form one-variable laws
 (`_variable_law`), and a trace distance is the total-variation distance
 of two rows.  The one-way scheme (8) has views that do not commute, so
-its distances compare dense densities (`bob_view`); its tables are
-tensor products of one-variable laws too, the lumped law for its Z/X
-pairing attack.  Its densities come from one Pauli form: a pad b in basis
-s has density (I + (-1)^b sigma_s)/2 with sigma_0 = Z and sigma_1 = X, so
-k pads that XOR to x average to (I + (-1)^x S_s)/2^k with S_s the kron of
-the sigma_{s_j}.  Every view, row and table is refused past 2^24 entries
-before it is built.
+its per-variable distance compares two dense k-qubit densities
+(`bob_view`); its tables are tensor products of one-variable laws too, the
+lumped law for its Z/X pairing attack.  A pad b in basis s has density
+(I + (-1)^b sigma_s)/2 with sigma_0 = Z and sigma_1 = X; each pad has its
+own uniform basis bit, so k pads that XOR to x average to
+(I + (-1)^x A^{kron k})/2^k with A = (Z + X)/2.  Dense views exist per
+variable only: no audit reads a joint or uniform scheme-8 view, and the
+tests keep those as a reference.  Every view, row and table is refused
+past 2^24 entries before it is built.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,10 +64,6 @@ from .qhe_core import run_scheme6
 # entries in the largest view density, outcome row or table built: one
 # 12-qubit density, a row of n(k+1) = 24 class bits
 _ENTRY_CAP = 2 ** 24
-
-# _SIGMA[s]: the Pauli matrix of a one-way pad in basis s (Z, then X);
-# real float64, so that view eigensolves stay on the real LAPACK routine
-_SIGMA = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
 # P(Hadamard-basis outcome 0 | computational bit 0) = cos^2(pi/8); the same
 # number appears for |+> versus |->, so the outcome law is basis-blind.
 _C8 = math.cos(math.pi / 8) ** 2
@@ -102,74 +99,52 @@ def _inputs(x, n):
 
 @dataclass(frozen=True)
 class BobView:
-    """Average density operator of the one-way scheme's qubits that Bob
-    receives, conditioned on an input value (or uniform over inputs).
-    bob_view's closed forms are positive by construction; the tests check
-    the spectrum of each view they build."""
+    """Average density operator of the k one-way qubits that Bob receives
+    for one variable, conditioned on its input bit x.  bob_view's closed
+    form is positive by construction; the tests check the spectrum of each
+    view they build."""
 
     scheme: str
-    n: int
     k: int
-    conditioning: object  # int bit value, tuple of bits, or "uniform"
+    x: int
     density: np.ndarray
 
     def __post_init__(self):
         rho = self.density
-        dim = 2 ** self.num_qubits
+        dim = 2 ** self.k
         if rho.shape != (dim, dim):
             raise ValueError(f"scheme {self.scheme} view should cover "
-                             f"{self.num_qubits} qubits")
+                             f"{self.k} qubits")
         if not np.allclose(rho, rho.conj().T, atol=1e-9):
             raise ValueError("view density is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-9:
             raise ValueError("view density has trace != 1")
 
-    @property
-    def num_qubits(self) -> int:
-        if isinstance(self.conditioning, (int, np.integer)):
-            return self.k
-        return self.k * (self.n + 1)
-
 
 def bob_view(scheme, params, x) -> BobView:
-    """Exact average of Bob's received state in the one-way scheme (8)
-    over Alice's hidden randomness.  The round-trip schemes' views are
-    diagonal in the pair basis and are handled as outcome rows instead.
+    """Exact average of Bob's k received qubits of one variable in the
+    one-way scheme (8) over Alice's hidden randomness, for the input bit
+    x; params carries k.  The round-trip schemes' views are diagonal in
+    the pair basis and are handled as outcome rows instead.
 
-    `x` is a single bit (per-variable view), a bit tuple (joint view over
-    the whole input, with the t_j qubits), or "uniform" (mixture over all
-    inputs of the joint view).  params carries n (joint views only) and k.
-
-    With its own basis bits per pad, a variable's view is
-    (I + (-1)^x A^{kron k})/2^k with A = (Z + X)/2.  The joint view averages
-    the kron of the variables' (I + (-1)^{x_i} S_s)/2^k over the shared s,
-    and the uniform mixture is I/2^(k(n+1)).
+    With its own basis bit per pad, a variable's view is
+    (I + (-1)^x A^{kron k})/2^k with A = (Z + X)/2.  Joint views (a bit
+    tuple) and the uniform mixture are refused: no audit reads them, and
+    the tests keep them as a reference.
     """
     scheme = str(scheme)
-    k = int(params["k"])
-    n = int(params.get("n", 1))
     if scheme != "8":
         raise ValueError(f"no view construction for scheme {scheme!r}")
-    inputs = _inputs(x, n)
-    per_variable = isinstance(x, (int, np.integer))
-    qubits = k if per_variable else k * (n + 1)
-    _check_entries(4 ** qubits, f"view on {qubits} qubits")
-    eye = np.eye(2 ** k)
-    if per_variable:
-        (x,) = inputs[0]
-        a = functools.reduce(np.kron, [(_SIGMA[0] + _SIGMA[1]) / 2] * k)
-        return BobView(scheme, 1, k, x, (eye + (-1) ** x * a) / 2 ** k)
-    if x == "uniform":
-        return BobView(scheme, n, k, "uniform",
-                       np.eye(2 ** qubits) / 2 ** qubits)
-    acc = 0  # from int 0: every zero entry of the sum is +0
-    for s in itertools.product(_SIGMA, repeat=k):
-        pauli = functools.reduce(np.kron, s)
-        pm = ((eye + pauli) / 2 ** k, (eye - pauli) / 2 ** k)
-        acc = acc + functools.reduce(np.kron, [pm[b] for b in inputs[0]])
-    # the t_j qubits sit below and average to I/2
-    rho = np.kron(acc, eye / 2 ** k) / 2 ** k
-    return BobView(scheme, n, k, tuple(inputs[0]), rho)
+    if not isinstance(x, (int, np.integer)):
+        raise ValueError("scheme-8 views are built per variable only; "
+                         f"got input {x!r}")
+    k = int(params["k"])
+    x = int(x) & 1
+    _check_entries(4 ** k, f"view on {k} qubits")
+    # A = (Z + X)/2, real float64 so that view eigensolves stay on the
+    # real LAPACK routine
+    a = functools.reduce(np.kron, [np.array([[0.5, 0.5], [0.5, -0.5]])] * k)
+    return BobView(scheme, k, x, (np.eye(2 ** k) + (-1) ** x * a) / 2 ** k)
 
 
 def _view_row(scheme, params, x):
@@ -194,7 +169,8 @@ def privacy_distance(scheme, params, input_a, input_b) -> float:
 
     The round-trip schemes' views are diagonal in the shared pair basis, so
     their distance is that of two outcome rows; the one-way scheme's views
-    do not commute and are compared as dense densities.
+    do not commute and are compared as dense densities, one variable's
+    (two input bits) only.
     """
     scheme = str(scheme)
     if scheme in ("4", "7"):

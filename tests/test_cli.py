@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from qhelab import cli, linpoly as lp
+from qhelab import cli, linpoly as lp, qsim, rebit_schemes
 from qhelab.harness import ProtocolError, enumerate_hidden_adaptive
 from test_linpoly import _all_cases
 from test_seclab import cmi7_oracle, theorem6_c0_oracle
@@ -377,11 +377,25 @@ def test_usage_errors_exit_2(capsys):
                      "--seed", "0"]) == 2
 
 
-def test_degenerate_counts_exit_2(tmp_path, capsys):
-    """Zero trials, negative R/traps/depth and empty grid axes are refused
-    with one JSON error line instead of an empty or vacuous report."""
+def test_degenerate_counts_exit_2(tmp_path, capsys, monkeypatch):
+    """Zero trials, negative R/traps/depth, empty grid axes and registers
+    past the 2^24-entry cap are refused with one JSON error line instead of
+    an empty or vacuous report (or a numpy memory error)."""
+    def no_build(*args):
+        raise AssertionError("register built")
+
+    # refusals come before any register or layer unitary is built
+    monkeypatch.setattr(qsim, "random_state", no_build)
+    monkeypatch.setattr(rebit_schemes, "named_generator", no_build)
     out = tmp_path / "r.jsonl"
-    for argv in (["run", "--scheme", "10", "--n", "1", "--trials", "0"],
+    for argv in (["run", "--scheme", "5", "--n", "40", "--trials", "1"],
+                 ["run", "--scheme", "5", "--n", "1,25", "--trials", "1"],
+                 ["audit", "--metric", "comm", "--scheme", "5", "--n", "40"],
+                 ["run", "--scheme", "2", "--n", "40", "--trials", "1"],
+                 ["run", "--scheme", "2", "--n", "13", "--trials", "1"],
+                 ["run", "--scheme", "1", "--n", "13", "--trials", "1"],
+                 ["audit", "--metric", "comm", "--scheme", "2", "--n", "13"],
+                 ["run", "--scheme", "10", "--n", "1", "--trials", "0"],
                  ["run", "--scheme", "10", "--n", "3..1"],
                  ["run", "--scheme", "8", "--k", "2..1", "--exhaustive"],
                  ["audit", "--metric", "comm", "--scheme", "5", "--n", "1",
@@ -395,6 +409,14 @@ def test_degenerate_counts_exit_2(tmp_path, capsys):
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"]
     assert not out.exists()
+    # the largest registers under the cap pass the check and reach a point
+    for argv in (["run", "--scheme", "5", "--n", "24", "--trials", "1"],
+                 ["run", "--scheme", "1", "--n", "12", "--trials", "1"],
+                 ["audit", "--metric", "comm", "--scheme", "2", "--n", "12"]):
+        assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 3, \
+            argv
+        assert "register built" in capsys.readouterr().err
+    monkeypatch.undo()
     for argv in (["audit", "--metric", "comm", "--scheme", "5", "--n", "1",
                   "--R", "0"],
                  ["run", "--scheme", "2", "--depth", "0", "--trials", "1"]):
@@ -644,6 +666,14 @@ _GOLDEN = [
     (["audit", "--metric", "cmi", "--scheme", "8", "--n", "1..3", "--k",
       "1..2", "--seed", "0"],
      "19c7e65bfbe5fdcbf792039e5f0ea421f2fca2aeff93dcf97dd20d21fb9617f1"),
+    # scheme-6 reports over a k axis and other trap counts, so that every
+    # trap's hidden bits and checkpoint outcome are pinned
+    (["adversary", "--scheme", "6", "--strategy", "probe", "--traps", "3",
+      "--k", "1..2", "--trials", "30", "--seed", "4"],
+     "2a4dfce89df1ca655c19c97dd84d9a71d33066e47d3ad2cf21887cb3980ed29c"),
+    (["adversary", "--scheme", "6", "--strategy", "honest", "--traps", "2",
+      "--k", "1..3", "--trials", "8", "--seed", "9"],
+     "cdaff542ca0fc84d350e71c30c891f968fa35cf94e3948aa5ec67ca5e8344e76"),
 ]
 
 
@@ -651,7 +681,8 @@ _GOLDEN = [
     "scheme6-probe", "scheme6-honest", "scheme5-comm", "scheme10-exhaustive",
     "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi", "scheme1-run",
     "scheme2-run", "scheme5-run", "scheme4-bob", "scheme4-probe",
-    "scheme4-honest", "scheme8-trace-distance", "scheme8-cmi"])
+    "scheme4-honest", "scheme8-trace-distance", "scheme8-cmi",
+    "scheme6-probe-k-axis", "scheme6-honest-k-axis"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

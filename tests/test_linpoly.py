@@ -436,7 +436,7 @@ def test_scheme6_channel_matches_literal(monkeypatch, probe):
         out = qc.run_scheme6(qc.random_clifford_t(2, 2, gen),
                              qsim.random_state(2, gen), 2, 4, gen,
                              alice_strategy=seclab.ProbeAlice() if probe
-                             else None, rng_bob=np.random.default_rng(seed))
+                             else None)
         return (out.aborted, out.transcript.serialize(),
                 [tr.serialize() for tr in out.report.instance_transcripts],
                 None if out.state is None else out.state.vec.tobytes(),

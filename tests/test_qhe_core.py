@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhelab import qhe_core as qc
-from qhelab import qsim
+from qhelab import qsim, seclab
 from qhelab.harness import (RandomBits, bell_measure_with, conjugate_frame,
                             enumerate_hidden, measure_with)
 
@@ -263,8 +263,7 @@ def test_scheme6_honest_run(traps):
     rng = np.random.default_rng(11)
     circ = qc.random_clifford_t(2, 1, rng)
     psi = qsim.random_state(2, rng)
-    run = qc.run_scheme6(circ, psi, 2, traps, rng,
-                         rng_bob=np.random.default_rng(5))
+    run = qc.run_scheme6(circ, psi, 2, traps, rng)
     assert run.aborted is None
     assert len(run.traps) == traps
     assert all(t.passed for t in run.traps)
@@ -286,8 +285,26 @@ def test_scheme6_without_traps_is_scheme5(seed):
     assert np.array_equal(six.state.vec, five.state.vec)
 
 
-def test_trap_plan_is_data_local():
-    plan = qc.trap_plan(3, 4, np.random.default_rng(0))
-    assert len(plan) == 4
-    assert all(0 <= p["data_qubit"] < 3 for p in plan)
-    assert qc.trap_plan(3, 0, None) == []  # no traps, no draws
+@pytest.mark.parametrize("probe", [False, True], ids=["honest", "probe"])
+def test_scheme6_registers_stay_within_the_data(monkeypatch, probe):
+    """Each trap runs on its own one-qubit register: no state that a
+    scheme-6 run builds is wider than the circuit's data register."""
+    widths = []
+    init = qsim.QuantumState.__init__
+
+    def recording_init(self, data):
+        init(self, data)
+        widths.append(self.num_qubits)
+
+    monkeypatch.setattr(qsim.QuantumState, "__init__", recording_init)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        circ = qc.random_clifford_t(2, 2, rng)
+        psi = qsim.random_state(2, rng)
+        widths.clear()
+        run = qc.run_scheme6(circ, psi, 1, 4, rng,
+                             alice_strategy=seclab.ProbeAlice() if probe
+                             else None)
+        assert run.traps and max(widths) <= circ.n
+        if not probe:
+            assert run.aborted is None and len(run.traps) == 4

@@ -120,6 +120,30 @@ def oneway_view_recursion(x, k):
     return np.kron(acc, np.eye(2 ** k) / 2 ** k) / 2 ** k
 
 
+# SIGMA[s]: the Pauli matrix of a one-way pad in basis s (Z, then X)
+SIGMA = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def oneway_view_closed_form(x, n, k):
+    """Reference scheme-8 joint view of a bit tuple x, or the uniform
+    mixture over every input ("uniform"), from one Pauli form: the joint
+    view averages the kron of the variables' (I + (-1)^{x_i} S_s)/2^k over
+    the shared s, with S_s the kron of the SIGMA[s_j] and the t_j qubits
+    below as I/2, and the uniform mixture is I/2^(k(n+1)).  `bob_view`
+    builds per-variable views only; these are the starting point for
+    joint audits."""
+    qubits = k * (n + 1)
+    if x == "uniform":
+        return np.eye(2 ** qubits) / 2 ** qubits
+    eye = np.eye(2 ** k)
+    acc = 0  # from int 0: every zero entry of the sum is +0
+    for s in itertools.product(SIGMA, repeat=k):
+        pauli = functools.reduce(np.kron, s)
+        pm = ((eye + pauli) / 2 ** k, (eye - pauli) / 2 ** k)
+        acc = acc + functools.reduce(np.kron, [pm[b] for b in x])
+    return np.kron(acc, eye / 2 ** k) / 2 ** k
+
+
 def assert_bitwise_equal(got, want):
     """Equal entries and equal signs of zero (a dense eigensolve depends on
     both)."""
@@ -363,7 +387,8 @@ def test_views_match_split_enumeration(scheme, n, k):
     the enumerated density must be diagonal, and its diagonal summed into
     classes must be exactly the row.  The one-way scheme's closed-form
     views also equal the pad recursion bit for bit, signs of zeros
-    included."""
+    included.  Production builds the per-variable views and refuses the
+    joint ones, which come from the reference closed form."""
     if scheme != "8":
         u = pair_basis_literal(n * k)
         inputs = [tuple(seclab._bits(v, n)) for v in range(2 ** n)]
@@ -384,14 +409,16 @@ def test_views_match_split_enumeration(scheme, n, k):
     for v in range(2 ** n):
         xbits = tuple(seclab._bits(v, n))
         literal = joint_view_literal("8", list(xbits), k)
-        checks = [(xbits, oneway_view_recursion(xbits, k), literal)]
+        joint = oneway_view_closed_form(xbits, n, k)
+        assert_bitwise_equal(joint, oneway_view_recursion(xbits, k))
+        assert np.abs(joint - literal).max() < 1e-15
+        assert np.linalg.eigvalsh(joint).min() > -1e-9
+        with pytest.raises(ValueError, match="per variable"):
+            seclab.bob_view("8", params, xbits)
         if n == 1:  # no t_j qubits in a per-variable view
-            checks.append((v, oneway_view_recursion(v, k),
-                           partial_trace_matrix(literal, 2 * k,
-                                                range(k, 2 * k))))
-        for x, ref, want in checks:
-            got = seclab.bob_view("8", params, x).density
-            assert_bitwise_equal(got, ref)
+            got = seclab.bob_view("8", params, v).density
+            assert_bitwise_equal(got, oneway_view_recursion(v, k))
+            want = partial_trace_matrix(literal, 2 * k, range(k, 2 * k))
             assert np.abs(got - want).max() < 1e-15
 
 
@@ -509,18 +536,17 @@ def test_view_row_size_guard_and_validation(monkeypatch):
         seclab.privacy_distance("5", {"k": 1}, 0, 1)
     with pytest.raises(ValueError):
         seclab.bob_view("8", {"k": 13}, 0)
-    with pytest.raises(ValueError):
-        seclab.bob_view("8", {"n": 12, "k": 1}, (0,) * 12)
     # each route checks the entries of the row or view it is about to build
     checked = []
     monkeypatch.setattr(seclab, "_check_entries",
                         lambda entries, what: checked.append(entries))
     seclab.privacy_distance("7", {"n": 3, "k": 2}, (0, 0, 0), "uniform")
     seclab.privacy_distance("4", {"k": 5}, 0, 1)
-    seclab.privacy_distance("8", {"n": 2, "k": 2}, (0, 1), "uniform")
     seclab.privacy_distance("8", {"k": 3}, 0, 1)
-    assert checked == [2 ** 9, 2 ** 9, 2 ** 6, 2 ** 6, 4 ** 6, 4 ** 6,
-                       4 ** 3, 4 ** 3]
+    # scheme-8 joint views are refused before any size check
+    with pytest.raises(ValueError, match="per variable"):
+        seclab.privacy_distance("8", {"n": 2, "k": 2}, (0, 1), "uniform")
+    assert checked == [2 ** 9, 2 ** 9, 2 ** 6, 2 ** 6, 4 ** 3, 4 ** 3]
 
 
 @pytest.mark.parametrize("scheme", ["4", "7"])
@@ -634,32 +660,36 @@ def test_factorization_gap():
 
 
 def test_bob_view_validation_and_caps():
-    """Dense views exist for the one-way scheme only; the round-trip
-    schemes' views are outcome rows."""
+    """Dense views exist for the one-way scheme only, one variable at a
+    time; the round-trip schemes' views are outcome rows."""
     for scheme in ("4", "5", "7"):
         with pytest.raises(ValueError):
             seclab.bob_view(scheme, {"k": 1}, 0)
+    for params, x in [({"n": 6, "k": 2}, (0,) * 6), ({"n": 1, "k": 1}, (0,)),
+                      ({"n": 2, "k": 1}, (0, 0, 0)),
+                      ({"n": 2, "k": 1}, "uniform")]:
+        with pytest.raises(ValueError, match="per variable"):
+            seclab.bob_view("8", params, x)
+        with pytest.raises(ValueError, match="per variable"):
+            seclab.privacy_distance("8", params, x, x)
     with pytest.raises(ValueError):
-        seclab.bob_view("8", {"n": 6, "k": 2}, tuple([0] * 6))
+        seclab.BobView("8", 1, 0, np.eye(2))  # trace 2, not a state
     with pytest.raises(ValueError):
-        seclab.bob_view("8", {"n": 2, "k": 1}, (0, 0, 0))
-    with pytest.raises(ValueError):
-        seclab.BobView("8", 1, 1, 0, np.eye(2))  # trace 2, not a state
+        seclab.BobView("8", 2, 0, np.eye(2) / 2)  # 1 qubit, not k = 2
     with pytest.raises(ValueError, match="positive"):  # the tests' check
-        seclab.BobView("8", 1, 1, 0, np.diag([1.5, -0.5]))
+        seclab.BobView("8", 1, 0, np.diag([1.5, -0.5]))
 
 
 def test_bob_view_uniform_mixes_inputs():
-    """The uniform view is I/dim, and bit for bit the mean of the joint
-    views of every input."""
+    """The reference uniform view is I/dim, and bit for bit the mean of the
+    reference joint views of every input."""
     for n, k in [(1, 1), (2, 2), (3, 1), (2, 3)]:
-        params = {"n": n, "k": k}
-        uni = seclab.bob_view("8", params, "uniform").density
+        uni = oneway_view_closed_form("uniform", n, k)
         dim = 2 ** (k * (n + 1))
         assert_bitwise_equal(uni, np.eye(dim) / dim)
-        joints = [seclab.bob_view("8", params, tuple(seclab._bits(v, n)))
+        joints = [oneway_view_closed_form(tuple(seclab._bits(v, n)), n, k)
                   for v in range(2 ** n)]
-        assert_bitwise_equal(uni, sum(j.density for j in joints) / 2 ** n)
+        assert_bitwise_equal(uni, sum(joints) / 2 ** n)
 
 
 # --- information measures -------------------------------------------------
