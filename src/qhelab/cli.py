@@ -228,9 +228,9 @@ def random_accircuit(scheme, n, depth, rng):
     layers = []
     for _ in range(depth):
         if rng.random() < 0.5:
-            u = rebit_schemes.named_generator("ry_product", n,
-                                              float(rng.uniform(0, math.pi)))
-            layers.append(rebit_schemes.Layer("ydiag", tuple(range(n)), u=u))
+            ry = qsim.ry(float(rng.uniform(0, math.pi))).matrix
+            layers.append(rebit_schemes.Layer("ydiag", tuple(range(n)),
+                                              factors=(ry,) * n))
         else:
             q = 0 if scheme == "1" else int(rng.integers(n))
             layers.append(rebit_schemes.Layer("rz", (q,),

@@ -177,7 +177,10 @@ class RandomBits:
     def draw(self, count: int, tag: str = "") -> list:
         """`count` bits in one generator call.  The generator hands out
         the same bits, and ends in the same state, as `count` calls of
-        bit(); tests/test_harness.py pins this for the installed numpy."""
+        bit(); tests/test_harness.py pins this for the installed numpy.
+        A block of one is the scalar call, which costs a third as much."""
+        if count == 1:
+            return [int(self.rng.integers(2))]
         return self.rng.integers(2, size=count).tolist() if count else []
 
     def outcome(self, p0: float) -> int:

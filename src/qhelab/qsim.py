@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +43,26 @@ class Gate:
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"gate {self.name}: matrix shape {self.matrix.shape} "
                              f"does not match arity {self.arity}")
-        if not np.allclose(self.matrix @ self.matrix.conj().T, np.eye(dim), atol=ATOL):
+        # np.allclose(U U^dagger, I, atol=ATOL) without its Python: the same
+        # elementwise test |U U^dagger - I| <= ATOL + 1e-5 |I|
+        eye = np.eye(dim)
+        err = np.abs(self.matrix @ self.matrix.conj().T - eye)
+        if not (err <= ATOL + 1e-5 * eye).all():
             raise ValueError(f"gate {self.name} is not unitary")
+
+    @classmethod
+    def product(cls, name: str, factors) -> "Gate":
+        """The kron of checked gates, the first on the highest slots, built
+        by the kron chain from [[1]].  A kron of unitaries is unitary, so
+        the product skips the dense U U^dagger check that its factors
+        passed."""
+        matrix = np.array([[1.0 + 0j]])
+        for f in factors:
+            matrix = np.kron(matrix, f.matrix)
+        gate = cls.__new__(cls)
+        gate.name, gate.matrix = name, matrix
+        gate.arity = sum(f.arity for f in factors)
+        return gate
 
 
 # single-qubit constants
@@ -94,7 +113,10 @@ class QuantumState:
         n = int(round(math.log2(data.size)))
         if 2 ** n != data.size:
             raise ValueError("statevector length is not a power of 2")
-        if abs(np.linalg.norm(data) - 1) > 1e-8:
+        # np.linalg.norm's arithmetic for a complex vector, without its
+        # Python; written so that a NaN norm is refused too
+        re, im = data.real, data.imag
+        if not abs(math.sqrt(re.dot(re) + im.dot(im)) - 1) <= 1e-8:
             raise ValueError("statevector is not normalized")
         self.vec = data
         self.num_qubits = n
@@ -119,27 +141,49 @@ def random_state(n: int, rng) -> QuantumState:
 
 def _tensor_apply(arr: np.ndarray, n: int, u: np.ndarray, targets) -> np.ndarray:
     """Apply u on the given qubit axes of a rank-n tensor over axis set
-    where axis (n-1-i) is qubit i."""
+    where axis (n-1-i) is qubit i.
+
+    This is the arithmetic of `np.tensordot` followed by `np.moveaxis`,
+    without their Python set-up: one `np.dot` of u, its columns ordered
+    with slot 0's bit highest, by the register with the target axes first
+    (slot 0's axis first), then one transpose back.  The same dot call on
+    the same operands gives the same bytes.
+    """
     k = len(targets)
-    ut = u.reshape((2,) * (2 * k))
-    in_axes = [2 * k - 1 - j for j in range(k)]
-    arr_axes = [n - 1 - targets[j] for j in range(k)]
-    res = np.tensordot(ut, arr, axes=(in_axes, arr_axes))
-    # res: slot k-1..0 first, then the untouched axes in ascending order
-    return np.moveaxis(res, range(k), [n - 1 - targets[k - 1 - j] for j in range(k)])
+    if k > 1:
+        u = u.reshape((2,) * (2 * k)).transpose(
+            [*range(k), *range(2 * k - 1, k - 1, -1)]).reshape(2 ** k, 2 ** k)
+    forward, back = _axes_plan(n, tuple(targets))
+    res = np.dot(u, arr.transpose(forward).reshape(2 ** k, -1))
+    return res.reshape((2,) * n).transpose(back)
+
+
+@functools.lru_cache(maxsize=4096)
+def _axes_plan(n: int, targets: tuple) -> tuple:
+    """The transposes of `_tensor_apply`: target axes first (slot 0's
+    first) then the rest in order, and back from the dot's axes, which are
+    slot k-1..0 then the rest.  It refuses duplicate or out-of-range
+    targets; a refusal is not cached, so every such call is refused."""
+    if len(set(targets)) != len(targets):
+        raise ValueError("duplicate target qubits")
+    if any(t < 0 or t >= n for t in targets):
+        raise IndexError("target qubit out of range")
+    axes = [n - 1 - t for t in targets]
+    rest = [a for a in range(n) if a not in axes]
+    back = [0] * n
+    for src, dest in enumerate(axes[::-1] + rest):
+        back[dest] = src
+    return tuple(axes + rest), tuple(back)
 
 
 def apply_gate(state: QuantumState, gate: Gate, targets) -> QuantumState:
     if isinstance(targets, int):
         targets = [targets]
-    targets = list(targets)
+    targets = tuple(targets)
     n = state.num_qubits
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubits")
-    if any(t < 0 or t >= n for t in targets):
-        raise IndexError("target qubit out of range")
     if gate.arity != len(targets):
         raise ValueError(f"gate {gate.name} arity {gate.arity} != {len(targets)} targets")
+    # the kernel's axis plan refuses duplicate or out-of-range targets
     arr = _tensor_apply(state.vec.reshape((2,) * n), n, gate.matrix, targets)
     return QuantumState(arr.reshape(-1))
 
@@ -157,7 +201,7 @@ def outcome_probability(state: QuantumState, qubit: int, basis: str = "Z"):
     st = apply_gate(state, rot, [qubit]) if rot is not None else state
     n = st.num_qubits
     arr = st.vec.reshape((2,) * n)
-    p0 = float(np.sum(np.abs(np.take(arr, 0, axis=n - 1 - qubit)) ** 2))
+    p0 = float((np.abs(arr.take(0, axis=n - 1 - qubit)) ** 2).sum())
     return min(max(p0, 0.0), 1.0), st
 
 

@@ -18,12 +18,16 @@ is never sent.  The simulation runs each layer's
 gadget as the channel it implements, with no EPR ancillas, and Bob's view
 is one density on his gadget halves; the literal gadget and the literal
 view are the references in tests/test_rebit_schemes.py.
+
+Each `Layer` owns its `qsim.Gate`, checked once when the layer is built;
+an ry_product layer is checked factor by factor, so a register-wide layer
+never gets a dense check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,13 +38,49 @@ from .harness import measure_with  # noqa: F401
 
 ATOL = 1e-9
 
+# the rz layers' gates, by j: physical controlled-R_y(j*pi) onto the phase
+# qubit, and logical R_z(j*pi/2) = diag(1, i^j)
+_CRY = {j: rebit.controlled_ry(j * math.pi) for j in (1, 3)}
+_RZ = {j: qsim.Gate("Rz", np.diag([1, 1j ** j]), 1) for j in (1, 3)}
+
 
 @dataclass
 class Layer:
+    """One circuit layer.  A ydiag layer is given as its dense unitary `u`
+    or, for a product of one-qubit rotations (an ry_product layer), as its
+    2x2 `factors`, the first on the highest of its qubits; then `u` is set
+    to their kron.  The layer owns its `gate` and is checked once, at
+    construction: a dense `u` by the dense unitarity and Y-diagonal checks,
+    a product by its factors', since a kron of unitary, Y-diagonal (real)
+    factors is unitary, Y-diagonal (real)."""
     kind: str                 # "ydiag" or "rz"
     qubits: tuple             # data qubits the layer touches
     u: np.ndarray | None = None   # ydiag: 2^K x 2^K unitary
     j: int | None = None          # rz: R_z(j*pi/2) with j in {1, 3}
+    factors: tuple | None = None  # ydiag: 2x2 factors whose kron is u
+    gate: qsim.Gate | None = field(default=None, init=False, repr=False)
+    real: bool = field(default=True, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind != "ydiag":
+            return
+        if self.factors is None:
+            self.gate = qsim.Gate("U", self.u, len(self.qubits))
+            checked = [self.gate.matrix]
+        else:
+            gates = {}  # one check per distinct factor; a product often repeats one
+            for f in self.factors:
+                if id(f) not in gates:
+                    gates[id(f)] = qsim.Gate("factor", f, 1)
+            self.gate = qsim.Gate.product(
+                "U", [gates[id(f)] for f in self.factors])
+            if self.gate.arity != len(self.qubits):
+                raise ValueError("layer qubit count does not match its factors")
+            self.u = self.gate.matrix
+            checked = [g.matrix for g in gates.values()]
+        if not all(rebit.is_y_diagonal(m) for m in checked):
+            raise ValueError("layer unitary is not Y-diagonal")
+        self.real = max(np.max(np.abs(m.imag)) for m in checked) <= ATOL
 
 
 @dataclass
@@ -52,12 +92,8 @@ class AlmostCommutingCircuit:
     def __post_init__(self):
         for layer in self.layers:
             if layer.kind == "ydiag":
-                if not rebit.is_y_diagonal(layer.u):
-                    raise ValueError("layer unitary is not Y-diagonal")
-                if self.require_real and np.max(np.abs(np.imag(layer.u))) > ATOL:
+                if self.require_real and not layer.real:
                     raise ValueError("layer unitary is not real")
-                if len(layer.qubits) != int(round(math.log2(layer.u.shape[0]))):
-                    raise ValueError("layer qubit count does not match matrix")
             elif layer.kind == "rz":
                 if layer.j not in (1, 3):
                     raise ValueError("rz layers allow j in {1, 3} only")
@@ -103,11 +139,9 @@ def logical_oracle(circuit: AlmostCommutingCircuit, psi: np.ndarray) -> np.ndarr
     st = qsim.QuantumState(psi)
     for layer in circuit.layers:
         if layer.kind == "ydiag":
-            st = qsim.apply_gate(st, qsim.Gate("U", layer.u, len(layer.qubits)),
-                                 list(layer.qubits))
+            st = qsim.apply_gate(st, layer.gate, list(layer.qubits))
         else:
-            g = qsim.Gate("Rz", np.diag([1, 1j ** layer.j]), 1)
-            st = qsim.apply_gate(st, g, [layer.qubits[0]])
+            st = qsim.apply_gate(st, _RZ[layer.j], [layer.qubits[0]])
     return st.vec
 
 
@@ -137,7 +171,7 @@ def _gadget_layer(state, layer, frames, source, transcript, bob_local=()):
     st = state
     for q in anti:
         st = qsim.apply_gate(st, qsim.Z, [q])
-    st = qsim.apply_gate(st, qsim.Gate("U", layer.u, len(qubits)), qubits)
+    st = qsim.apply_gate(st, layer.gate, qubits)
     for q in anti:
         st = qsim.apply_gate(st, qsim.Z, [q])
     for q, g in zip(qubits, g_bits):
@@ -167,8 +201,7 @@ def _run(circuit, input_state, source, scheme, mask_bits=None):
             st = _gadget_layer(st, layer, frames, source, transcript, bob_local)
         else:
             d = layer.qubits[0]
-            st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
-                                 [d, n])
+            st = qsim.apply_gate(st, _CRY[layer.j], [d, n])
             conjugate_frame(frames, "CRY", (d, n))
     # Bob sends the data-qubit corrections: 2 bits per data qubit
     correction_bits = []
@@ -234,7 +267,6 @@ def bob_view(circuit, input_state, scheme=2):
                 st = qsim.QuantumState(np.kron(plus, st.vec))
                 st = qsim.apply_gate(st, qsim.C_IY, [st.num_qubits - 1, q])
         else:
-            st = qsim.apply_gate(st, rebit.controlled_ry(layer.j * math.pi),
-                                 [layer.qubits[0], n])
+            st = qsim.apply_gate(st, _CRY[layer.j], [layer.qubits[0], n])
     halves = st.vec.reshape(-1, 2 ** (n + 1))
     return halves @ halves.conj().T

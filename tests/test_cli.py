@@ -381,12 +381,12 @@ def test_degenerate_counts_exit_2(tmp_path, capsys, monkeypatch):
     """Zero trials, negative R/traps/depth, empty grid axes and registers
     past the 2^24-entry cap are refused with one JSON error line instead of
     an empty or vacuous report (or a numpy memory error)."""
-    def no_build(*args):
+    def no_build(*args, **kwargs):
         raise AssertionError("register built")
 
-    # refusals come before any register or layer unitary is built
+    # refusals come before any register or circuit layer is built
     monkeypatch.setattr(qsim, "random_state", no_build)
-    monkeypatch.setattr(rebit_schemes, "named_generator", no_build)
+    monkeypatch.setattr(rebit_schemes, "Layer", no_build)
     out = tmp_path / "r.jsonl"
     for argv in (["run", "--scheme", "5", "--n", "40", "--trials", "1"],
                  ["run", "--scheme", "5", "--n", "1,25", "--trials", "1"],
@@ -674,6 +674,14 @@ _GOLDEN = [
     (["adversary", "--scheme", "6", "--strategy", "honest", "--traps", "2",
       "--k", "1..3", "--trials", "8", "--seed", "9"],
      "cdaff542ca0fc84d350e71c30c891f968fa35cf94e3948aa5ec67ca5e8344e76"),
+    # scheme-1/2 fidelity reports up to n = 8: every ry_product layer's
+    # bytes and the statevector kernel's arithmetic at every register width
+    (["run", "--scheme", "1", "--n", "1..8", "--depth", "4", "--trials", "5",
+      "--seed", "7"],
+     "2090b810ced3fa9122d621fced532ac6b051941f1dbceec3f40f3e4f7e8cf4f1"),
+    (["run", "--scheme", "2", "--n", "1..8", "--depth", "4", "--trials", "5",
+      "--seed", "7"],
+     "00b8bc36971d4351251184b0d32142fb231a5dddbc7b26e6fcc7b7abacc31d33"),
 ]
 
 
@@ -682,7 +690,8 @@ _GOLDEN = [
     "scheme2-comm", "scheme4-trace-distance", "scheme7-cmi", "scheme1-run",
     "scheme2-run", "scheme5-run", "scheme4-bob", "scheme4-probe",
     "scheme4-honest", "scheme8-trace-distance", "scheme8-cmi",
-    "scheme6-probe-k-axis", "scheme6-honest-k-axis"])
+    "scheme6-probe-k-axis", "scheme6-honest-k-axis", "scheme1-run-n1-8",
+    "scheme2-run-n1-8"])
 def test_golden_seeded_reports(tmp_path, argv, digest):
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--output", str(out)]) == 0

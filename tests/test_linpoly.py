@@ -110,11 +110,15 @@ def encode_pair(x, s):
     In the Z-basis variant (s=0) the first qubit carries x; in the X-basis
     variant (s=1) the second qubit carries x as a relative sign.
     """
-    if s == 0:
-        first, second = _ENC[(int(x) & 1, 0)], _ENC[(0, 0)]
-    else:
-        first, second = _ENC[(0, 1)], _ENC[(int(x) & 1, 1)]
-    return product_state(first, second)
+    return qsim.QuantumState(_PAIRS[int(x) & 1, s].copy())
+
+
+# the four pad-pair registers, built once: the literal references make
+# tens of thousands of them
+_PAIRS = {(x, 0): product_state(_ENC[(x, 0)], _ENC[(0, 0)]).vec
+          for x in (0, 1)}
+_PAIRS.update({(x, 1): product_state(_ENC[(0, 1)], _ENC[(x, 1)]).vec
+               for x in (0, 1)})
 
 
 def literal_intercept(state, source):
@@ -376,17 +380,24 @@ def test_channel_matches_literal_on_seeded_runs(runner, n, size):
         assert runs[0][0] == poly.evaluate(x)
 
 
-# Every case at (1, 1); past it, one case whose pairs take both a_i values
-# and a nonzero a_i x_ij term, since every branch of one case already costs
-# the literal reference seconds.
+# Every case at (1, 1).  Past it every branch of one case costs the literal
+# reference seconds, so the cases are picked: _WIDE's pairs take both a_i
+# values and a nonzero a_i x_ij term, and with _COVER each pair position
+# takes every (x_i, a_i) value and c both values; at k = 2 the two cases
+# differ in x, a and c.
 _WIDE = ([1, 1], lp.LinearPolynomial((0, 1), 1))
+_COVER = [([0, 1], lp.LinearPolynomial((0, 1), 0)),
+          ([0, 1], lp.LinearPolynomial((1, 0), 1)),
+          ([1, 0], lp.LinearPolynomial((0, 1), 0)),
+          ([1, 0], lp.LinearPolynomial((1, 0), 1))]
 
 
 @pytest.mark.parametrize("n,k,m,cases", [
     (1, 1, 1, list(_all_cases(1))),
-    (2, 1, 1, [_WIDE]),
+    (2, 1, 1, [_WIDE, *_COVER]),
     (2, 1, 2, [_WIDE]),
-    (1, 2, 1, [([1], lp.LinearPolynomial((1,), 0))]),
+    (1, 2, 1, [([1], lp.LinearPolynomial((1,), 0)),
+               ([0], lp.LinearPolynomial((0,), 1))]),
 ], ids=["1-1-1", "2-1-1", "2-1-2", "1-2-1"])
 def test_scheme4_channel_matches_literal_on_every_branch(n, k, m, cases):
     """On every hidden-bit branch the honest pairs' channel consumes the

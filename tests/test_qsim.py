@@ -70,6 +70,8 @@ def test_quantum_state_is_statevector_only():
         qsim.QuantumState(np.ones(3) / math.sqrt(3))
     with pytest.raises(ValueError):
         qsim.QuantumState(np.ones(2))
+    with pytest.raises(ValueError, match="normalized"):
+        qsim.QuantumState(np.array([np.nan, 0]))
 
 
 def test_gate_unitarity_enforced():
@@ -77,6 +79,78 @@ def test_gate_unitarity_enforced():
         qsim.Gate("bad", np.array([[1, 0], [0, 2]]), 1)
     with pytest.raises(ValueError):
         qsim.Gate("shape", np.eye(2), 2)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.floats(-3e-5, 3e-5), st.floats(-3e-10, 3e-10))
+@settings(deadline=None, max_examples=300)
+def test_gate_check_is_allclose(seed, arity, scale, skew):
+    """The unitarity check refuses exactly what np.allclose(U U^dagger, I,
+    atol=ATOL) refuses, near both of its tolerances: a scaled unitary
+    moves the diagonal, a skewed one the off-diagonal entries."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** arity
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
+    m = q * (1 + scale)
+    m[0, -1] += skew
+    ok = np.allclose(m @ m.conj().T, np.eye(dim), atol=qsim.ATOL)
+    try:
+        qsim.Gate("g", m, arity)
+    except ValueError:
+        assert not ok
+    else:
+        assert ok
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6),
+       st.floats(-2e-8, 2e-8))
+@settings(deadline=None, max_examples=300)
+def test_norm_check_is_linalg_norm(seed, n, scale):
+    """QuantumState refuses exactly the vectors whose np.linalg.norm is
+    more than 1e-8 from 1."""
+    v = qsim.random_state(n, np.random.default_rng(seed)).vec * (1 + scale)
+    ok = abs(np.linalg.norm(v) - 1) <= 1e-8
+    try:
+        qsim.QuantumState(v)
+    except ValueError:
+        assert not ok
+    else:
+        assert ok
+
+
+def test_gate_product_is_the_kron_chain():
+    factors = [qsim.ry(0.3), qsim.CNOT, qsim.T]
+    gate = qsim.Gate.product("U", factors)
+    want = np.array([[1.0 + 0j]])
+    for f in factors:
+        want = np.kron(want, f.matrix)
+    assert gate.matrix.tobytes() == want.tobytes()
+    assert gate.arity == 4 and gate.name == "U"
+    qsim.Gate("U", gate.matrix, 4)  # unitary, as a kron of unitaries is
+    # the last factor on the lowest slots
+    psi = qsim.random_state(5, np.random.default_rng(0))
+    one_by_one = qsim.apply_gate(psi, qsim.T, [0])
+    one_by_one = qsim.apply_gate(one_by_one, qsim.CNOT, [1, 2])
+    one_by_one = qsim.apply_gate(one_by_one, qsim.ry(0.3), [4])
+    assert np.allclose(qsim.apply_gate(psi, gate, [0, 1, 2, 4]).vec,
+                       one_by_one.vec, atol=1e-12)
+
+
+def test_apply_gate_refuses_bad_targets():
+    """Duplicate, out-of-range and miscounted targets are refused, on
+    every call (a refusal is not remembered as a plan)."""
+    psi = qsim.basis_state(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            qsim.apply_gate(psi, qsim.CNOT, [1, 1])
+        for bad in ([3], [-1], 5):
+            with pytest.raises(IndexError):
+                qsim.apply_gate(psi, qsim.X, bad)
+        with pytest.raises(ValueError, match="arity"):
+            qsim.apply_gate(psi, qsim.CNOT, [0])
+    # the same targets are fine on a register wide enough
+    qsim.apply_gate(qsim.basis_state(4), qsim.X, [3])
 
 
 def _kron_oracle(n, u, targets):
@@ -121,6 +195,43 @@ def test_apply_gate_matches_kron_oracle(seed):
     got = qsim.apply_gate(psi, gate, targets).vec
     want = _kron_oracle(n, gate.matrix, targets) @ psi.vec
     assert np.allclose(got, want, atol=1e-10)
+
+
+def tensordot_apply(arr, n, u, targets):
+    """The tensordot kernel that qsim._tensor_apply replaced: the
+    reference its bytes are checked against."""
+    k = len(targets)
+    ut = u.reshape((2,) * (2 * k))
+    in_axes = [2 * k - 1 - j for j in range(k)]
+    arr_axes = [n - 1 - targets[j] for j in range(k)]
+    res = np.tensordot(ut, arr, axes=(in_axes, arr_axes))
+    return np.moveaxis(res, range(k),
+                       [n - 1 - targets[k - 1 - j] for j in range(k)])
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 8))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                            max_size=min(3, n), unique=True))
+    return n, targets, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_kernel_cases())
+@settings(deadline=None, max_examples=300)
+def test_kernel_is_bitwise_the_tensordot_kernel(case):
+    """The same bytes as tensordot + moveaxis, for every target order, on
+    random complex gates (unitary or not) and registers."""
+    n, targets, seed = case
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(targets)
+    u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    arr = (rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).reshape(
+        (2,) * n)
+    got = qsim._tensor_apply(arr, n, u, targets)
+    want = tensordot_apply(arr, n, u, targets)
+    assert got.shape == want.shape
+    assert got.reshape(-1).tobytes() == want.reshape(-1).tobytes()
 
 
 def test_measure_probabilities_and_post_state():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhelab import cli, qsim, rebit, rebit_schemes as rs
 from qhelab.harness import (ALICE, FixedBits, RandomBits, Transcript,
@@ -199,6 +200,76 @@ def test_layer_validation():
     rs.AlmostCommutingCircuit(
         2, [rs.Layer("ydiag", (0, 1), u=rs.named_generator("exp_yy", 2, 0.3))],
         require_real=False)
+
+
+def test_layer_refuses_a_bad_factor():
+    """An ry_product-style layer is checked factor by factor: a factor that
+    is not Y-diagonal, not real or not unitary is refused, wherever it
+    sits in the product."""
+    ry = qsim.ry(0.7).matrix
+    bad = [(qsim.H.matrix, "not Y-diagonal"), (1j * ry, "not real"),
+           (2 * ry, "not unitary")]
+    for (factor, message), pos in itertools.product(bad, range(3)):
+        factors = [ry] * 3
+        factors[pos] = factor
+        with pytest.raises(ValueError, match=message):
+            rs.AlmostCommutingCircuit(3, [
+                rs.Layer("ydiag", (0, 1, 2), factors=tuple(factors))])
+    # a complex Y-diagonal factor is allowed when require_real is off
+    rs.AlmostCommutingCircuit(2, [rs.Layer("ydiag", (0, 1),
+                                           factors=(ry, 1j * ry))],
+                              require_real=False)
+    with pytest.raises(ValueError, match="qubit count"):
+        rs.Layer("ydiag", (0, 1), factors=(ry,))
+
+
+_FACTORS = {
+    "ry": lambda t: qsim.ry(t).matrix,
+    "i*ry": lambda t: 1j * qsim.ry(t).matrix,       # Y-diagonal, complex
+    "exp_y": lambda t: rs.named_generator("exp_yy", 1, t),
+    "rx": lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
+                              [-1j * math.sin(t / 2), math.cos(t / 2)]]),
+    "h": lambda t: qsim.H.matrix,
+    "t": lambda t: qsim.T.matrix,
+}
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(_FACTORS)),
+                          st.floats(-3, 3)), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=100)
+def test_factor_checks_agree_with_the_dense_checks(spec):
+    """The factor route refuses a non-Y-diagonal product exactly when the
+    dense is_y_diagonal of its kron does, and what it accepts passes every
+    dense check; its u is the kron chain named_generator builds."""
+    factors = tuple(_FACTORS[name](theta) for name, theta in spec)
+    k = len(factors)
+    dense = np.array([[1.0 + 0j]])
+    for f in factors:
+        dense = np.kron(dense, f)
+    try:
+        layer = rs.Layer("ydiag", tuple(range(k)), factors=factors)
+    except ValueError as err:
+        assert "not Y-diagonal" in str(err)
+        assert not rebit.is_y_diagonal(dense)
+        return
+    assert rebit.is_y_diagonal(dense)
+    assert layer.u.tobytes() == dense.tobytes()
+    assert layer.gate.matrix is layer.u and layer.gate.arity == k
+    qsim.Gate("U", layer.u, k)  # the dense unitarity check
+    if layer.real:
+        assert np.max(np.abs(layer.u.imag)) <= rs.ATOL
+        rs.AlmostCommutingCircuit(k, [layer])
+    else:
+        with pytest.raises(ValueError, match="not real"):
+            rs.AlmostCommutingCircuit(k, [layer])
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_ry_product_layer_has_the_dense_generator_bytes(k):
+    ry = qsim.ry(0.9).matrix
+    layer = rs.Layer("ydiag", tuple(range(k)), factors=(ry,) * k)
+    assert layer.u.tobytes() == rs.named_generator("ry_product", k,
+                                                   0.9).tobytes()
 
 
 def test_validate_for_scheme_restrictions():
