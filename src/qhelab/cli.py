@@ -107,13 +107,24 @@ def _row(scheme, params, metric, expected, observed, tolerance, seed,
                         provenance)
 
 
+# points one grid axis may hold; its length is checked from the text
+# before the axis is built
+_MAX_AXIS = 1024
+
+
 def _parse_range(text):
     """Grid axis syntax: "2", "1..3", or "1,2,4"."""
     text = str(text)
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        lo, hi = (int(v) for v in text.split(".."))
+        axis, length = range(lo, hi + 1), hi - lo + 1
+    else:
+        axis = text.split(",")
+        length = len(axis)
+    if length > _MAX_AXIS:
+        raise ValueError(f"a grid axis of {length} points is more than "
+                         f"the cap {_MAX_AXIS}")
+    return [int(v) for v in axis]
 
 
 # --- correctness runners --------------------------------------------------
@@ -519,6 +530,9 @@ def _grid_points(args):
             raise ValueError("--traps applies to the scheme-6 bench only")
         if args.traps is None:
             args.traps = 4
+        if args.strategy == "probe" and args.traps == 0:
+            raise ValueError("the probe bench needs --traps of at least 1: "
+                             "with no trap nothing can detect the probe")
     if args.command == "run" and args.scheme == "6":
         raise ValueError("scheme 6 has no run mode; use the adversary "
                          "command for scheme 6")

@@ -111,38 +111,90 @@ class Form:
     __bool__ = __int__ = __index__ = __eq__ = _refuse
 
 
+@dataclass
+class _Block:
+    """A run of one-bit messages from one sender on consecutive rounds,
+    the first at `round`: message i holds bits[i] and is tagged tag(i)."""
+
+    sender: str
+    bits: list
+    round: int
+    tag: object  # index -> tag
+
+    def expand(self) -> list:
+        return [Message(self.sender, [b], self.round + i, self.tag(i))
+                for i, b in enumerate(self.bits)]
+
+
+def _clean_bits(sender, bits) -> list:
+    """The payload as recorded: known bits as ints, a Form as it is, for
+    a symbolic run that reads outputs and bit counts but never
+    serializes.  Refuses an unknown sender, a secret and a non-bit."""
+    if sender not in (ALICE, BOB):
+        raise ProtocolError(f"unknown sender {sender!r}")
+    if set(map(type, bits)) <= {int} and set(bits) <= {0, 1}:
+        return list(bits)  # known bits only: nothing to convert
+    clean = []
+    for b in bits:
+        if isinstance(b, Form):
+            clean.append(b)
+            continue
+        if isinstance(b, SecretBit):
+            raise ProtocolError(
+                f"secret bit {b.tag!r} almost written to the transcript")
+        if b not in (0, 1):
+            raise ProtocolError(f"non-bit payload {b!r}")
+        clean.append(int(b))
+    return clean
+
+
 class Transcript:
-    """Ordered record of every inter-party classical message."""
+    """Ordered record of every inter-party classical message.
+
+    A run of one-bit messages from one sender can be stored as one block
+    (record_block); `messages` and `serialize` expand it into the messages
+    that recording them one at a time would give, and `bits_from` and
+    comm_audit read its bits as they are."""
 
     def __init__(self):
-        self.messages: list[Message] = []
+        self._entries: list = []  # Messages and _Blocks, in round order
+        self._rounds = 0  # the next message's round
+
+    @property
+    def messages(self) -> list:
+        """Every message in round order, each block expanded."""
+        out = []
+        for e in self._entries:
+            if isinstance(e, _Block):
+                out.extend(e.expand())
+            else:
+                out.append(e)
+        return out
 
     def record(self, sender: str, bits, tag: str = ""):
-        """Append one message; a Form is kept as it is, for a symbolic run
-        that reads outputs and bit counts but never serializes."""
-        if sender not in (ALICE, BOB):
-            raise ProtocolError(f"unknown sender {sender!r}")
-        clean = []
-        for b in bits:
-            if isinstance(b, Form):
-                clean.append(b)
-                continue
-            if isinstance(b, SecretBit):
-                raise ProtocolError(
-                    f"secret bit {b.tag!r} almost written to the transcript")
-            if b not in (0, 1):
-                raise ProtocolError(f"non-bit payload {b!r}")
-            clean.append(int(b))
-        self.messages.append(Message(sender, clean, self.next_round(), tag))
+        """Append one message."""
+        clean = _clean_bits(sender, bits)
+        self._entries.append(Message(sender, clean, self._rounds, tag))
+        self._rounds += 1
+
+    def record_block(self, sender: str, bits, tag):
+        """Append len(bits) one-bit messages at once: message i holds
+        bits[i] and is tagged tag(i), as record(sender, [b], tag(i)) for
+        each bit in turn would give.  A payload that record refuses is
+        refused whole, with record's error."""
+        clean = _clean_bits(sender, bits)
+        if clean:
+            self._entries.append(_Block(sender, clean, self._rounds, tag))
+            self._rounds += len(clean)
 
     def record_abort(self, party: str, reason: str = ""):
-        self.messages.append(Message(party, [], self.next_round(), f"abort:{reason}"))
-
-    def next_round(self) -> int:
-        return self.messages[-1].round + 1 if self.messages else 0
+        self._entries.append(Message(party, [], self._rounds,
+                                     f"abort:{reason}"))
+        self._rounds += 1
 
     def bits_from(self, sender: str) -> list:
-        return [b for m in self.messages if m.sender == sender for b in m.bits]
+        return [b for e in self._entries if e.sender == sender
+                for b in e.bits]
 
     def serialize(self) -> str:
         """One line per message: `round sender tag hexbits`.
@@ -160,9 +212,11 @@ class Transcript:
 
 
 def comm_audit(transcript: Transcript, direction: str) -> int:
-    """Exact bit count sent in `direction`, e.g. "Bob->Alice"."""
+    """Exact bit count sent in `direction`, e.g. "Bob->Alice"; a block
+    counts by its length."""
     sender = direction.split("->")[0].strip()
-    return len(transcript.bits_from(sender))
+    return sum(len(e.bits) for e in transcript._entries
+               if e.sender == sender)
 
 
 class RandomBits:

@@ -48,8 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .harness import (ALICE, BOB, Message, ProtocolError, Transcript,
-                      as_source)
+from .harness import ALICE, BOB, ProtocolError, Transcript, as_source
 # unused here, but the bench tracer's self-test checks this binding
 from .harness import measure_with  # noqa: F401
 
@@ -150,8 +149,12 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     Every pad pair runs as its Pauli-frame channel, with no register and no
     teleport: the hidden bits come in blocks, one each for the basis bits,
     the pads, the forward masks and (unless Bob cheats) the return masks,
-    in the order the literal protocol draws them.  tests/test_linpoly.py
-    keeps the literal two-qubit pairs, cheaters included, as the reference.
+    in the order the literal protocol draws them.  The bookkeeping runs
+    over those blocks too: Alice's 2nk forward disclosures and Bob's v
+    bits are one transcript block each, and each pair's mask parities
+    come from one pass over the return masks, with ^ and & only, so
+    known bits and Forms take the same path.  tests/test_linpoly.py keeps
+    the literal two-qubit pairs, cheaters included, as the reference.
 
     `bob_strategy` is an optional cheating-Bob plugin.  Its intercept hook
     gets each received pair as two Z/X eigenstates ((basis, bit), (basis,
@@ -176,23 +179,21 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
         raise ValueError("adversary strategies support only m=1")
     if alice_strategy is not None and bob_strategy is not None:
         raise ValueError("only one party may cheat in a run")
-    probe = (0, 0) if alice_strategy else None
     source = as_source(rng)
     transcript = Transcript()
     blocks = n // m
 
-    # Alice: basis bits, pads, forward teleports.  Pair p = i*k + j
-    # withholds the Z correction on its first qubit, fwd[2p], and the X
-    # correction on its second, fwd[2p + 1], and discloses the other two
-    # as 0 at once; t_ij is whichever withheld bit stays relevant under
-    # her measurement basis.
+    # Alice: basis bits, pads, forward teleports.  Block b's basis bit
+    # for pad j is s[b*k + j].  Pair p = i*k + j withholds the Z
+    # correction on its first qubit, fwd[2p], and the X correction on its
+    # second, fwd[2p + 1], and discloses the other two as 0 at once: one
+    # block of 2nk one-bit messages.  t_ij is whichever withheld bit stays
+    # relevant under her measurement basis.
     s = source.draw(blocks * k, "s")
-    s = [s[b * k:(b + 1) * k] for b in range(blocks)]
     x_split = _split_bits(x, k, source)
     fwd = source.draw(2 * n * k, "fwd")
-    transcript.messages.extend(
-        Message(ALICE, [0], r, f"fwd-{r // (2 * k)}-{r // 2 % k}")
-        for r in range(2 * n * k))
+    transcript.record_block(ALICE, [0] * (2 * n * k),
+                            lambda r: f"fwd-{r // (2 * k)}-{r // 2 % k}")
 
     # Bob: CNOT exactly when a_i=0, then return teleports withholding all
     # correction bits, ret[4p:4p + 4] = (mx, mz) of each qubit; the
@@ -209,7 +210,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
                 p = i * k + j
                 pair = bob_strategy.intercept(
                     (("Z", x_split[i][j]), ("Z", fwd[2 * p + 1]))
-                    if s[i // m][j] == 0
+                    if s[i // m * k + j] == 0
                     else (("X", fwd[2 * p]), ("X", x_split[i][j])), source)
                 if poly.a[i] == 0 and [b for b, _ in pair] != ["Z", "X"]:
                     raise ProtocolError("Bob's CNOT on this pair has no "
@@ -219,51 +220,51 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
 
     # Bob's mask bookkeeping: X^mx Z^mz = (phase) Y^mx Z^(mx^mz), so the
     # sigma_y mask bit per qubit is mx and the sigma_z mask bit is mx^mz.
-    # He discloses only the per-block parity of the sigma_z bits.
+    # Pair p's two qubits give the parities mx[p] and mz[p].  He keeps the
+    # sigma_y parity of every pair and discloses, per block and pad index,
+    # v[b*k + j], the parity of the sigma_z bits: one block of messages.
+    mx = [a ^ b for a, b in zip(ret[0::4], ret[2::4])]
+    mz = [a ^ b for a, b in zip(ret[1::4], ret[3::4])]
     y_total = 0
-    v = [[0] * k for _ in range(blocks)]
-    for b in range(blocks):
-        for j in range(k):
-            par = 0
-            for i in range(b * m, (b + 1) * m):
-                p = i * k + j
-                mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
-                y_total ^= mx1 ^ mx2
-                par ^= mx1 ^ mz1 ^ mx2 ^ mz2
-            v[b][j] = par
-            transcript.record(BOB, [par], tag=f"v-{b}-{j}")
+    for bit in mx:
+        y_total ^= bit
+    v = [0] * (blocks * k)
+    for p, (px, pz) in enumerate(zip(mx, mz)):  # pair i*k + j, block i//m
+        v[p // (m * k) * k + p % k] ^= px ^ pz
+    transcript.record_block(BOB, v, lambda q: f"v-{q // k}-{q % k}")
 
     # Alice: basis-matched measurements, pad removal, block assembly.
     y0 = 0
     for b in range(blocks):
         for j in range(k):
-            g = s[b][j] & v[b][j]
+            sbj = s[b * k + j]
+            g = sbj & v[b * k + j]
             for i in range(b * m, (b + 1) * m):
                 p = i * k + j
-                z1, x2 = fwd[2 * p], fwd[2 * p + 1]
-                mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
-                if probe == (i, j):
+                if alice_strategy is not None and p == 0:  # the probe
                     # The forward masks' Z (first qubit) and X (second)
                     # and Bob's CNOT (a_i=0) flip the X(x)Z sign; each
                     # return mask flips a sign its part anticommutes with.
+                    z1, x2 = fwd[2 * p], fwd[2 * p + 1]
+                    mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
                     signs = (z1 ^ x2 ^ poly.a[i] ^ 1 ^ mz1 ^ mx2, mx1 ^ mz2)
                     g = alice_strategy.measure_pair(
-                        signs, x_split[i][j], v[b][j], z1, x2)
+                        signs, x_split[i][j], v[b * k + j], z1, x2)
                 elif bob_strategy is not None:
                     # The return masks' X parts flip Z values and their Z
                     # parts X values.
-                    basis = "ZX"[s[b][j]]
-                    masks = ((mx1, mz1), (mx2, mz2))
-                    for (held, bit), (mx, mz) in zip(pairs[p], masks):
-                        qubit = (held, bit ^ (mx if held == "Z" else mz))
+                    basis = "ZX"[sbj]
+                    masks = (ret[4 * p:4 * p + 2], ret[4 * p + 2:4 * p + 4])
+                    for (held, bit), (mxq, mzq) in zip(pairs[p], masks):
+                        qubit = (held, bit ^ (mxq if held == "Z" else mzq))
                         g ^= _measure_eigenstate(qubit, basis, source)[1]
-                    g ^= x2 if s[b][j] == 0 else z1  # t_ij
+                    g ^= fwd[2 * p + 1] if sbj == 0 else fwd[2 * p]  # t_ij
                 else:
                     # The forward masks leave Z values (x, a2) or X values
                     # (b1, x), Bob's CNOT (a_i=0) adds x into the other
                     # qubit and the return masks' X (s=0) or Z (s=1) parts
                     # flip both, so o1 ^ o2 ^ t_ij = a_i x_ij ^ their parity.
-                    flips = (mz1 ^ mz2) if s[b][j] else (mx1 ^ mx2)
+                    flips = mz[p] if sbj else mx[p]
                     g ^= (poly.a[i] & x_split[i][j]) ^ flips
             y0 ^= g
     bob_bit = poly.c ^ y_total

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import textwrap
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -45,6 +46,33 @@ def test_parse_range():
     assert cli._parse_range("3") == [3]
     assert cli._parse_range("1..3") == [1, 2, 3]
     assert cli._parse_range("1,4") == [1, 4]
+
+
+def test_overlong_axis_exits_2_before_it_is_built(capsys):
+    """An axis past the cap is refused from its endpoints or its comma
+    count, before its list is built: a 2-million-point axis allocates
+    well under the 16 MB its list would take, so one of 10^11 points is
+    refused too, where it used to end in a MemoryError.  `--k 0` makes
+    sure that no point runs even if an axis passed."""
+    cap = cli._MAX_AXIS
+    assert len(cli._parse_range(f"1..{cap}")) == cap
+    assert len(cli._parse_range(",".join(["1"] * cap))) == cap
+    argv = ["run", "--scheme", "10", "--k", "0", "--seed", "1", "--n"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["1..2000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    errors = [capsys.readouterr().err]
+    for axis in ("1..100000000000", f"1..{cap + 1}", f"0..{cap}",
+                 ",".join(["1"] * (cap + 1))):
+        assert cli.main(argv + [axis]) == 2
+        errors.append(capsys.readouterr().err)
+    for err in errors:
+        (line,) = err.splitlines()
+        assert f"the cap {cap}" in json.loads(line)["error"]
 
 
 def test_list_schemes(capsys):
@@ -209,13 +237,15 @@ def test_adversary_bob(tmp_path):
 
 
 def test_adversary_scheme6_honest(tmp_path):
+    """With or without traps, an honest Alice is never caught."""
     out = tmp_path / "r.jsonl"
-    rc = cli.main(["adversary", "--scheme", "6", "--strategy", "honest",
-                   "--traps", "1", "--trials", "3", "--seed", "4",
-                   "--output", str(out)])
-    assert rc == 0
-    (row,) = _rows(out)
-    assert row["metric"] == "abort-rate" and row["observed"] == 0.0
+    for traps in ("1", "0"):
+        rc = cli.main(["adversary", "--scheme", "6", "--strategy", "honest",
+                       "--traps", traps, "--trials", "3", "--seed", "4",
+                       "--output", str(out)])
+        assert rc == 0
+        (row,) = _rows(out)
+        assert row["metric"] == "abort-rate" and row["observed"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,15 +258,17 @@ def test_adversary_scheme6_honest(tmp_path):
     ["--scheme", "6", "--strategy", "honest", "--n", "2"],
     ["--scheme", "4", "--traps", "2"],
     ["--party", "bob", "--scheme", "4", "--traps", "4"],
+    ["--scheme", "6", "--strategy", "probe", "--traps", "0"],
 ], ids=["alice-measure-6", "alice-measure-4", "bob-6", "bob-honest",
         "bob-probe", "scheme6-n-axis", "scheme6-n2", "alice-4-traps",
-        "bob-4-traps"])
+        "bob-4-traps", "probe-no-traps"])
 def test_adversary_refuses_combinations_without_a_bench(tmp_path, capsys,
                                                         argv):
     """A party, scheme and strategy that name no bench are a refused
     argument, not a run of some other bench.  So are flags a bench would
     ignore: the scheme-6 bench runs a one-qubit circuit (an --n axis other
-    than 1 would repeat it), and the scheme-4 benches have no traps."""
+    than 1 would repeat it), and the scheme-4 benches have no traps.  A
+    probe bench with no trap has nothing that could detect the probe."""
     out = tmp_path / "r.jsonl"
     assert cli.main(["adversary", *argv, "--trials", "1", "--seed", "1",
                      "--output", str(out)]) == 2
@@ -522,8 +554,12 @@ def _mutant(fn, old, new):
     (lp.run_scheme10, "if s[j] == 0", "if s[j] == 1", 2, 2),
     (lp.run_scheme4, "g ^= (poly.a[i] & x_split[i][j]) ^ flips",
      "g ^= flips", 1, 1),
+    (lp.run_scheme4, "flips = mz[p] if sbj else mx[p]",
+     "flips = mx[p] if sbj else mz[p]", 1, 1),
+    (lp.run_scheme4, "g = sbj & v[b * k + j]", "g = 0", 1, 1),
 ], ids=["scheme10-no-s-and-R", "scheme10-swapped-slots",
-        "scheme4-no-a-x-term"])
+        "scheme4-no-a-x-term", "scheme4-swapped-pair-parities",
+        "scheme4-no-s-and-v"])
 def test_symbolic_exhaustive_counts_mutant_failures(fn, old, new, n, k):
     """A broken protocol fails on the same number of leaves both ways,
     and on some."""

@@ -71,6 +71,82 @@ def test_transcript_serialize_keeps_leading_zeros():
     assert tr.serialize() != tr2.serialize()
 
 
+def _plain(bits):
+    """Payload bits in a comparable form: a Form refuses ==."""
+    return [("form", b.mask) if isinstance(b, Form) else b for b in bits]
+
+
+def _result(fn, *args):
+    """fn's result, or the message of the ProtocolError it raised."""
+    try:
+        return fn(*args)
+    except ProtocolError as exc:
+        return f"refused: {exc}"
+
+
+_BIT = st.one_of(st.sampled_from([0, 1, False, True, np.int64(1)]),
+                 st.builds(Form, st.integers(0, 15)))
+_SENDER = st.sampled_from([ALICE, BOB])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("block"), _SENDER, st.lists(_BIT, max_size=5),
+              st.sampled_from(["", "fwd"])),
+    st.tuples(st.just("record"), _SENDER, st.lists(_BIT, max_size=3),
+              st.sampled_from(["", "m"])),
+    st.tuples(st.just("abort"), _SENDER, st.just([]),
+              st.sampled_from(["", "trap"]))), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_transcript_blocks_equal_one_record_per_bit(ops):
+    """A transcript built with blocks, empty ones included, equals the
+    same messages recorded one at a time: messages, serialize (or its
+    refusal of a form), bits_from and comm_audit."""
+    blocked, single = Transcript(), Transcript()
+    for kind, sender, bits, tag in ops:
+        if kind == "block":
+            def rule(i, tag=tag):
+                return f"{tag}-{i}" if tag else ""
+
+            blocked.record_block(sender, bits, rule)
+            for i, b in enumerate(bits):
+                single.record(sender, [b], rule(i))
+        for tr in (blocked, single):
+            if kind == "record":
+                tr.record(sender, bits, tag)
+            elif kind == "abort":
+                tr.record_abort(sender, tag)
+    assert ([(m.sender, _plain(m.bits), m.round, m.tag)
+             for m in blocked.messages]
+            == [(m.sender, _plain(m.bits), m.round, m.tag)
+                for m in single.messages])
+    assert _result(blocked.serialize) == _result(single.serialize)
+    for sender in (ALICE, BOB):
+        assert (_plain(blocked.bits_from(sender))
+                == _plain(single.bits_from(sender)))
+    for direction in ("Alice->Bob", "Bob->Alice"):
+        assert (comm_audit(blocked, direction)
+                == comm_audit(single, direction))
+
+
+@pytest.mark.parametrize("sender,bits", [
+    ("Eve", [0]), ("Eve", []), (ALICE, [SecretBit(1, "mask")]),
+    (BOB, [0, Form(0b10), SecretBit(Form(0b10), "mask")]), (ALICE, [2]),
+    (BOB, [1, -1]), (ALICE, [0.5])])
+def test_transcript_block_refuses_as_record_does(sender, bits):
+    """A block with an unknown sender, a secret or a non-bit payload is
+    refused with record's own error, and leaves the transcript as it
+    was."""
+    blocked, single = Transcript(), Transcript()
+    with pytest.raises(ProtocolError) as block_exc:
+        blocked.record_block(sender, bits, str)
+    with pytest.raises(ProtocolError) as record_exc:
+        single.record(sender, bits)
+    assert str(block_exc.value) == str(record_exc.value)
+    blocked.record(BOB, [1], tag="after")
+    assert blocked.serialize() == "0 Bob after 3"
+
+
 def test_fixed_bits_replay_and_exhaustion():
     src = FixedBits([1, 0])
     assert src.bit() == 1 and src.bit() == 0
