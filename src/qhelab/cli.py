@@ -9,10 +9,9 @@ Commands:
   one symbolic run per control branch, whose output is an F2 affine form in
   the other hidden bits: a constant form is right or wrong on all 2^vars
   leaves of the branch, a non-constant one wrong on exactly half.  So the
-  counts equal those of leaf-by-leaf enumeration.  `--max-bits` bounds the
-  bits of one leaf (control bits plus variables), and a point that needs
-  more than _MAX_EXHAUSTIVE_RUNS symbolic runs is refused before anything
-  runs.
+  counts equal those of leaf-by-leaf enumeration.  The one bound is
+  _MAX_EXHAUSTIVE_RUNS symbolic runs: a point that needs more is refused
+  before anything runs.
 - audit: privacy metrics and communication accounting against registered
   expected values.
 - adversary: scripted cheating strategies with Monte Carlo rates.
@@ -21,28 +20,24 @@ Commands:
 Reports are JSON lines, one row per (scheme, params, metric), each carrying
 expected/observed/tolerance/pass/seed/provenance so a report is
 self-describing.  Rows contain no timestamps and all sampling is seeded, so
-identical configurations produce byte-identical reports.  Grid points can
-be dispatched to a process pool via the QHELAB_WORKERS environment
-variable (a positive integer, capped by the number of grid points and of
-cores); rows are emitted in grid order either way.
+identical configurations produce byte-identical reports.  Grid points run
+in order, in one process, and rows are emitted in grid order.
 
 Exit codes: 0 when every row passes, 1 when a row fails, 2 for refused
-arguments, and 3 for an internal error (a protocol fault or a failed
-internal check) inside a grid point.  Exits 2 and 3 write one JSON error
-line to stderr and no report; exit 3's line names the command, the scheme
-and the point's (n, k, seed).
+arguments (an --output that cannot be written among them), and 3 for an
+internal error (a protocol fault or a failed internal check) inside a grid
+point.  Exits 2 and 3 write one JSON error line to stderr and no report;
+exit 3's line names the command, the scheme and the point's (n, k, seed).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -154,7 +149,8 @@ def _control_bits(run, n, k, args):
 
 
 def _exhaustive_preflight(args, n, k, seed):
-    """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS."""
+    """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS; a point
+    that passes adds no rows."""
     control = _control_bits(_CLASSICAL[args.scheme], n, k, args)
     runs = 2 ** (2 * n + 1 + control)
     if runs > _MAX_EXHAUSTIVE_RUNS:
@@ -162,6 +158,7 @@ def _exhaustive_preflight(args, n, k, seed):
                          f"symbolic runs (2^{2 * n + 1} cases x 2^{control} "
                          f"control branches), over the cap of "
                          f"{_MAX_EXHAUSTIVE_RUNS}")
+    return []
 
 
 def _exhaustive_case(run, x, poly, k, control, args):
@@ -175,12 +172,7 @@ def _exhaustive_case(run, x, poly, k, control, args):
         got = run(x, poly, k, source, args.gamma, args.k_prime)[0]
         return got, source.vars
 
-    if control > args.max_bits:
-        raise ValueError(f"enumeration exceeded {args.max_bits} hidden bits")
     for _, (got, nvars) in enumerate_hidden(branch, control):
-        if control + nvars > args.max_bits:
-            raise ValueError(f"enumeration exceeded {args.max_bits} hidden "
-                             "bits")
         leaves = 2 ** nvars
         cases += leaves
         mask = got.mask if isinstance(got, Form) else got
@@ -465,8 +457,6 @@ def _build_parser():
                         help="base seed; mandatory for sampled experiments")
         sp.add_argument("--output", default=None,
                         help="report path (default stdout)")
-        sp.add_argument("--config", default=None,
-                        help="JSON file whose keys override flags")
 
     run = sub.add_parser("run", help="correctness experiments")
     run.add_argument("--scheme", required=True, choices=sorted(SCHEMES))
@@ -478,7 +468,6 @@ def _build_parser():
     run.add_argument("--k-prime", type=int, default=1)
     run.add_argument("--trials", type=int, default=20)
     run.add_argument("--exhaustive", action="store_true")
-    run.add_argument("--max-bits", type=int, default=24)
     common(run)
 
     audit = sub.add_parser("audit", help="privacy and communication audits")
@@ -504,7 +493,7 @@ def _build_parser():
     common(adv)
 
     sub.add_parser("list-schemes", help="inventory of runnable protocols")
-    return p, sub.choices
+    return p
 
 
 # the adversary benches: party -> (schemes, strategies); the first strategy
@@ -568,71 +557,14 @@ def _grid_points(args):
     for flag in ("R", "traps", "depth"):
         if (getattr(args, flag, None) or 0) < 0:
             raise ValueError(f"--{flag} must not be negative")
+    # a report path that cannot be opened is refused before any point runs
+    if args.output:
+        out = Path(args.output)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"--output {args.output} is a directory or lies "
+                             "in a directory that does not exist")
     return [(n, k, args.seed + 1000 * idx)
             for idx, (n, k) in enumerate((n, k) for n in ns for k in ks)]
-
-
-class _PointError(Exception):
-    """A protocol fault or failed internal check inside one grid point;
-    its one argument is the JSON error record that names the point."""
-
-
-def _execute_point(point_fn, args, point):
-    """Run one grid point; a ProtocolError or AssertionError comes back as
-    a _PointError naming the command, scheme and (n, k, seed)."""
-    n, k, seed = point
-    try:
-        return point_fn(args, n, k, seed)
-    except (ProtocolError, AssertionError) as exc:
-        raise _PointError({"error": f"{type(exc).__name__}: {exc}",
-                          "command": args.command, "scheme": args.scheme,
-                          "n": n, "k": k, "seed": seed}) from exc
-
-
-def _apply_config(args, command_parser):
-    """Override parsed flags with the keys of the JSON object in
-    args.config; a key that names no flag of the command is refused."""
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"config {args.config} is not a JSON object")
-    flags = {a.dest: a for a in command_parser._actions if a.dest != "help"}
-    for key, value in config.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(args, action.dest, _config_value(action, key, value))
-
-
-def _config_value(action, key, value):
-    """A config value checked as its flag's own text would be: through the
-    flag's type and choices, or a JSON boolean for an on/off flag."""
-    if action.nargs == 0:  # store_true
-        if not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be true or false")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config key {key!r} must be a string or a number")
-    try:
-        value = action.type(str(value)) if action.type else str(value)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {key!r} must be one of "
-                         f"{sorted(action.choices)}")
-    return value
-
-
-def _worker_count(points):
-    """QHELAB_WORKERS, bounded by the number of grid points and of cores."""
-    text = os.environ.get("QHELAB_WORKERS", "1")
-    if not text.strip().isdigit() or int(text) < 1:
-        raise ValueError(f"QHELAB_WORKERS must be a positive integer, "
-                         f"not {text!r}")
-    return min(int(text), points, os.cpu_count() or 1)
 
 
 def _emit(rows, output):
@@ -645,36 +577,35 @@ def _emit(rows, output):
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "list-schemes":
         for sid in sorted(SCHEMES, key=int):
             print(f"{sid}\t{SCHEMES[sid]}")
         return 0
-    point_fn = {"run": _run_point, "audit": _audit_point,
-                "adversary": _adversary_point}[args.command]
+    # an exhaustive grid passes its preflight at every point before any
+    # point runs
+    passes = [{"run": _run_point, "audit": _audit_point,
+               "adversary": _adversary_point}[args.command]]
+    if getattr(args, "exhaustive", False):
+        passes.insert(0, _exhaustive_preflight)
     try:
-        if args.config:
-            _apply_config(args, commands[args.command])
         points = _grid_points(args)
-        if getattr(args, "exhaustive", False):
-            for point in points:
-                _execute_point(_exhaustive_preflight, args, point)
-        execute = functools.partial(_execute_point, point_fn, args)
-        workers = _worker_count(len(points))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_point = list(pool.map(execute, points))
-        else:
-            per_point = [execute(p) for p in points]
-        rows = [row for point in per_point for row in point]
-    except (ValueError, KeyError) as exc:
+        rows = []
+        for point_fn in passes:
+            for n, k, seed in points:
+                try:
+                    rows += point_fn(args, n, k, seed)
+                except (ProtocolError, AssertionError) as exc:
+                    record = {"error": f"{type(exc).__name__}: {exc}",
+                              "command": args.command, "scheme": args.scheme,
+                              "n": n, "k": k, "seed": seed}
+                    sys.stderr.write(json.dumps(record, sort_keys=True)
+                                     + "\n")
+                    return 3
+        _emit(rows, args.output)
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    except _PointError as exc:
-        sys.stderr.write(json.dumps(exc.args[0], sort_keys=True) + "\n")
-        return 3
-    _emit(rows, args.output)
     return 0 if all(r.passed for r in rows) else 1
 
 

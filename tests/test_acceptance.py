@@ -83,10 +83,12 @@ def test_criterion1_symbolic_exhaustive_grid(scheme, ns, ks, tmp_path):
     seeded trials above only sample, and no leaf fails.  Outside scheme 9,
     whose inner pairing (and so its bit count) follows the outer s and t,
     a case's runs all draw the same number of bits, so each row must count
-    2^(bits of one run) leaves per (x, a, c) case."""
+    2^(bits of one run) leaves per (x, a, c) case.  The grid runs at the
+    CLI's defaults: schemes 4 and 7 at k = 2 draw 28 to 45 bits a leaf,
+    and the run-count preflight is their only bound."""
     out = tmp_path / "r.jsonl"
     assert cli.main(["run", "--scheme", scheme, "--n", ns, "--k", ks,
-                     "--exhaustive", "--max-bits", "64", "--seed", "1",
+                     "--exhaustive", "--seed", "1",
                      "--output", str(out)]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == len(cli._parse_range(ns)) * len(cli._parse_range(ks))

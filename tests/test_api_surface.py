@@ -14,11 +14,17 @@ overrides is a constant.
 
 Every import in a module of `src/qhelab` is used by that module, unless
 its line is marked `# noqa: F401`.
+
+Every flag the CLI parser registers is read by `cli.py` outside the
+parser; a flag that nothing reads is a knob that turns nothing.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from qhelab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "qhelab"
@@ -322,3 +328,65 @@ def test_import_guard_sees_each_kind_of_import():
         "def f(x: qsim.Gate) -> None:\n"
         "    return os.path.join(np.pi, json.dumps(ALICE))\n")
     assert sorted(_unused_imports(source)) == ["BOB", "rebit", "sys"]
+
+
+def _parser_dests(parser):
+    """Every dest that `parser` and its subcommands register, help aside."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                dests |= _parser_dests(command)
+        if action.dest != "help":
+            dests.add(action.dest)
+    return dests
+
+
+def _args_reads(source, parser_fn="_build_parser"):
+    """Names that `source` reads as `args.<name>` or as
+    `getattr(args, "<name>")`, outside the function `parser_fn`."""
+    tree = ast.parse(source)
+    skip = {id(node) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == parser_fn
+            for node in ast.walk(fn)}
+    reads = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2
+              and getattr(node.args[0], "id", None) == "args"
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_cli_flag_is_read():
+    unread = sorted(_parser_dests(cli._build_parser())
+                    - _args_reads((PKG / "cli.py").read_text()))
+    assert not unread, "CLI flags that nothing outside the parser reads: " \
+        + ", ".join(unread)
+
+
+def test_flag_guard_sees_each_kind_of_read():
+    """Subcommand flags and the subcommand's own dest are registered; an
+    attribute load or a getattr by literal name reads a flag, while a
+    store, a getattr by variable, another object's attribute and anything
+    inside the parser do not."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--top")
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("go").add_argument("--max-bits", type=int)
+    assert _parser_dests(parser) == {"top", "command", "max_bits"}
+    source = (
+        "def _build_parser():\n"
+        "    return args.inside\n"
+        "def main(args, flag):\n"
+        "    args.stored = 1\n"
+        "    return (args.a, getattr(args, 'b'), getattr(args, 'c', None),\n"
+        "            getattr(args, flag), other.d)\n")
+    assert _args_reads(source) == {"a", "b", "c"}

@@ -6,7 +6,7 @@ import inspect
 import json
 import textwrap
 import tracemalloc
-from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -293,18 +293,15 @@ def test_adversary_traps_default_to_four_for_scheme6(tmp_path):
 @pytest.mark.parametrize("party,default", [("alice", "probe"),
                                            ("bob", "measure")])
 def test_adversary_strategy_defaults_by_party(tmp_path, party, default):
-    """--strategy defaults to the party's own bench; naming the default,
-    by flag or by config, changes no byte of the report."""
+    """--strategy defaults to the party's own bench; naming the default
+    changes no byte of the report."""
     base = ["adversary", "--party", party, "--scheme", "4", "--trials", "20",
             "--seed", "3"]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"strategy": default}))
     outs = []
-    for extra in ([], ["--strategy", default], ["--config", str(cfg)]):
+    for extra in ([], ["--strategy", default]):
         outs.append(tmp_path / f"r{len(outs)}.jsonl")
         assert cli.main(base + extra + ["--output", str(outs[-1])]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes() == \
-        outs[2].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_reports_are_reproducible(tmp_path):
@@ -316,97 +313,40 @@ def test_reports_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_overrides_flags(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": "2", "trials": 2}))
-    out = tmp_path / "r.jsonl"
-    rc = cli.main(["run", "--scheme", "10", "--n", "1", "--k", "1",
-                   "--trials", "99", "--seed", "0", "--config", str(cfg),
-                   "--output", str(out)])
-    assert rc == 0
-    (row,) = _rows(out)
-    assert row["params"]["k"] == 2
-
-
-def test_config_errors_exit_2(tmp_path, capsys):
-    """A misspelled key, a missing file, malformed JSON, a non-object or a
-    value its flag's type or choices refuse is refused with one JSON error
-    line instead of running or a traceback.  A value is read as its flag's
-    text would be, so "5" for --trials runs like --trials 5."""
-    argv = ["run", "--scheme", "10", "--n", "1", "--trials", "1", "--seed",
-            "0", "--output", str(tmp_path / "r.jsonl"), "--config"]
-    bad = {"typo.json": json.dumps({"trails": 2}),
-           "command.json": json.dumps({"command": "audit"}),
-           "broken.json": "{\"k\": ",
-           "list.json": "[1, 2]",
-           "switch.json": json.dumps({"exhaustive": "no"}),
-           "choice.json": json.dumps({"scheme": "3"}),
-           "float.json": json.dumps({"seed": 1.5})}
-    for name, text in bad.items():
-        (tmp_path / name).write_text(text)
-    for name in list(bad) + ["missing.json"]:
-        assert cli.main(argv + [str(tmp_path / name)]) == 2, name
-        (line,) = capsys.readouterr().err.splitlines()
-        assert json.loads(line)["error"]
-    assert not (tmp_path / "r.jsonl").exists()
-    (tmp_path / "R.json").write_text(json.dumps({"R": 1.5}))
-    assert cli.main(["audit", "--metric", "comm", "--scheme", "5", "--seed",
-                     "1", "--config", str(tmp_path / "R.json")]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"]
-    (tmp_path / "trials.json").write_text(json.dumps({"trials": "5"}))
-    flag, config = tmp_path / "flag.jsonl", tmp_path / "config.jsonl"
-    assert cli.main(["run", "--scheme", "10", "--n", "1", "--seed", "1",
-                     "--trials", "5", "--output", str(flag)]) == 0
-    assert cli.main(["run", "--scheme", "10", "--n", "1", "--seed", "1",
-                     "--output", str(config), "--config",
-                     str(tmp_path / "trials.json")]) == 0
-    assert config.read_bytes() == flag.read_bytes()
-
-
-def test_worker_count_is_bounded(monkeypatch, capsys):
-    """QHELAB_WORKERS is clamped to the grid size and the core count, and
-    values below 1 are refused; the pool is a stand-in, so nothing spawns."""
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    argv = ["audit", "--metric", "trace-distance", "--scheme", "4", "--seed",
-            "0", "--k"]
-    for workers, ks, want in [("8", "1..2", [2]), ("8", "1..5", [3]),
-                              ("2", "1..5", [2]), ("1", "1..5", []),
-                              ("5", "1", [])]:
-        monkeypatch.setenv("QHELAB_WORKERS", workers)
-        assert cli.main(argv + [ks]) == 0
-        assert pools == want, (workers, ks)
-        pools.clear()
-    capsys.readouterr()
-    for workers in ("0", "-2", "many"):
-        monkeypatch.setenv("QHELAB_WORKERS", workers)
-        assert cli.main(argv + ["1..2"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"]
-    assert pools == []
-
-
 def test_usage_errors_exit_2(capsys):
     assert cli.main(["run", "--scheme", "10", "--n", "0", "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"]
     assert cli.main(["audit", "--metric", "trace-distance", "--scheme", "10",
                      "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, where):
+    """A report path that is a directory, or lies in a directory that does
+    not exist, is refused with one JSON error line before any point runs,
+    not with a traceback after the whole grid (exit 1, a failed row)."""
+    def no_run(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "_run_point", no_run)
+    out = {"directory": tmp_path,
+           "missing-parent": tmp_path / "missing" / "r.jsonl"}[where]
+    assert cli.main(["run", "--scheme", "10", "--n", "1..2", "--seed", "1",
+                     "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "--output" in json.loads(line)["error"]
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_failed_report_write_exit_2(capsys):
+    """A report write that fails after the grid ran (here on a device that
+    is always full) exits 2 with one JSON error line, not a traceback."""
+    assert cli.main(["run", "--scheme", "10", "--n", "1", "--trials", "1",
+                     "--seed", "1", "--output", "/dev/full"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]
 
 
 def test_degenerate_counts_exit_2(tmp_path, capsys, monkeypatch):
@@ -480,23 +420,22 @@ def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_enumeration_budget_exit_2(monkeypatch, tmp_path, capsys, workers):
-    """An exhaustive run that needs more hidden bits than --max-bits is a
-    refused argument (exit 2), not a failed row (exit 1)."""
-    monkeypatch.setenv("QHELAB_WORKERS", workers)
+def test_enumeration_budget_exit_2(tmp_path, capsys):
+    """A grid with one exhaustive point past the 2^18-run cap is a refused
+    argument (exit 2), not a failed row (exit 1), and writes no report
+    for its points under the cap either."""
     out = tmp_path / "r.jsonl"
-    assert cli.main(["run", "--scheme", "10", "--n", "1", "--k", "2..3",
-                     "--exhaustive", "--max-bits", "3", "--seed", "1",
+    assert cli.main(["run", "--scheme", "10", "--n", "1,8", "--k", "2",
+                     "--exhaustive", "--seed", "1",
                      "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert "exceeded 3 hidden bits" in json.loads(line)["error"]
+    assert "over the cap of 262144" in json.loads(line)["error"]
     assert not out.exists()
 
 
 # --- exhaustive runs: symbolic control branches against literal leaves ------
 
-_ENUM = argparse.Namespace(gamma=1.5, k_prime=1, max_bits=64)
+_ENUM = argparse.Namespace(gamma=1.5, k_prime=1)
 
 
 def _literal_case(run, x, poly, k):
@@ -505,7 +444,7 @@ def _literal_case(run, x, poly, k):
     want = poly.evaluate(x)
     outs = [got for _, got in enumerate_hidden_adaptive(
         lambda src: run(x, poly, k, src, _ENUM.gamma, _ENUM.k_prime)[0],
-        max_bits=_ENUM.max_bits)]
+        max_bits=64)]
     return sum(int(got != want) for got in outs), len(outs)
 
 
@@ -580,8 +519,7 @@ def test_exhaustive_preflight_refuses_before_enumerating(monkeypatch,
     symbolic run per grid point, before any point is enumerated: a runner
     that fails past that many calls is never reached again."""
     runner = cli._CLASSICAL["9"]
-    argv = ["run", "--scheme", "9", "--exhaustive", "--max-bits", "64",
-            "--seed", "1", "--n"]
+    argv = ["run", "--scheme", "9", "--exhaustive", "--seed", "1", "--n"]
     for ns, points in (("3", 1), ("1..3", 3)):
         calls = []
 
@@ -615,28 +553,17 @@ def test_symbolic_bit_in_control_flow_exit_3(monkeypatch, capsys):
         "command": "run", "scheme": "10", "n": 1, "k": 1, "seed": 1}
 
 
-@dataclass
-class _Fault:
-    """A point function that raises `exc` at k = 2; a module-level class,
-    so that a worker process can unpickle it."""
-
-    exc: type
-
-    def __call__(self, args, n, k, seed):
-        if k == 2:
-            raise self.exc("injected fault")
-        return []
-
-
 @pytest.mark.parametrize("exc", [ProtocolError, AssertionError])
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, workers, exc):
+def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, exc):
     """A protocol fault or a failed internal check inside a grid point is
     neither a refused argument (2) nor a failed row (1): exit 3 with one
     JSON error line naming the command, scheme and point."""
-    monkeypatch.setenv("QHELAB_WORKERS", workers)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "_audit_point", _Fault(exc))
+    def fault(args, n, k, seed):
+        if k == 2:
+            raise exc("injected fault")
+        return []
+
+    monkeypatch.setattr(cli, "_audit_point", fault)
     out = tmp_path / "r.jsonl"
     assert cli.main(["audit", "--metric", "trace-distance", "--scheme", "4",
                      "--k", "1..3", "--seed", "1", "--output", str(out)]) == 3
