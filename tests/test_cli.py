@@ -420,12 +420,14 @@ def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_enumeration_budget_exit_2(tmp_path, capsys):
-    """A grid with one exhaustive point past the 2^18-run cap is a refused
-    argument (exit 2), not a failed row (exit 1), and writes no report
-    for its points under the cap either."""
+@pytest.mark.parametrize("at", [1, 2])
+def test_enumeration_budget_exit_2(tmp_path, capsys, at):
+    """A grid with one exhaustive point past the 2^18-run cap, first or
+    second on the n axis, is a refused argument (exit 2), not a failed row
+    (exit 1), and writes no report for its point under the cap either."""
     out = tmp_path / "r.jsonl"
-    assert cli.main(["run", "--scheme", "10", "--n", "1,8", "--k", "2",
+    ns = "8,1" if at == 1 else "1,8"
+    assert cli.main(["run", "--scheme", "10", "--n", ns, "--k", "2",
                      "--exhaustive", "--seed", "1",
                      "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -554,12 +556,14 @@ def test_symbolic_bit_in_control_flow_exit_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("exc", [ProtocolError, AssertionError])
-def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, exc):
-    """A protocol fault or a failed internal check inside a grid point is
-    neither a refused argument (2) nor a failed row (1): exit 3 with one
-    JSON error line naming the command, scheme and point."""
+@pytest.mark.parametrize("at", [1, 2])
+def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, at, exc):
+    """A protocol fault or a failed internal check inside a grid point, the
+    first or one after a point that gave its rows, is neither a refused
+    argument (2) nor a failed row (1): exit 3 with one JSON error line
+    naming the command, scheme and point, and no report."""
     def fault(args, n, k, seed):
-        if k == 2:
+        if k == at:
             raise exc("injected fault")
         return []
 
@@ -570,7 +574,7 @@ def test_internal_error_exit_3(monkeypatch, tmp_path, capsys, exc):
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {
         "error": f"{exc.__name__}: injected fault", "command": "audit",
-        "scheme": "4", "n": 1, "k": 2, "seed": 1001}
+        "scheme": "4", "n": 1, "k": at, "seed": 1 + 1000 * (at - 1)}
     assert not out.exists()
 
 
