@@ -24,15 +24,19 @@ identical configurations produce byte-identical reports.  Grid points run
 in order, in one process, and rows are emitted in grid order.
 
 Exit codes: 0 when every row passes, 1 when a row fails, 2 for refused
-arguments (an --output that cannot be written among them), and 3 for an
-internal error (a protocol fault or a failed internal check) inside a grid
-point.  Exits 2 and 3 write one JSON error line to stderr and no report;
-exit 3's line names the command, the scheme and the point's (n, k, seed).
+arguments, and 3 for an internal error (a protocol fault or a failed
+internal check) inside a grid point.  Refused arguments include those the
+parser itself refuses (an unknown flag, a missing --seed, a bad choice or a
+non-integer count) and an --output that cannot be written.  Exits 2 and 3
+write one JSON error line to stderr and no report; exit 3's line names the
+command, the scheme and the point's (n, k, seed).  --help prints usage and
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -447,9 +451,20 @@ def _adversary_point(args, n, k, seed):
 
 # --- argument plumbing ----------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subcommand parsers included, whose refusals
+    raise ValueError, so that main refuses them as it refuses every other
+    argument: exit 2 and one JSON error line.  --help still prints and
+    exits."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser():
-    p = argparse.ArgumentParser(prog="qhelab",
-                                description="scheme laboratory batch runner")
+    """The parser, built once per process; parsing leaves it unchanged."""
+    p = _Parser(prog="qhelab", description="scheme laboratory batch runner")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -577,18 +592,18 @@ def _emit(rows, output):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list-schemes":
-        for sid in sorted(SCHEMES, key=int):
-            print(f"{sid}\t{SCHEMES[sid]}")
-        return 0
-    # an exhaustive grid passes its preflight at every point before any
-    # point runs
-    passes = [{"run": _run_point, "audit": _audit_point,
-               "adversary": _adversary_point}[args.command]]
-    if getattr(args, "exhaustive", False):
-        passes.insert(0, _exhaustive_preflight)
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list-schemes":
+            for sid in sorted(SCHEMES, key=int):
+                print(f"{sid}\t{SCHEMES[sid]}")
+            return 0
+        # an exhaustive grid passes its preflight at every point before
+        # any point runs
+        passes = [{"run": _run_point, "audit": _audit_point,
+                   "adversary": _adversary_point}[args.command]]
+        if getattr(args, "exhaustive", False):
+            passes.insert(0, _exhaustive_preflight)
         points = _grid_points(args)
         rows = []
         for point_fn in passes:

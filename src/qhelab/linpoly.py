@@ -29,12 +29,14 @@ each form of Bob's Pauli frame this way: the form's int bitmask becomes a
 LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
 register protocols are the references in tests/test_linpoly.py.
 
-The runners draw their hidden bits in blocks, one source.draw per kind
-(basis bits, pads for all inputs, teleport masks, fillers), in the order
+The runners draw their hidden bits in blocks (source.draw), in the order
 that the literal protocols draw them one by one, so a seeded run consumes
-the same stream.  Uniform measurement outcomes are still drawn one at a
-time, and so are a measuring Bob's return masks, which his outcomes
-interleave.
+the same stream.  An honest or probed scheme-4 run makes two draws: its
+basis bits, which SymbolicBits replays, then one block of pads, forward
+masks and return masks.  Schemes 8 and 10 make one draw per kind (basis
+bits, scheme 8's t, pads, fillers).  Uniform measurement outcomes are
+still drawn one at a time, and so are a measuring Bob's return masks,
+which his outcomes interleave.
 
 Once the control bits (basis bits s, and scheme 8's t) are fixed, a run's
 pads, fillers, teleport masks and uniform outcomes enter only through XOR
@@ -47,6 +49,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import and_, xor
 
 from .harness import ALICE, BOB, ProtocolError, Transcript, as_source
 # unused here, but the bench tracer's self-test checks this binding
@@ -61,7 +66,10 @@ class LinearPolynomial:
     c: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(b) & 1 for b in self.a))
+        a = self.a
+        if not (type(a) is tuple and set(map(type, a)) <= {int}
+                and set(a) <= {0, 1}):  # a tuple of int bits is kept
+            object.__setattr__(self, "a", tuple(int(b) & 1 for b in a))
         object.__setattr__(self, "c", int(self.c) & 1)
 
     @property
@@ -98,20 +106,16 @@ class PadShares:
     t: list        # pad bits t_j, carried by qubit n
 
 
-def _split_bits(x, k, source):
-    """k pads per input bit, XORing to it: x_split[i][j].  The n*(k-1)
-    random pads come in one block, input by input; the last pad of each
-    input is fixed by the others."""
-    pads = source.draw(len(x) * (k - 1), "pad")
-    x_split = []
-    for i, xi in enumerate(x):
-        row = pads[i * (k - 1):(i + 1) * (k - 1)]
-        last = xi & 1  # a known bit or a Form
-        for p in row:
-            last ^= p
-        row.append(last)
-        x_split.append(row)
-    return x_split
+def _split_bits(x, k, pads):
+    """k pads per input bit, XORing to it: x_split[i][j].  `pads` holds
+    the n*(k-1) random pads, input by input; the last pad of each input is
+    fixed by the others.  Each pad index is one column pass over all
+    inputs, with ^ only, so known bits and Forms take the same path."""
+    cols = [pads[j::k - 1] for j in range(k - 1)]  # pad j of every input
+    last = [xi & 1 for xi in x]  # known bits or Forms
+    for col in cols:
+        last = list(map(xor, last, col))
+    return list(map(list, zip(*cols, last)))
 
 
 def _check_params(x, poly, k):
@@ -147,14 +151,16 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     Returns (bit, transcript) or (DistributedBit, transcript).
 
     Every pad pair runs as its Pauli-frame channel, with no register and no
-    teleport: the hidden bits come in blocks, one each for the basis bits,
-    the pads, the forward masks and (unless Bob cheats) the return masks,
+    teleport: the hidden bits come in two draws, the basis bits and then
+    one block of pads, forward masks and (unless Bob cheats) return masks,
     in the order the literal protocol draws them.  The bookkeeping runs
     over those blocks too: Alice's 2nk forward disclosures and Bob's v
-    bits are one transcript block each, and each pair's mask parities
-    come from one pass over the return masks, with ^ and & only, so
-    known bits and Forms take the same path.  tests/test_linpoly.py keeps
-    the literal two-qubit pairs, cheaters included, as the reference.
+    bits are one transcript block each, the mask parities and Alice's
+    per-pair terms are whole-list passes, and her share is one XOR
+    reduction, with ^ and & only, so known bits and Forms take the same
+    path.  A cheating party substitutes its own reading of a pair's term
+    in that list.  tests/test_linpoly.py keeps the literal two-qubit
+    pairs, cheaters included, as the reference.
 
     `bob_strategy` is an optional cheating-Bob plugin.  Its intercept hook
     gets each received pair as two Z/X eigenstates ((basis, bit), (basis,
@@ -188,11 +194,15 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     # correction on its first qubit, fwd[2p], and the X correction on its
     # second, fwd[2p + 1], and discloses the other two as 0 at once: one
     # block of 2nk one-bit messages.  t_ij is whichever withheld bit stays
-    # relevant under her measurement basis.
+    # relevant under her measurement basis.  An honest Bob's return masks
+    # come next in the stream, so they share the pads' draw.
+    nk, npad = n * k, n * (k - 1)
     s = source.draw(blocks * k, "s")
-    x_split = _split_bits(x, k, source)
-    fwd = source.draw(2 * n * k, "fwd")
-    transcript.record_block(ALICE, [0] * (2 * n * k),
+    bits = source.draw(npad + 2 * nk + (4 * nk if bob_strategy is None
+                                        else 0), "pad")
+    x_split = _split_bits(x, k, bits[:npad])
+    fwd = bits[npad:npad + 2 * nk]
+    transcript.record_block(ALICE, [0] * (2 * nk),
                             lambda r: f"fwd-{r // (2 * k)}-{r // 2 % k}")
 
     # Bob: CNOT exactly when a_i=0, then return teleports withholding all
@@ -202,7 +212,7 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
     # X mask), in basis 1 the X values (forward Z mask, x_ij); his
     # outcomes come between the pairs' return masks.
     if bob_strategy is None:
-        ret = source.draw(4 * n * k, "return")
+        ret = bits[npad + 2 * nk:]
     else:
         pairs, ret = [], []
         for i in range(n):
@@ -220,53 +230,57 @@ def run_scheme4(x, poly, k, rng, distributed=False, m=1, alice_strategy=None,
 
     # Bob's mask bookkeeping: X^mx Z^mz = (phase) Y^mx Z^(mx^mz), so the
     # sigma_y mask bit per qubit is mx and the sigma_z mask bit is mx^mz.
-    # Pair p's two qubits give the parities mx[p] and mz[p].  He keeps the
-    # sigma_y parity of every pair and discloses, per block and pad index,
-    # v[b*k + j], the parity of the sigma_z bits: one block of messages.
-    mx = [a ^ b for a, b in zip(ret[0::4], ret[2::4])]
-    mz = [a ^ b for a, b in zip(ret[1::4], ret[3::4])]
-    y_total = 0
-    for bit in mx:
-        y_total ^= bit
-    v = [0] * (blocks * k)
-    for p, (px, pz) in enumerate(zip(mx, mz)):  # pair i*k + j, block i//m
-        v[p // (m * k) * k + p % k] ^= px ^ pz
+    # Pair p's two qubits give the parities mx[p] and mz[p], and dz[p] =
+    # mx[p] ^ mz[p].  He keeps the sigma_y parity of every pair and
+    # discloses, per block and pad index, v[b*k + j], the parity of the
+    # sigma_z bits of the block's m pairs (i, j): one block of messages.
+    # With m = 1 each block is one input, so v is dz (and below, sp is s).
+    mx = list(map(xor, ret[0::4], ret[2::4]))
+    mz = list(map(xor, ret[1::4], ret[3::4]))
+    dz = list(map(xor, mx, mz))
+    y_total = reduce(xor, mx)
+    v = dz if m == 1 else [reduce(xor, dz[q + j:q + m * k:k])
+                           for q in range(0, nk, m * k) for j in range(k)]
     transcript.record_block(BOB, v, lambda q: f"v-{q // k}-{q % k}")
 
     # Alice: basis-matched measurements, pad removal, block assembly.
-    y0 = 0
-    for b in range(blocks):
-        for j in range(k):
-            sbj = s[b * k + j]
-            g = sbj & v[b * k + j]
-            for i in range(b * m, (b + 1) * m):
-                p = i * k + j
-                if alice_strategy is not None and p == 0:  # the probe
-                    # The forward masks' Z (first qubit) and X (second)
-                    # and Bob's CNOT (a_i=0) flip the X(x)Z sign; each
-                    # return mask flips a sign its part anticommutes with.
-                    z1, x2 = fwd[2 * p], fwd[2 * p + 1]
-                    mx1, mz1, mx2, mz2 = ret[4 * p:4 * p + 4]
-                    signs = (z1 ^ x2 ^ poly.a[i] ^ 1 ^ mz1 ^ mx2, mx1 ^ mz2)
-                    g = alice_strategy.measure_pair(
-                        signs, x_split[i][j], v[b * k + j], z1, x2)
-                elif bob_strategy is not None:
-                    # The return masks' X parts flip Z values and their Z
-                    # parts X values.
-                    basis = "ZX"[sbj]
+    # Pair p is read in basis sp[p] = s[b*k + j].  The forward masks leave
+    # Z values (x, a2) or X values (b1, x), Bob's CNOT (a_i=0) adds x into
+    # the other qubit and the return masks' X (s=0) or Z (s=1) parts flip
+    # both, so pair p's term o1 ^ o2 ^ t_ij is a_i x_ij ^ flips[p], with
+    # flips[p] = mz[p] if sp[p] else mx[p].  Block (b, j) adds s_bj v_bj.
+    sp = s if m == 1 else list(chain.from_iterable(
+        s[q:q + k] * m for q in range(0, blocks * k, k)))
+    ax = map(and_, chain.from_iterable(zip(*[poly.a] * k)),  # a_i, k times
+             chain.from_iterable(x_split))
+    flips = map(xor, mx, map(and_, sp, dz))
+    terms = list(map(xor, ax, flips))
+    sv = list(map(and_, s, v))
+    if alice_strategy is not None:  # the probe is pair 0, all of block 0
+        # The forward masks' Z (first qubit) and X (second) and Bob's
+        # CNOT (a_i=0) flip the X(x)Z sign; each return mask flips a sign
+        # its part anticommutes with.
+        z1, x2 = fwd[0], fwd[1]
+        mx1, mz1, mx2, mz2 = ret[0:4]
+        signs = (z1 ^ x2 ^ poly.a[0] ^ 1 ^ mz1 ^ mx2, mx1 ^ mz2)
+        sv[0] = 0
+        terms[0] = alice_strategy.measure_pair(signs, x_split[0][0], v[0],
+                                               z1, x2)
+    elif bob_strategy is not None:
+        # The return masks' X parts flip Z values and their Z parts X
+        # values; Alice's reads draw in (b, j, i) order.
+        for b in range(blocks):
+            for j in range(k):
+                basis = "ZX"[s[b * k + j]]
+                for i in range(b * m, (b + 1) * m):
+                    p = i * k + j
+                    g = fwd[2 * p] if basis == "X" else fwd[2 * p + 1]  # t_ij
                     masks = (ret[4 * p:4 * p + 2], ret[4 * p + 2:4 * p + 4])
                     for (held, bit), (mxq, mzq) in zip(pairs[p], masks):
                         qubit = (held, bit ^ (mxq if held == "Z" else mzq))
                         g ^= _measure_eigenstate(qubit, basis, source)[1]
-                    g ^= fwd[2 * p + 1] if sbj == 0 else fwd[2 * p]  # t_ij
-                else:
-                    # The forward masks leave Z values (x, a2) or X values
-                    # (b1, x), Bob's CNOT (a_i=0) adds x into the other
-                    # qubit and the return masks' X (s=0) or Z (s=1) parts
-                    # flip both, so o1 ^ o2 ^ t_ij = a_i x_ij ^ their parity.
-                    flips = mz[p] if sbj else mx[p]
-                    g ^= (poly.a[i] & x_split[i][j]) ^ flips
-            y0 ^= g
+                    terms[p] = g
+    y0 = reduce(xor, chain(sv, terms))
     bob_bit = poly.c ^ y_total
     if distributed:
         return DistributedBit(y0, bob_bit), transcript
@@ -316,7 +330,8 @@ class Scheme8Instance:
         n, k, src = self.poly.n, self.k, self.source
         s = src.draw(k, "s")
         t = src.draw(k, "t")
-        self.shares = PadShares(_split_bits(self.x, k, src), s, t)
+        pads = src.draw(n * (k - 1), "pad")
+        self.shares = PadShares(_split_bits(self.x, k, pads), s, t)
         for j in range(k):
             for _ in range(n + 1):
                 self.transcript.record(self.data_party, [0, 0],
@@ -438,7 +453,7 @@ def run_scheme10(x, poly, k, rng, distributed=False):
     n = poly.n
 
     s = source.draw(k, "s")
-    x_split = _split_bits(x, k, source)
+    x_split = _split_bits(x, k, source.draw(n * (k - 1), "pad"))
     fillers = source.draw(n * k, "filler")
     pairs = {}
     payload = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import qsim
 from .harness import (ALICE, BOB, Transcript, as_source, conjugate_frame,
-                      measure_with, teleport_symbolic)
+                      measure_with)
 from .linpoly import LinearPolynomial, run_scheme4
 
 
@@ -149,13 +149,18 @@ class Scheme5Run:
     aborted: str | None = None
 
 
+# maps the characters "0" and "1" of an encoded bit string to the bits
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _distributed_eval(form, alice_bits, k, source, report, alice_strategy=None):
     """Lower-level scheme: distributed evaluation of one frame form.
 
     Alice's inputs are her current variable-value vector (unperformed
     measurements count as zero); Bob's polynomial is the linear form."""
-    poly = LinearPolynomial(tuple((form >> v) & 1
-                                  for v in range(1, len(alice_bits) + 1)),
+    nvars = len(alice_bits)
+    bits = format((form >> 1) & ((1 << nvars) - 1), f"0{nvars}b")[::-1]
+    poly = LinearPolynomial(tuple(bits.encode().translate(_BIT_BYTES)),
                             form & 1)
     dist, tr = run_scheme4(list(alice_bits), poly, k, source,
                            distributed=True, alice_strategy=alice_strategy)
@@ -195,6 +200,19 @@ def t_gate_step(state, qubit, frames, alice_bits, t_index, k, source,
     return st
 
 
+def _pauli_pad(state, qubit, source):
+    """A teleport that withholds both correction bits, as its channel:
+    X^a Z^b on `qubit` with fresh (a, b), and nothing sent.  Returns the
+    state and the sender's mask [a, b]."""
+    mask = source.draw(2, "teleport")
+    a, b = mask
+    if b:
+        state = qsim.apply_gate(state, qsim.Z, [qubit])
+    if a:
+        state = qsim.apply_gate(state, qsim.X, [qubit])
+    return state, mask
+
+
 def _masked_fidelity(state, frames, alice_bits, ideal):
     """Undo the mask at the true bits and compare with the ideal state."""
     assignment = 1 | sum(int(b) << v for v, b in enumerate(alice_bits, 1))
@@ -222,10 +240,7 @@ def _evaluate(circuit, input_state, k, source, traps=0, alice_strategy=None,
     # step 1: Alice teleports her data to Bob, withholding every correction
     st = input_state.copy()
     for i in range(n):
-        st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
-                                    sender=ALICE, tag="input")
-        alice_bits[2 * i] = rec.mask_x.reveal()
-        alice_bits[2 * i + 1] = rec.mask_z.reveal()
+        st, alice_bits[2 * i:2 * i + 2] = _pauli_pad(st, i, source)
 
     # step 2: Bob evaluates, correcting each T via the distributed gadget.
     # Pauli gates are absorbed into the mask (constant flips), never applied.
@@ -277,9 +292,8 @@ def _evaluate(circuit, input_state, k, source, traps=0, alice_strategy=None,
     # step 3: Bob teleports the data back, withholding his outcomes
     bob_return = []
     for i in range(n):
-        st, rec = teleport_symbolic(st, i, {"x", "z"}, source, transcript,
-                                    sender=BOB, tag="return")
-        bob_return.append((rec.mask_x.reveal(), rec.mask_z.reveal()))
+        st, mask = _pauli_pad(st, i, source)
+        bob_return.append(mask)
 
     # step 4: 2n distributed evaluations; Bob folds his return-teleport bit
     # into his share before sending it, so Alice's combined bit is directly

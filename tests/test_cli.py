@@ -304,6 +304,33 @@ def test_adversary_strategy_defaults_by_party(tmp_path, party, default):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["run", "--scheme", "4", "--max-bits", "64", "--seed", "1"],
+     "qhelab: unrecognized arguments: --max-bits 64"),
+    (["run", "--scheme", "4"],
+     "qhelab run: the following arguments are required: --seed"),
+    (["run", "--scheme", "3", "--seed", "1"],
+     "qhelab run: argument --scheme: invalid choice: '3'"),
+    (["adversary", "--scheme", "4", "--trials", "many", "--seed", "1"],
+     "qhelab adversary: argument --trials: invalid int value: 'many'"),
+], ids=["unknown-flag", "missing-seed", "bad-choice", "non-integer"])
+def test_parser_refusals_exit_2(capsys, argv, says):
+    """What the parser itself refuses exits 2 with one JSON error line,
+    as every other refusal does, and no usage text."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and json.loads(line)["error"].startswith(says)
+
+
+def test_help_exits_0_and_the_parser_is_built_once(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--scheme" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_reports_are_reproducible(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["run", "--scheme", "10", "--n", "2", "--k", "2", "--trials", "3",
@@ -493,11 +520,12 @@ def _mutant(fn, old, new):
 @pytest.mark.parametrize("fn,old,new,n,k", [
     (lp.run_scheme10, "y0 ^= s[j] & R[j]", "y0 ^= 0", 2, 2),
     (lp.run_scheme10, "if s[j] == 0", "if s[j] == 1", 2, 2),
-    (lp.run_scheme4, "g ^= (poly.a[i] & x_split[i][j]) ^ flips",
-     "g ^= flips", 1, 1),
-    (lp.run_scheme4, "flips = mz[p] if sbj else mx[p]",
-     "flips = mx[p] if sbj else mz[p]", 1, 1),
-    (lp.run_scheme4, "g = sbj & v[b * k + j]", "g = 0", 1, 1),
+    (lp.run_scheme4, "terms = list(map(xor, ax, flips))",
+     "terms = list(flips)", 1, 1),
+    (lp.run_scheme4, "flips = map(xor, mx, map(and_, sp, dz))",
+     "flips = map(xor, mz, map(and_, sp, dz))", 1, 1),
+    (lp.run_scheme4, "sv = list(map(and_, s, v))", "sv = [0] * len(s)", 1,
+     1),
 ], ids=["scheme10-no-s-and-R", "scheme10-swapped-slots",
         "scheme4-no-a-x-term", "scheme4-swapped-pair-parities",
         "scheme4-no-s-and-v"])

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from qhelab import harness, linpoly as lp
 from qhelab import qhe_core as qc
 from qhelab import qsim, seclab
-from qhelab.harness import (ALICE, BOB, FixedBits, ProtocolError,
-                            RandomBits, Transcript, comm_audit,
-                            enumerate_hidden_adaptive, measure_with,
-                            teleport_symbolic)
+from qhelab.harness import (ALICE, BOB, FixedBits, Form, ProtocolError,
+                            RandomBits, SymbolicBits, Transcript,
+                            comm_audit, enumerate_hidden_adaptive,
+                            measure_with, teleport_symbolic)
 from test_qsim import product_state
 
 
@@ -238,14 +238,26 @@ def test_encode_pair_states():
     assert abs(minus_plus @ np.array([1, 1, -1, -1]) / 2 - 1) < 1e-12
 
 
+def block_split(x, k, source):
+    """lp._split_bits over one block draw of the n*(k-1) pads."""
+    return lp._split_bits(x, k, source.draw(len(x) * (k - 1), "pad"))
+
+
+def _mask(bit):
+    return bit.mask if isinstance(bit, Form) else bit
+
+
 @given(st.lists(st.integers(0, 1), max_size=5), st.integers(1, 6),
        st.integers(0, 2 ** 16))
 @settings(deadline=None, max_examples=40)
 def test_split_bit_xors_back(x, k, seed):
     """Each input's k pads XOR back to it, and the block draw gives the
-    pads, and leaves the generator, as one bit() per pad would."""
+    pads, and leaves the source, as one bit() per pad would: the same bits
+    and generator state from RandomBits, and the same Form masks and
+    variable count from SymbolicBits, for known and symbolic inputs.  At
+    k = 1 nothing is drawn."""
     runs = []
-    for split in (lp._split_bits, scalar_split):
+    for split in (block_split, scalar_split):
         gen = np.random.default_rng(seed)
         runs.append((split(x, k, RandomBits(gen)), gen.random()))
     assert runs[0] == runs[1]
@@ -256,6 +268,77 @@ def test_split_bit_xors_back(x, k, seed):
         for p in pads:
             total ^= p
         assert total == xi
+    if k == 1:
+        assert runs[0][1] == np.random.default_rng(seed).random()
+
+    forms = [Form(1 << (40 + i) | xi) for i, xi in enumerate(x)]
+    for inputs in (x, forms):
+        sym = []
+        for split in (block_split, scalar_split):
+            source = SymbolicBits(FixedBits(()))
+            sym.append(([[_mask(p) for p in pads]
+                         for pads in split(inputs, k, source)], source.vars))
+        assert sym[0] == sym[1]
+        masks, nvars = sym[0]
+        assert nvars == len(x) * (k - 1)
+        for xi, pads in zip(inputs, masks):
+            total = 0
+            for p in pads:
+                total ^= p
+            assert total == _mask(xi)
+
+
+class CountingCalls(RandomBits):
+    """RandomBits that counts its draw, bit and outcome calls."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.calls = {"draw": 0, "bit": 0, "outcome": 0}
+
+    def draw(self, count, tag=""):
+        self.calls["draw"] += 1
+        return super().draw(count, tag)
+
+    def bit(self, tag=""):
+        self.calls["bit"] += 1
+        return super().bit(tag)
+
+    def outcome(self, p0):
+        self.calls["outcome"] += 1
+        return super().outcome(p0)
+
+
+class ScalarBits(RandomBits):
+    """RandomBits whose block draw is `count` bit() calls."""
+
+    def draw(self, count, tag=""):
+        return [self.bit(tag) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 34])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m,probe", [("1", False), ("n", False),
+                                     ("1", True)],
+                         ids=["m1", "mn", "probe"])
+def test_scheme4_makes_two_draws(n, k, m, probe):
+    """An honest or probed run draws its basis bits and then one block of
+    pads, forward masks and return masks: two draw calls, and no bit or
+    outcome call.  The run is the one that scalar draws give."""
+    rng = np.random.default_rng(100 * n + k)
+    x = [int(b) for b in rng.integers(0, 2, size=n)]
+    poly = lp.LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
+                               int(rng.integers(0, 2)))
+    counting = CountingCalls(np.random.default_rng(k))
+    runs = []
+    for source in (counting, ScalarBits(np.random.default_rng(k))):
+        out, tr = lp.run_scheme4(
+            x, poly, k, source, m=1 if m == "1" else n,
+            alice_strategy=seclab.ProbeAlice() if probe else None)
+        runs.append((out, tr.serialize()))
+    assert counting.calls == {"draw": 2, "bit": 0, "outcome": 0}
+    assert runs[0] == runs[1]
+    if not probe:
+        assert runs[0][0] == poly.evaluate(x)
 
 
 _CASES = [((1,), 0), ((0,), 1), ((1, 1), 1), ((1, 0), 0), ((0, 1, 1), 1)]
