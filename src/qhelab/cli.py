@@ -6,10 +6,12 @@ Commands:
   enumeration or seeded trials for the classical-output schemes, fidelity
   trials for the circuit-evaluation schemes).  Exhaustive mode enumerates
   only the control bits (basis bits, and scheme 8's and 9's t) and makes
-  one symbolic run per control branch, whose output is an F2 affine form in
-  the other hidden bits: a constant form is right or wrong on all 2^vars
-  leaves of the branch, a non-constant one wrong on exactly half.  So the
-  counts equal those of leaf-by-leaf enumeration.  The one bound is
+  one symbolic run per (a, c) and control branch, with Alice's input x
+  and every other hidden bit a fresh variable.  The output's difference
+  from c ^ a.x is then an F2 affine form: a constant one is right or
+  wrong on all 2^vars leaves of the branch, x included, and a
+  non-constant one wrong on exactly half.  So the counts equal those of
+  leaf-by-leaf enumeration over every x.  The one bound is
   _MAX_EXHAUSTIVE_RUNS symbolic runs: a point that needs more is refused
   before anything runs.
 - audit: privacy metrics and communication accounting against registered
@@ -139,14 +141,14 @@ _CLASSICAL = {
 }
 
 
-# symbolic runs one exhaustive grid point may make: 2^(2n+1) cases times
-# 2^control branches each
+# symbolic runs one exhaustive grid point may make: 2^(n+1) polynomials
+# times 2^control branches each
 _MAX_EXHAUSTIVE_RUNS = 2 ** 18
 
 
 def _control_bits(run, n, k, args):
     """Control bits one exhaustive run at (n, k) draws, counted with one
-    symbolic run; every case draws as many."""
+    symbolic run; every polynomial draws as many."""
     poly = LinearPolynomial((1,) * n, 0)
     return hidden_bit_count(lambda src: run(
         [0] * n, poly, k, SymbolicBits(src), args.gamma, args.k_prime))
@@ -156,64 +158,64 @@ def _exhaustive_preflight(args, n, k, seed):
     """Refuse an exhaustive grid point past _MAX_EXHAUSTIVE_RUNS; a point
     that passes adds no rows."""
     control = _control_bits(_CLASSICAL[args.scheme], n, k, args)
-    runs = 2 ** (2 * n + 1 + control)
+    runs = 2 ** (n + 1 + control)
     if runs > _MAX_EXHAUSTIVE_RUNS:
         raise ValueError(f"exhaustive run at n={n}, k={k} needs {runs} "
-                         f"symbolic runs (2^{2 * n + 1} cases x 2^{control} "
-                         f"control branches), over the cap of "
+                         f"symbolic runs (2^{n + 1} polynomials x "
+                         f"2^{control} control branches), over the cap of "
                          f"{_MAX_EXHAUSTIVE_RUNS}")
     return []
 
 
-def _exhaustive_case(run, x, poly, k, control, args):
-    """(failures, cases) of one (x, poly) over every hidden-bit leaf, from
-    one symbolic run per branch of its `control` control bits."""
-    want = poly.evaluate(x)
-    failures = cases = 0
+def _exhaustive_poly(run, poly, k, control, args):
+    """(failures, cases) of one polynomial over every input x and every
+    hidden-bit leaf, from one symbolic run per branch of its `control`
+    control bits, with x drawn as n fresh variables."""
 
     def branch(fixed):
         source = SymbolicBits(fixed)
+        x = source.draw(poly.n, "x")
         got = run(x, poly, k, source, args.gamma, args.k_prime)[0]
-        return got, source.vars
+        want = poly.c  # c ^ a.x, a form in x
+        for ai, xi in zip(poly.a, x):
+            want ^= ai & xi
+        return got ^ want, source.vars
 
-    for _, (got, nvars) in enumerate_hidden(branch, control):
+    failures = cases = 0
+    for _, (diff, nvars) in enumerate_hidden(branch, control):
         leaves = 2 ** nvars
         cases += leaves
-        mask = got.mask if isinstance(got, Form) else got
+        mask = diff.mask if isinstance(diff, Form) else diff
         if mask >> 1:  # a non-constant affine form is balanced
             failures += leaves // 2
-        elif mask != want:
+        elif mask:
             failures += leaves
     return failures, cases
 
 
 def _classical_point(args, n, k, seed):
     """One grid point of the classical-output schemes: count failing cases
-    over all (x, a, c), either over every hidden-bit leaf per case or over
-    seeded trials."""
+    over all (x, a, c), either over every input and hidden-bit leaf per
+    polynomial or over seeded trials per case."""
     run = _CLASSICAL[args.scheme]
-    failures = cases = 0
-    rng = np.random.default_rng(seed)
+    polys = [LinearPolynomial(tuple((av >> i) & 1 for i in range(n)), c)
+             for av in range(2 ** n) for c in (0, 1)]
     if args.exhaustive:
         control = _control_bits(run, n, k, args)
+        counts = [_exhaustive_poly(run, poly, k, control, args)
+                  for poly in polys]
+        return tuple(map(sum, zip(*counts)))
+    failures = cases = 0
+    rng = np.random.default_rng(seed)
     for xv in range(2 ** n):
         x = [(xv >> i) & 1 for i in range(n)]
-        for av in range(2 ** n):
-            for c in (0, 1):
-                poly = LinearPolynomial(
-                    tuple((av >> i) & 1 for i in range(n)), c)
-                want = poly.evaluate(x)
-                if args.exhaustive:
-                    fails, leaves = _exhaustive_case(run, x, poly, k,
-                                                     control, args)
-                    failures += fails
-                    cases += leaves
-                else:
-                    for _ in range(args.trials):
-                        got = run(x, poly, k, RandomBits(rng), args.gamma,
-                                  args.k_prime)[0]
-                        cases += 1
-                        failures += int(got != want)
+        for poly in polys:
+            want = poly.evaluate(x)
+            for _ in range(args.trials):
+                got = run(x, poly, k, RandomBits(rng), args.gamma,
+                          args.k_prime)[0]
+                cases += 1
+                failures += int(got != want)
     return failures, cases
 
 
@@ -479,9 +481,12 @@ def _build_parser():
     run.add_argument("--k", default="1")
     run.add_argument("--R", type=int, default=1)
     run.add_argument("--depth", type=int, default=2)
-    run.add_argument("--gamma", type=float, default=1.5)
-    run.add_argument("--k-prime", type=int, default=1)
-    run.add_argument("--trials", type=int, default=20)
+    run.add_argument("--gamma", type=float,
+                     help="scheme 9 only (default 1.5)")
+    run.add_argument("--k-prime", type=int,
+                     help="scheme 9 only (default 1)")
+    run.add_argument("--trials", type=int,
+                     help="sampled runs only (default 20)")
     run.add_argument("--exhaustive", action="store_true")
     common(run)
 
@@ -518,8 +523,8 @@ _BENCHES = {"alice": (("4", "6"), ("probe", "honest")),
 
 
 def _grid_points(args):
-    """Check the parsed arguments, resolve the adversary defaults in place,
-    and expand the grid into (n, k, seed) points."""
+    """Check the parsed arguments, resolve the run and adversary defaults
+    in place, and expand the grid into (n, k, seed) points."""
     ns, ks = _parse_range(args.n), _parse_range(args.k)
     if args.command == "adversary":
         schemes, strategies = _BENCHES[args.party]
@@ -553,6 +558,15 @@ def _grid_points(args):
     if getattr(args, "exhaustive", False) and args.scheme in ("1", "2", "5"):
         raise ValueError(f"scheme {args.scheme} runs fidelity trials and "
                          "has no --exhaustive mode")
+    if args.command == "run":
+        if args.exhaustive and args.trials is not None:
+            raise ValueError("--trials applies to sampled runs only; an "
+                             "--exhaustive run counts every leaf")
+        if args.scheme != "9" and (args.gamma, args.k_prime) != (None, None):
+            raise ValueError("--gamma and --k-prime apply to scheme 9 only")
+        for flag, default in (("trials", 20), ("gamma", 1.5), ("k_prime", 1)):
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):

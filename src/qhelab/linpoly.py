@@ -38,11 +38,12 @@ bits, scheme 8's t, pads, fillers).  Uniform measurement outcomes are
 still drawn one at a time, and so are a measuring Bob's return masks,
 which his outcomes interleave.
 
-Once the control bits (basis bits s, and scheme 8's t) are fixed, a run's
-pads, fillers, teleport masks and uniform outcomes enter only through XOR
-and through AND with a known bit; a measuring Bob's run too.  So the
-runners take harness.Form values for those bits, which is how the CLI's
-exhaustive mode runs them.
+Once the control bits (basis bits s, and scheme 8's t) are fixed, Alice's
+input x and a run's pads, fillers, teleport masks and uniform outcomes
+enter only through XOR and through AND with a known bit; a measuring
+Bob's run too.  So the runners take harness.Form values for those bits,
+which is how the CLI's exhaustive mode runs them, one run per polynomial
+and control branch.
 """
 
 from __future__ import annotations

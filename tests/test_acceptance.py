@@ -77,15 +77,18 @@ def test_criterion1_linear_polynomial_correctness(scheme):
 
 @pytest.mark.parametrize("scheme,ns,ks", [
     ("4", "2..3", "1..2"), ("7", "2..3", "1..2"), ("8", "2..3", "1..2"),
-    ("10", "2..3", "1..2"), ("9", "1..2", "1")])
+    ("10", "2..3", "1..2"), ("9", "1..2", "1"),
+    ("4", "4", "1..2"), ("7", "4", "1..2"), ("8", "4", "1..2"),
+    ("10", "4", "1..2")])
 def test_criterion1_symbolic_exhaustive_grid(scheme, ns, ks, tmp_path):
-    """The CLI's exhaustive mode covers every hidden-bit leaf at sizes the
-    seeded trials above only sample, and no leaf fails.  Outside scheme 9,
-    whose inner pairing (and so its bit count) follows the outer s and t,
-    a case's runs all draw the same number of bits, so each row must count
-    2^(bits of one run) leaves per (x, a, c) case.  The grid runs at the
-    CLI's defaults: schemes 4 and 7 at k = 2 draw 28 to 45 bits a leaf,
-    and the run-count preflight is their only bound."""
+    """The CLI's exhaustive mode covers every hidden-bit leaf of every
+    input at sizes the seeded trials above only sample, and no leaf fails.
+    Outside scheme 9, whose inner pairing (and so its bit count) follows
+    the outer s and t, a case's runs all draw the same number of bits, so
+    each row must count 2^(bits of one run) leaves per (x, a, c) case.
+    The grid runs at the CLI's defaults up to n = 4: schemes 4 and 7 at
+    k = 2 draw 28 to 60 bits a leaf, and the run-count preflight is their
+    only bound."""
     out = tmp_path / "r.jsonl"
     assert cli.main(["run", "--scheme", scheme, "--n", ns, "--k", ks,
                      "--exhaustive", "--seed", "1",

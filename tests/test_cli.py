@@ -9,10 +9,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhelab import cli, linpoly as lp, qsim, rebit_schemes
-from qhelab.harness import ProtocolError, enumerate_hidden_adaptive
-from test_linpoly import _all_cases
+from qhelab.harness import (Form, ProtocolError, SymbolicBits,
+                            enumerate_hidden, enumerate_hidden_adaptive)
 from test_seclab import cmi7_oracle, theorem6_c0_oracle
 
 
@@ -447,13 +448,40 @@ def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--scheme", "10", "--exhaustive", "--trials", "999"], "--trials"),
+    (["--scheme", "9", "--exhaustive", "--trials", "20"], "--trials"),
+    (["--scheme", "10", "--gamma", "5", "--k-prime", "-4", "--trials", "2"],
+     "--gamma"),
+    (["--scheme", "8", "--gamma", "1.5", "--trials", "2"], "--gamma"),
+    (["--scheme", "4", "--k-prime", "1", "--exhaustive"], "--k-prime"),
+    (["--scheme", "5", "--k-prime", "2", "--trials", "1"], "--k-prime"),
+], ids=["trials-exhaustive", "default-trials-exhaustive", "gamma-scheme10",
+        "gamma-scheme8", "k-prime-scheme4", "k-prime-scheme5"])
+def test_flags_a_point_ignores_exit_2(tmp_path, capsys, argv, error):
+    """--trials with --exhaustive, and --gamma or --k-prime outside scheme
+    9, would be dropped silently, so they are refused even at their
+    defaults; where a point reads them they are accepted."""
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["run", *argv, "--seed", "1", "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert error in json.loads(line)["error"]
+    assert not out.exists()
+    for accepted in (["--scheme", "9", "--gamma", "1.5", "--k-prime", "2",
+                      "--trials", "1"],
+                     ["--scheme", "10", "--exhaustive"]):
+        assert cli.main(["run", *accepted, "--seed", "1",
+                         "--output", str(out)]) == 0
+
+
 @pytest.mark.parametrize("at", [1, 2])
 def test_enumeration_budget_exit_2(tmp_path, capsys, at):
     """A grid with one exhaustive point past the 2^18-run cap, first or
     second on the n axis, is a refused argument (exit 2), not a failed row
-    (exit 1), and writes no report for its point under the cap either."""
+    (exit 1), and writes no report for its point under the cap either.
+    Scheme 10 at n = 16, k = 2 needs 2^(17 + 2) runs."""
     out = tmp_path / "r.jsonl"
-    ns = "8,1" if at == 1 else "1,8"
+    ns = "16,1" if at == 1 else "1,16"
     assert cli.main(["run", "--scheme", "10", "--n", ns, "--k", "2",
                      "--exhaustive", "--seed", "1",
                      "--output", str(out)]) == 2
@@ -477,10 +505,51 @@ def _literal_case(run, x, poly, k):
     return sum(int(got != want) for got in outs), len(outs)
 
 
+def _inputs(n):
+    return [[(xv >> i) & 1 for i in range(n)] for xv in range(2 ** n)]
+
+
+def _polys(n):
+    """Every polynomial of arity n."""
+    return [lp.LinearPolynomial(tuple((av >> i) & 1 for i in range(n)), c)
+            for av in range(2 ** n) for c in (0, 1)]
+
+
+def _summed(counts):
+    return tuple(map(sum, zip(*counts)))
+
+
+def _literal_poly(run, poly, k):
+    """(failures, cases) of one polynomial, summed over every input x."""
+    return _summed(_literal_case(run, x, poly, k) for x in _inputs(poly.n))
+
+
+def _known_input_case(run, x, poly, k, control):
+    """(failures, cases) of one known (x, poly) from one symbolic run per
+    control branch: the route with one pass per input, the reference for
+    the CLI's symbolic inputs."""
+    want = poly.evaluate(x)
+    failures = cases = 0
+
+    def branch(fixed):
+        source = SymbolicBits(fixed)
+        got = run(x, poly, k, source, _ENUM.gamma, _ENUM.k_prime)[0]
+        return got, source.vars
+
+    for _, (got, nvars) in enumerate_hidden(branch, control):
+        leaves = 2 ** nvars
+        cases += leaves
+        mask = got.mask if isinstance(got, Form) else got
+        if mask >> 1:
+            failures += leaves // 2
+        elif mask != want:
+            failures += leaves
+    return failures, cases
+
+
 # every point where literal enumeration finishes; past (1, 1), schemes 4
-# and 7 take a few cases (all 32 at (1, 2) cost the literal route 30 s)
-_FEW = [([1], lp.LinearPolynomial((1,), 0)),
-        ([1], lp.LinearPolynomial((0,), 1))]
+# and 7 take a few polynomials, each over both inputs (about 1.4 s each)
+_FEW = [lp.LinearPolynomial((1,), 0), lp.LinearPolynomial((0,), 1)]
 
 
 @pytest.mark.parametrize("scheme,n,k,cases", [
@@ -490,16 +559,17 @@ _FEW = [([1], lp.LinearPolynomial((1,), 0)),
     ("4", 1, 2, _FEW), ("7", 1, 2, _FEW[:1]),
 ])
 def test_symbolic_exhaustive_matches_literal(scheme, n, k, cases):
-    """One symbolic run per control branch gives each case's (failures,
-    cases) exactly as replaying every leaf does, and the grid point's row
-    sums them."""
+    """One symbolic run per polynomial and control branch, with the input
+    symbolic too, gives each polynomial's (failures, cases) exactly as
+    replaying every leaf of every input does, and the grid point's row
+    sums them; `cases` is a list of polynomials, or None for all."""
     run = cli._CLASSICAL[scheme]
+    control = cli._control_bits(run, n, k, _ENUM)
     total = [0, 0]
-    for x, poly in cases or _all_cases(n):
-        want = _literal_case(run, x, poly, k)
-        control = cli._control_bits(run, n, k, _ENUM)
-        assert cli._exhaustive_case(run, x, poly, k, control,
-                                    _ENUM) == want, (x, poly)
+    for poly in cases or _polys(n):
+        want = _literal_poly(run, poly, k)
+        assert cli._exhaustive_poly(run, poly, k, control, _ENUM) == want, \
+            poly
         total = [t + w for t, w in zip(total, want)]
     if cases is None:
         args = argparse.Namespace(**vars(_ENUM), scheme=scheme,
@@ -531,16 +601,30 @@ def _mutant(fn, old, new):
         "scheme4-no-s-and-v"])
 def test_symbolic_exhaustive_counts_mutant_failures(fn, old, new, n, k):
     """A broken protocol fails on the same number of leaves both ways,
-    and on some."""
+    and on some: per polynomial with symbolic inputs, and summed over
+    every input of literal leaves."""
     run = _mutant(fn, old, new)
-    symbolic = literal = (0, 0)
     control = cli._control_bits(run, n, k, _ENUM)
-    for x, poly in _all_cases(n):
-        symbolic = [a + b for a, b in zip(
-            symbolic, cli._exhaustive_case(run, x, poly, k, control, _ENUM))]
-        literal = [a + b for a, b in zip(literal,
-                                         _literal_case(run, x, poly, k))]
+    symbolic = _summed(cli._exhaustive_poly(run, poly, k, control, _ENUM)
+                       for poly in _polys(n))
+    literal = _summed(_literal_poly(run, poly, k) for poly in _polys(n))
     assert symbolic == literal and symbolic[0] > 0
+
+
+@given(st.sampled_from([("4", 1, 2), ("4", 2, 1), ("7", 2, 2), ("7", 3, 1),
+                        ("8", 2, 2), ("8", 3, 1), ("9", 1, 1), ("9", 2, 1),
+                        ("10", 3, 2)]),
+       st.integers(0, 2 ** 3 - 1), st.integers(0, 1))
+@settings(deadline=None, max_examples=30)
+def test_symbolic_inputs_sum_known_inputs(point, av, c):
+    """With x symbolic, one polynomial's count equals the sum over every
+    known x of the symbolic counts with that x."""
+    scheme, n, k = point
+    run = cli._CLASSICAL[scheme]
+    poly = lp.LinearPolynomial(tuple((av >> i) & 1 for i in range(n)), c)
+    control = cli._control_bits(run, n, k, _ENUM)
+    assert cli._exhaustive_poly(run, poly, k, control, _ENUM) == _summed(
+        _known_input_case(run, x, poly, k, control) for x in _inputs(n))
 
 
 def test_exhaustive_preflight_refuses_before_enumerating(monkeypatch,
@@ -550,7 +634,7 @@ def test_exhaustive_preflight_refuses_before_enumerating(monkeypatch,
     that fails past that many calls is never reached again."""
     runner = cli._CLASSICAL["9"]
     argv = ["run", "--scheme", "9", "--exhaustive", "--seed", "1", "--n"]
-    for ns, points in (("3", 1), ("1..3", 3)):
+    for ns, points in (("4", 1), ("1..4", 4)):
         calls = []
 
         def preflight_only(*args, calls=calls, points=points):
@@ -564,6 +648,20 @@ def test_exhaustive_preflight_refuses_before_enumerating(monkeypatch,
         (line,) = capsys.readouterr().err.splitlines()
         assert "524288 symbolic runs" in json.loads(line)["error"]
         assert [len(x) for x, _, _ in calls] == cli._parse_range(ns)
+
+
+def test_exhaustive_preflight_admits_scheme9_at_n3(monkeypatch):
+    """Scheme 9 at n = 3 draws 12 control bits, so it needs 2^(4 + 12)
+    symbolic runs, under the cap, and reaches its point."""
+    args = argparse.Namespace(**vars(_ENUM), scheme="9")
+    assert cli._control_bits(cli._CLASSICAL["9"], 3, 1, args) == 12
+    assert cli._exhaustive_preflight(args, 3, 1, 1) == []
+    reached = []
+    monkeypatch.setattr(cli, "_run_point",
+                        lambda *point: reached.append(point[1:]) or [])
+    assert cli.main(["run", "--scheme", "9", "--n", "3", "--exhaustive",
+                     "--seed", "1"]) == 0
+    assert reached == [(3, 1, 1)]
 
 
 def test_symbolic_bit_in_control_flow_exit_3(monkeypatch, capsys):
@@ -581,6 +679,27 @@ def test_symbolic_bit_in_control_flow_exit_3(monkeypatch, capsys):
     assert json.loads(line) == {
         "error": "ProtocolError: a symbolic bit reached control flow",
         "command": "run", "scheme": "10", "n": 1, "k": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("misuse,error", [
+    (lambda x: x[0] & x[1], "a product of two symbolic bits is not affine"),
+    (lambda x: 1 if x[0] else 0, "a symbolic bit reached control flow"),
+], ids=["product", "control-flow"])
+def test_symbolic_input_in_product_or_control_flow_exit_3(monkeypatch,
+                                                          capsys, misuse,
+                                                          error):
+    """A runner whose output multiplies two input bits, or that branches
+    on one, is an internal error (exit 3, one JSON line), not a count."""
+    monkeypatch.setitem(cli._CLASSICAL, "10",
+                        lambda x, *_: (misuse(x), None))
+    assert cli.main(["run", "--scheme", "10", "--n", "2", "--exhaustive",
+                     "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": f"ProtocolError: {error}",
+        "command": "run", "scheme": "10", "n": 2, "k": 1, "seed": 1}
 
 
 @pytest.mark.parametrize("exc", [ProtocolError, AssertionError])
