@@ -29,8 +29,11 @@ Exit codes: 0 when every row passes, 1 when a row fails, 2 for refused
 arguments, and 3 for an internal error (a protocol fault or a failed
 internal check) inside a grid point.  Refused arguments include those the
 parser itself refuses (an unknown flag, a missing --seed, a bad choice or a
-non-integer count) and an --output that cannot be written.  Exits 2 and 3
-write one JSON error line to stderr and no report; exit 3's line names the
+non-integer count), an --output that cannot be written, and whatever a
+point would ignore: _POINTS lists the axes and optional flags that each
+command, mode and scheme reads, with their defaults, and any other flag
+given, or any other axis value than 1, is refused.  Exits 2 and 3 write
+one JSON error line to stderr and no report; exit 3's line names the
 command, the scheme and the point's (n, k, seed).  --help prints usage and
 exits 0.
 """
@@ -219,15 +222,14 @@ def _classical_point(args, n, k, seed):
     return failures, cases
 
 
-def _scheme5_point(n, r_cap, k, seed, trials):
+def _scheme5_runs(n, r_cap, k, seed, trials):
+    """(circuit, psi, run) of each of `trials` scheme-5 runs on a random
+    circuit and input, all drawn from one generator seeded with `seed`."""
     rng = np.random.default_rng(seed)
-    fids = []
     for _ in range(trials):
         circuit = random_clifford_t(n, r_cap, rng)
         psi = qsim.random_state(n, rng)
-        run = run_scheme5(circuit, psi, k, rng)
-        fids.append(qsim.fidelity(run.state, circuit.apply(psi)))
-    return fids
+        yield circuit, psi, run_scheme5(circuit, psi, k, rng)
 
 
 def random_accircuit(scheme, n, depth, rng):
@@ -247,20 +249,18 @@ def random_accircuit(scheme, n, depth, rng):
     return rebit_schemes.AlmostCommutingCircuit(n, layers)
 
 
-def _rebit_point(scheme, n, depth, seed, trials):
+def _rebit_runs(scheme, n, depth, seed, trials):
+    """(circuit, psi, run) of each of `trials` scheme-1 or scheme-2 runs on
+    a random circuit and rebit-encoded input, all drawn from one generator
+    seeded with `seed`."""
     rng = np.random.default_rng(seed)
     runner = (rebit_schemes.run_scheme1 if scheme == "1"
               else rebit_schemes.run_scheme2)
-    fids = []
     for _ in range(trials):
         circuit = random_accircuit(scheme, n, depth, rng)
         psi = qsim.random_state(n, rng)
         enc = qsim.QuantumState(rebit.rebit_encode(psi))
-        run = runner(circuit, enc, RandomBits(rng))
-        got = rebit.rebit_decode_logical(run.state)
-        want = rebit_schemes.logical_oracle(circuit, psi.vec)
-        fids.append(qsim.fidelity(got, want))
-    return fids
+        yield circuit, psi, runner(circuit, enc, RandomBits(rng))
 
 
 # --- command implementations ----------------------------------------------
@@ -273,22 +273,26 @@ def _run_point(args, n, k, seed):
         failures, cases = _classical_point(args, n, k, seed)
         params = {"n": n, "k": k, "cases": cases,
                   "mode": "exhaustive" if args.exhaustive else "sampled"}
-        if scheme == "9":
+        if args.gamma is not None:  # scheme 9
             params.update(gamma=args.gamma, k_prime=args.k_prime)
         prov = ("exhaustive-enumeration" if args.exhaustive
                 else "seeded-trials")
         return [_row(scheme, params, "correctness-failures", 0, failures,
                      0, seed, prov)]
     if scheme == "5":
-        fids = _scheme5_point(n, args.R, k, seed, args.trials)
+        runs = _scheme5_runs(n, args.R, k, seed, args.trials)
         return [_row("5", {"n": n, "R": args.R, "k": k, "trial": t},
-                     "fidelity", 1.0, f, TOL_FIDELITY, seed,
-                     "direct-simulation")
-                for t, f in enumerate(fids)]
-    fids = _rebit_point(scheme, n, args.depth, seed, args.trials)
+                     "fidelity", 1.0,
+                     qsim.fidelity(run.state, circuit.apply(psi)),
+                     TOL_FIDELITY, seed, "direct-simulation")
+                for t, (circuit, psi, run) in enumerate(runs)]
+    runs = _rebit_runs(scheme, n, args.depth, seed, args.trials)
     return [_row(scheme, {"n": n, "depth": args.depth, "trial": t},
-                 "fidelity", 1.0, f, TOL_FIDELITY, seed, "logical-oracle")
-            for t, f in enumerate(fids)]
+                 "fidelity", 1.0,
+                 qsim.fidelity(rebit.rebit_decode_logical(run.state),
+                               rebit_schemes.logical_oracle(circuit, psi.vec)),
+                 TOL_FIDELITY, seed, "logical-oracle")
+            for t, (circuit, psi, run) in enumerate(runs)]
 
 
 def _rank_counts(n, k):
@@ -307,47 +311,35 @@ def _rank_counts(n, k):
 
 def _audit_point(args, n, k, seed):
     scheme, metric = args.scheme, args.metric
-    rows = []
+    if metric == "comm":
+        return _comm_audit(args, n, k, seed)
+    if metric == "trace-distance" and scheme != "7":  # 4, 8: per variable
+        expected = 0.5 ** k if scheme == "4" else 2.0 ** (-k / 2)
+        obs = seclab.privacy_distance(scheme, {"k": k}, 0, 1)
+        return [_row(scheme, {"k": k}, metric, expected, obs, TOL_EXACT,
+                     seed, "exact-enumeration")]
+    params = {"n": n, "k": k}
     if metric == "trace-distance":
-        if scheme == "4":
-            obs = seclab.privacy_distance("4", {"k": k}, 0, 1)
-            rows.append(_row("4", {"k": k}, metric, 0.5 ** k, obs, TOL_EXACT,
-                             seed, "exact-enumeration"))
-        elif scheme == "8":
-            obs = seclab.privacy_distance("8", {"k": k}, 0, 1)
-            rows.append(_row("8", {"k": k}, metric, 2.0 ** (-k / 2), obs,
-                             TOL_EXACT, seed, "exact-enumeration"))
-        elif scheme == "7":
-            # Bob tells x from 0 unless x lies in B's column space:
-            # c0 = 1 - (E[2^rank B] - 1) / (2^n - 1), one rounding
-            res = seclab.theorem6_constants(n, k)
-            total = 2 ** (n * k) * (2 ** n - 1)
-            spanned = sum(c << r for r, c in enumerate(_rank_counts(n, k)))
-            c0 = (total - (spanned - 2 ** (n * k))) / total
-            rows.append(_row("7", {"n": n, "k": k}, "trace-distance-c0", c0,
-                             res["c0"], TOL_EXACT, seed,
-                             "exact-enumeration"))
-            rows.append(_row("7", {"n": n, "k": k}, "trace-distance-spread",
-                             0.0, res["spread"], TOL_EXACT, seed,
-                             "exact-enumeration"))
-        else:
-            raise ValueError(f"no trace-distance audit for scheme {scheme}")
-    elif metric == "cmi":
-        obs = seclab.cmi_uniform(scheme, n, k)
-        if scheme == "7":  # n - E[rank B], one rounding
-            ranks = sum(c * r for r, c in enumerate(_rank_counts(n, k)))
-            expected = (n * 2 ** (n * k) - ranks) / 2 ** (n * k)
-        else:  # 8: each variable's parity through a binary symmetric
-            # channel with crossover (1 - 2^(-k/2))/2
-            p = (1 - 2 ** (-k / 2)) / 2
-            expected = n * (1 + p * math.log2(p) + (1 - p) * math.log2(1 - p))
-        rows.append(_row(scheme, {"n": n, "k": k}, metric, expected, obs,
-                         TOL_EXACT, seed, "exact-enumeration"))
-    elif metric == "comm":
-        rows.extend(_comm_audit(args, n, k, seed))
-    else:
-        raise ValueError(f"unknown audit metric {metric!r}")
-    return rows
+        # Bob tells x from 0 unless x lies in B's column space:
+        # c0 = 1 - (E[2^rank B] - 1) / (2^n - 1), one rounding
+        res = seclab.theorem6_constants(n, k)
+        total = 2 ** (n * k) * (2 ** n - 1)
+        spanned = sum(c << r for r, c in enumerate(_rank_counts(n, k)))
+        c0 = (total - (spanned - 2 ** (n * k))) / total
+        return [_row("7", params, "trace-distance-c0", c0, res["c0"],
+                     TOL_EXACT, seed, "exact-enumeration"),
+                _row("7", params, "trace-distance-spread", 0.0,
+                     res["spread"], TOL_EXACT, seed, "exact-enumeration")]
+    obs = seclab.cmi_uniform(scheme, n, k)
+    if scheme == "7":  # n - E[rank B], one rounding
+        ranks = sum(c * r for r, c in enumerate(_rank_counts(n, k)))
+        expected = (n * 2 ** (n * k) - ranks) / 2 ** (n * k)
+    else:  # 8: each variable's parity through a binary symmetric
+        # channel with crossover (1 - 2^(-k/2))/2
+        p = (1 - 2 ** (-k / 2)) / 2
+        expected = n * (1 + p * math.log2(p) + (1 - p) * math.log2(1 - p))
+    return [_row(scheme, params, metric, expected, obs, TOL_EXACT, seed,
+                 "exact-enumeration")]
 
 
 # closed-form Bob->Alice bit counts of one run, as functions of (n, k)
@@ -362,43 +354,30 @@ _COMM_BOB_TO_ALICE = {
 def _comm_audit(args, n, k, seed):
     """Bob->Alice bit counts of one live run versus the closed forms."""
     scheme = args.scheme
-    rng = np.random.default_rng(seed)
-    rows = []
     if scheme == "2":
-        circuit = random_accircuit("2", n, args.depth, rng)
-        psi = qsim.random_state(n, rng)
-        enc = qsim.QuantumState(rebit.rebit_encode(psi))
-        run = rebit_schemes.run_scheme2(circuit, enc, RandomBits(rng))
-        obs = comm_audit(run.transcript, "Bob->Alice")
-        rows.append(_row("2", {"n": n}, "comm-bob-to-alice", 2 * n, obs, 0,
-                         seed, "protocol-audit"))
-        return rows
+        (_, _, run), = _rebit_runs("2", n, args.depth, seed, 1)
+        return [_row("2", {"n": n}, "comm-bob-to-alice", 2 * n,
+                     comm_audit(run.transcript, "Bob->Alice"), 0, seed,
+                     "protocol-audit")]
     if scheme == "5":
-        circuit = random_clifford_t(n, args.R, rng)
-        run = run_scheme5(circuit, qsim.random_state(n, rng), k, rng)
+        (_, _, run), = _scheme5_runs(n, args.R, k, seed, 1)
         params = {"n": n, "R": args.R, "k": k}
-        rows.append(_row("5", params, "subprotocol-instances", 2 * n + args.R,
-                         run.report.instance_count, 0, seed,
-                         "protocol-audit"))
-        rows.append(_row("5", params, "key-variables", 2 * n + 4 * args.R,
-                         run.report.nvars, 0, seed, "protocol-audit"))
-        return rows
-    if scheme not in _COMM_BOB_TO_ALICE:
-        raise ValueError(f"no communication audit for scheme {scheme}")
+        return [_row("5", params, "subprotocol-instances", 2 * n + args.R,
+                     run.report.instance_count, 0, seed, "protocol-audit"),
+                _row("5", params, "key-variables", 2 * n + 4 * args.R,
+                     run.report.nvars, 0, seed, "protocol-audit")]
+    rng = np.random.default_rng(seed)
     x = [int(b) for b in rng.integers(0, 2, size=n)]
     poly = LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
                             int(rng.integers(0, 2)))
     _, tr = _CLASSICAL[scheme](x, poly, k, rng)
-    expected = _COMM_BOB_TO_ALICE[scheme](n, k)
-    obs = comm_audit(tr, "Bob->Alice")
-    rows.append(_row(scheme, {"n": n, "k": k}, "comm-bob-to-alice", expected,
-                     obs, 0, seed, "protocol-audit"))
-    return rows
+    return [_row(scheme, {"n": n, "k": k}, "comm-bob-to-alice",
+                 _COMM_BOB_TO_ALICE[scheme](n, k),
+                 comm_audit(tr, "Bob->Alice"), 0, seed, "protocol-audit")]
 
 
 def _adversary_point(args, n, k, seed):
     scheme, strategy, trials = args.scheme, args.strategy, args.trials
-    rows = []
     if scheme == "6":
         circuit = CliffordTCircuit(1, (("H", (0,)), ("P", (0,))))
         psi = qsim.random_state(1, np.random.default_rng(seed))
@@ -409,46 +388,36 @@ def _adversary_point(args, n, k, seed):
         params = {"k": k, "traps": args.traps, "trials": trials,
                   "strategy": strategy}
         if honest:
-            rows.append(_row("6", params, "abort-rate", 0.0,
-                             res["detection_rate"], 0.0, seed,
-                             "monte-carlo"))
-        else:
-            rows.append(_row("6", params, "detection-rate", 0.5,
-                             res["detection_rate"], None, seed,
-                             "monte-carlo", comparison=">="))
-        return rows
+            return [_row("6", params, "abort-rate", 0.0,
+                         res["detection_rate"], 0.0, seed, "monte-carlo")]
+        return [_row("6", params, "detection-rate", 0.5,
+                     res["detection_rate"], None, seed, "monte-carlo",
+                     comparison=">=")]
     if args.party == "bob":
         res = seclab.cheating_bob("4", {"n": n, "k": k}, seed, trials=trials)
         params = {"n": n, "k": k, "trials": trials}
-        rows.append(_row("4", params, "per-pair-guess-rate", 0.75,
-                         res["per_pair_guess_rate"], 1e-12, seed,
-                         "exact-enumeration"))
-        rows.append(_row("4", params, "per-variable-guess-rate",
-                         0.5 + 0.5 ** (k + 1),
-                         res["per_variable_guess_rate"], 1e-12, seed,
-                         "exact-enumeration"))
         lo, _ = res["induced_error_interval"]
-        rows.append(_row("4", params, "induced-error-wilson-low", 0.1, lo,
-                         None, seed, "monte-carlo", comparison=">="))
-        return rows
+        return [_row("4", params, "per-pair-guess-rate", 0.75,
+                     res["per_pair_guess_rate"], 1e-12, seed,
+                     "exact-enumeration"),
+                _row("4", params, "per-variable-guess-rate",
+                     0.5 + 0.5 ** (k + 1), res["per_variable_guess_rate"],
+                     1e-12, seed, "exact-enumeration"),
+                _row("4", params, "induced-error-wilson-low", 0.1, lo, None,
+                     seed, "monte-carlo", comparison=">=")]
     res = seclab.cheating_alice("4", strategy, {"n": n, "k": k}, seed,
                                 trials=trials)
     params = {"n": n, "k": k, "trials": trials, "strategy": strategy}
     if strategy == "probe":
-        rows.append(_row("4", params, "identification-rate", 1.0,
-                         res["identification_rate"], 0.0, seed,
-                         "monte-carlo"))
         lo, _ = res["outcome_error_interval"]
-        rows.append(_row("4", params, "outcome-error-wilson-low", 0.2, lo,
-                         None, seed, "monte-carlo", comparison=">="))
-    else:
-        rows.append(_row("4", params, "identification-rate", None,
-                         res["identification_rate"], None, seed,
-                         "monte-carlo"))
-        rows.append(_row("4", params, "outcome-error-rate", 0.0,
-                         res["outcome_error_rate"], 0.0, seed,
-                         "monte-carlo"))
-    return rows
+        return [_row("4", params, "identification-rate", 1.0,
+                     res["identification_rate"], 0.0, seed, "monte-carlo"),
+                _row("4", params, "outcome-error-wilson-low", 0.2, lo, None,
+                     seed, "monte-carlo", comparison=">=")]
+    return [_row("4", params, "identification-rate", None,
+                 res["identification_rate"], None, seed, "monte-carlo"),
+            _row("4", params, "outcome-error-rate", 0.0,
+                 res["outcome_error_rate"], 0.0, seed, "monte-carlo")]
 
 
 # --- argument plumbing ----------------------------------------------------
@@ -479,8 +448,10 @@ def _build_parser():
     run.add_argument("--scheme", required=True, choices=sorted(SCHEMES))
     run.add_argument("--n", default="1")
     run.add_argument("--k", default="1")
-    run.add_argument("--R", type=int, default=1)
-    run.add_argument("--depth", type=int, default=2)
+    run.add_argument("--R", type=int, help="scheme 5 only: T gates per "
+                     "random circuit (default 1)")
+    run.add_argument("--depth", type=int, help="schemes 1 and 2 only: "
+                     "layers per random circuit (default 2)")
     run.add_argument("--gamma", type=float,
                      help="scheme 9 only (default 1.5)")
     run.add_argument("--k-prime", type=int,
@@ -496,8 +467,10 @@ def _build_parser():
     audit.add_argument("--scheme", required=True, choices=sorted(SCHEMES))
     audit.add_argument("--n", default="1")
     audit.add_argument("--k", default="1")
-    audit.add_argument("--R", type=int, default=1)
-    audit.add_argument("--depth", type=int, default=2)
+    audit.add_argument("--R", type=int, help="scheme-5 comm audit only: T "
+                       "gates in its random circuit (default 1)")
+    audit.add_argument("--depth", type=int, help="scheme-2 comm audit only: "
+                       "layers in its random circuit (default 2)")
     common(audit)
 
     adv = sub.add_parser("adversary", help="cheating-strategy benches")
@@ -509,64 +482,82 @@ def _build_parser():
     adv.add_argument("--n", default="1")
     adv.add_argument("--k", default="1")
     adv.add_argument("--traps", type=int, help="scheme 6 only (default 4)")
-    adv.add_argument("--trials", type=int, default=1000)
+    adv.add_argument("--trials", type=int)
     common(adv)
 
     sub.add_parser("list-schemes", help="inventory of runnable protocols")
     return p
 
 
-# the adversary benches: party -> (schemes, strategies); the first strategy
-# is the party's default
-_BENCHES = {"alice": (("4", "6"), ("probe", "honest")),
-            "bob": (("4",), ("measure",))}
+# What each grid point reads: (command, mode, scheme) -> (axes, flags),
+# with the mode the audit metric, the adversary party, or whether a run is
+# exhaustive or sampled.  `axes` names the grid axes the point reads and
+# `flags` its optional flags with their defaults; a tuple lists the values
+# a flag may take, its default first.  _grid_points refuses every other
+# flag given and every other axis but 1: the point would ignore it, and
+# so repeat its rows or run another mode than the one asked for.
+
+# the linear-polynomial schemes but 9, which sets k = ceil(gamma n) itself
+_LINPOLY = ("4", "7", "8", "10")
+_POINTS = {
+    **{("run", "sampled", s): ("nk", {"trials": 20}) for s in _LINPOLY},
+    **{("run", "exhaustive", s): ("nk", {}) for s in _LINPOLY},
+    ("run", "sampled", "9"): ("n", {"trials": 20, "gamma": 1.5,
+                                    "k_prime": 1}),
+    ("run", "exhaustive", "9"): ("n", {"gamma": 1.5, "k_prime": 1}),
+    ("run", "sampled", "5"): ("nk", {"R": 1, "trials": 20}),
+    **{("run", "sampled", s): ("n", {"depth": 2, "trials": 20})
+       for s in ("1", "2")},
+    # the scheme-4 and scheme-8 distances are per variable
+    ("audit", "trace-distance", "4"): ("k", {}),
+    ("audit", "trace-distance", "8"): ("k", {}),
+    ("audit", "trace-distance", "7"): ("nk", {}),
+    ("audit", "cmi", "7"): ("nk", {}),
+    ("audit", "cmi", "8"): ("nk", {}),
+    **{("audit", "comm", s): ("nk", {}) for s in _LINPOLY},
+    ("audit", "comm", "5"): ("nk", {"R": 1}),
+    ("audit", "comm", "2"): ("n", {"depth": 2}),
+    ("adversary", "alice", "4"): ("nk", {"strategy": ("probe", "honest"),
+                                         "trials": 1000}),
+    # the scheme-6 bench runs a fixed one-qubit circuit
+    ("adversary", "alice", "6"): ("k", {"strategy": ("probe", "honest"),
+                                        "traps": 4, "trials": 1000}),
+    ("adversary", "bob", "4"): ("nk", {"strategy": ("measure",),
+                                       "trials": 1000}),
+}
+_FLAGS = sorted({flag for _, flags in _POINTS.values() for flag in flags})
 
 
 def _grid_points(args):
-    """Check the parsed arguments, resolve the run and adversary defaults
-    in place, and expand the grid into (n, k, seed) points."""
+    """Check the parsed arguments against their point's entry in _POINTS,
+    fill in its defaults, and expand the grid into (n, k, seed) points."""
+    mode = (args.metric if args.command == "audit"
+            else args.party if args.command == "adversary"
+            else "exhaustive" if args.exhaustive else "sampled")
+    noun = {"run": "run of", "audit": "audit of", "adversary": "bench against"}
+    what = f"{mode} {noun[args.command]} scheme {args.scheme}"
+    if (args.command, mode, args.scheme) not in _POINTS:
+        raise ValueError(f"there is no {what}")
+    axes, flags = _POINTS[args.command, mode, args.scheme]
     ns, ks = _parse_range(args.n), _parse_range(args.k)
-    if args.command == "adversary":
-        schemes, strategies = _BENCHES[args.party]
-        args.strategy = args.strategy or strategies[0]
-        if args.scheme not in schemes or args.strategy not in strategies:
-            raise ValueError(f"no {args.party} bench runs strategy "
-                             f"{args.strategy!r} against scheme "
-                             f"{args.scheme}")
-        if args.scheme == "6" and ns != [1]:  # a fixed one-qubit circuit
-            raise ValueError("the scheme-6 bench takes --n 1 only")
-        if args.scheme == "4" and args.traps is not None:
-            raise ValueError("--traps applies to the scheme-6 bench only")
-        if args.traps is None:
-            args.traps = 4
-        if args.strategy == "probe" and args.traps == 0:
-            raise ValueError("the probe bench needs --traps of at least 1: "
-                             "with no trap nothing can detect the probe")
-    if args.command == "run" and args.scheme == "6":
-        raise ValueError("scheme 6 has no run mode; use the adversary "
-                         "command for scheme 6")
-    # an axis or flag that a point ignores would repeat its rows or run
-    # another mode than the one asked for
-    if (args.command == "audit" and args.metric == "trace-distance"
-            and args.scheme in ("4", "8") and ns != [1]):
-        raise ValueError(f"the scheme-{args.scheme} trace-distance audit "
-                         "is per variable and takes --n 1 only")
-    if args.scheme in ("1", "2", "9") and ks != [1]:
-        why = ("sets k = ceil(gamma n) itself" if args.scheme == "9"
-               else "has no k")
-        raise ValueError(f"scheme {args.scheme} {why}; it takes --k 1 only")
-    if getattr(args, "exhaustive", False) and args.scheme in ("1", "2", "5"):
-        raise ValueError(f"scheme {args.scheme} runs fidelity trials and "
-                         "has no --exhaustive mode")
-    if args.command == "run":
-        if args.exhaustive and args.trials is not None:
-            raise ValueError("--trials applies to sampled runs only; an "
-                             "--exhaustive run counts every leaf")
-        if args.scheme != "9" and (args.gamma, args.k_prime) != (None, None):
-            raise ValueError("--gamma and --k-prime apply to scheme 9 only")
-        for flag, default in (("trials", 20), ("gamma", 1.5), ("k_prime", 1)):
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
+    for axis, values in (("n", ns), ("k", ks)):
+        if axis not in axes and values != [1]:
+            raise ValueError(f"the {what} reads no {axis}; it takes "
+                             f"--{axis} 1 only")
+    for flag in _FLAGS:
+        given, default = getattr(args, flag, None), flags.get(flag)
+        name = "--" + flag.replace("_", "-")
+        values = default if isinstance(default, tuple) else (default,)
+        if given is None:
+            setattr(args, flag, values[0])
+        elif default is None:
+            raise ValueError(f"the {what} does not read {name}")
+        elif isinstance(default, tuple) and given not in values:
+            raise ValueError(f"the {what} takes {name} "
+                             f"{' or '.join(values)} only")
+    if args.strategy == "probe" and args.traps == 0:
+        raise ValueError("the probe bench needs --traps of at least 1: "
+                         "with no trap nothing can detect the probe")
     if not ns or not ks:
         raise ValueError("the --n and --k axes must not be empty")
     if any(n < 1 for n in ns) or any(k < 1 for k in ks):
@@ -581,11 +572,9 @@ def _grid_points(args):
             raise ValueError(f"scheme {args.scheme} at n = {n} builds an "
                              f"array of 2^{log_entries} entries, more than "
                              f"the cap {seclab._ENTRY_CAP}")
-    if getattr(args, "trials", 1) < 1:
-        raise ValueError("--trials must be positive")
-    for flag in ("R", "traps", "depth"):
-        if (getattr(args, flag, None) or 0) < 0:
-            raise ValueError(f"--{flag} must not be negative")
+    for flag, least in (("trials", 1), ("R", 0), ("traps", 0), ("depth", 0)):
+        if getattr(args, flag) is not None and getattr(args, flag) < least:
+            raise ValueError(f"--{flag} must be at least {least}")
     # a report path that cannot be opened is refused before any point runs
     if args.output:
         out = Path(args.output)

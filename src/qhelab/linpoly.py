@@ -22,9 +22,9 @@ and (a, c) from Alice:
   summary bits R_j, w never reach Alice in the clear.
 - scheme 10: a fully classical analogue of scheme 8's bit algebra.
 
-Schemes 4, 8 and 10 have a distributed mode that omits Bob's final mask
-bit and leaves the result as the XOR of one bit per party; higher-level
-protocols compose through that mode.  Schemes 5 and 6 (qhe_core) evaluate
+Scheme 4 has a distributed mode that omits Bob's final mask bit and
+leaves the result as the XOR of one bit per party; higher-level protocols
+compose through that mode.  Schemes 5 and 6 (qhe_core) evaluate
 each form of Bob's Pauli frame this way: the form's int bitmask becomes a
 LinearPolynomial with its bit 0 as c and bit v+1 as a_v.  The literal
 register protocols are the references in tests/test_linpoly.py.
@@ -389,17 +389,14 @@ class Scheme8Instance:
         return out
 
 
-def run_scheme8(x, poly, k, rng, distributed=False):
-    """Data-locking protocol; returns (bit, transcript) or (DistributedBit,
-    transcript)."""
+def run_scheme8(x, poly, k, rng):
+    """Data-locking protocol; returns (bit, transcript)."""
     source = as_source(rng)
     inst = Scheme8Instance(x, poly, k, source)
     inst.data_phase()
     R, w = inst.circuit_phase(send=True)
     y0 = inst.data_value(R, w)
     bob_bit = inst.circuit_value()
-    if distributed:
-        return DistributedBit(y0, bob_bit), inst.transcript
     inst.transcript.record(BOB, [bob_bit], tag="final")
     return y0 ^ bob_bit, inst.transcript
 
@@ -444,7 +441,7 @@ def run_scheme9(x, poly, gamma, k_prime, rng):
 
 # --- scheme 10 ------------------------------------------------------------
 
-def run_scheme10(x, poly, k, rng, distributed=False):
+def run_scheme10(x, poly, k, rng):
     """Classical analogue of scheme 8's parity algebra: each pad becomes a
     bit pair with x_ij in the slot selected by s_j and a random filler in
     the other; Bob returns the cross-slot parity over his a_i=1 pairs."""
@@ -485,7 +482,5 @@ def run_scheme10(x, poly, k, rng, distributed=False):
     bob_bit = poly.c
     for uj in u:
         bob_bit ^= uj
-    if distributed:
-        return DistributedBit(y0, bob_bit), transcript
     transcript.record(BOB, [bob_bit], tag="final")
     return y0 ^ bob_bit, transcript

@@ -423,28 +423,43 @@ def test_degenerate_counts_exit_2(tmp_path, capsys, monkeypatch):
         assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["audit", "--metric", "trace-distance", "--scheme", "4", "--n", "1..2"],
-    ["audit", "--metric", "trace-distance", "--scheme", "8", "--n", "2"],
-    ["run", "--scheme", "2", "--k", "1..2", "--trials", "1"],
-    ["run", "--scheme", "1", "--k", "2", "--trials", "1"],
-    ["audit", "--metric", "comm", "--scheme", "2", "--k", "2"],
-    ["run", "--scheme", "5", "--exhaustive", "--trials", "1"],
-    ["run", "--scheme", "1", "--exhaustive", "--trials", "1"],
-    ["run", "--scheme", "2", "--exhaustive", "--trials", "1"],
-    ["run", "--scheme", "9", "--n", "1", "--k", "1..2", "--trials", "2"],
+@pytest.mark.parametrize("argv,error", [
+    (["audit", "--metric", "trace-distance", "--scheme", "4", "--n", "1..2"],
+     "--n"),
+    (["audit", "--metric", "trace-distance", "--scheme", "8", "--n", "2"],
+     "--n"),
+    (["run", "--scheme", "2", "--k", "1..2", "--trials", "1"], "--k"),
+    (["run", "--scheme", "1", "--k", "2", "--trials", "1"], "--k"),
+    (["audit", "--metric", "comm", "--scheme", "2", "--k", "2"], "--k"),
+    (["run", "--scheme", "5", "--exhaustive", "--trials", "1"],
+     "exhaustive"),
+    (["run", "--scheme", "1", "--exhaustive", "--trials", "1"],
+     "exhaustive"),
+    (["run", "--scheme", "2", "--exhaustive", "--trials", "1"],
+     "exhaustive"),
+    (["run", "--scheme", "9", "--n", "1", "--k", "1..2", "--trials", "2"],
+     "--k"),
+    (["audit", "--metric", "trace-distance", "--scheme", "4", "--R", "9"],
+     "--R"),
+    (["audit", "--metric", "comm", "--scheme", "2", "--R", "4"], "--R"),
+    (["audit", "--metric", "cmi", "--scheme", "7", "--R", "4"], "--R"),
+    (["audit", "--metric", "comm", "--scheme", "8", "--depth", "3"],
+     "--depth"),
 ], ids=["scheme4-distance-n", "scheme8-distance-n", "scheme2-k-axis",
         "scheme1-k", "scheme2-comm-k", "scheme5-exhaustive",
-        "scheme1-exhaustive", "scheme2-exhaustive", "scheme9-k"])
-def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
+        "scheme1-exhaustive", "scheme2-exhaustive", "scheme9-k",
+        "scheme4-distance-R", "scheme2-comm-R", "scheme7-cmi-R",
+        "scheme8-comm-depth"])
+def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv, error):
     """An axis or flag that a point ignores would repeat its rows or
     silently run another mode, so it is refused: the per-variable distance
-    audits have no n, schemes 1 and 2 no k, scheme 9 sets its own k, and
-    the fidelity schemes have no exhaustive mode."""
+    audits have no n, schemes 1 and 2 no k, scheme 9 sets its own k, the
+    fidelity schemes have no exhaustive mode, and only the scheme-5 and
+    scheme-2 comm audits read --R and --depth."""
     out = tmp_path / "r.jsonl"
     assert cli.main(argv + ["--seed", "1", "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"]
+    assert error in json.loads(line)["error"]
     assert not out.exists()
 
 
@@ -456,12 +471,16 @@ def test_ignored_axes_and_flags_exit_2(tmp_path, capsys, argv):
     (["--scheme", "8", "--gamma", "1.5", "--trials", "2"], "--gamma"),
     (["--scheme", "4", "--k-prime", "1", "--exhaustive"], "--k-prime"),
     (["--scheme", "5", "--k-prime", "2", "--trials", "1"], "--k-prime"),
+    (["--scheme", "10", "--R", "5", "--depth", "7", "--trials", "1"], "--R"),
+    (["--scheme", "5", "--depth", "7", "--trials", "1"], "--depth"),
 ], ids=["trials-exhaustive", "default-trials-exhaustive", "gamma-scheme10",
-        "gamma-scheme8", "k-prime-scheme4", "k-prime-scheme5"])
+        "gamma-scheme8", "k-prime-scheme4", "k-prime-scheme5", "R-scheme10",
+        "depth-scheme5"])
 def test_flags_a_point_ignores_exit_2(tmp_path, capsys, argv, error):
-    """--trials with --exhaustive, and --gamma or --k-prime outside scheme
-    9, would be dropped silently, so they are refused even at their
-    defaults; where a point reads them they are accepted."""
+    """--trials with --exhaustive, --gamma or --k-prime outside scheme 9,
+    --R outside scheme 5 and --depth outside schemes 1 and 2 would be
+    dropped silently, so they are refused even at their defaults; where a
+    point reads them they are accepted."""
     out = tmp_path / "r.jsonl"
     assert cli.main(["run", *argv, "--seed", "1", "--output", str(out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -472,6 +491,43 @@ def test_flags_a_point_ignores_exit_2(tmp_path, capsys, argv, error):
                      ["--scheme", "10", "--exhaustive"]):
         assert cli.main(["run", *accepted, "--seed", "1",
                          "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["run", "--scheme", "5", "--trials", "2"], ["--R", "1"]),
+    (["audit", "--metric", "comm", "--scheme", "5", "--n", "2"],
+     ["--R", "1"]),
+    (["run", "--scheme", "1", "--trials", "2"], ["--depth", "2"]),
+    (["run", "--scheme", "2", "--trials", "2"], ["--depth", "2"]),
+    (["audit", "--metric", "comm", "--scheme", "2", "--n", "2"],
+     ["--depth", "2"]),
+    (["adversary", "--party", "bob", "--scheme", "4"], ["--trials", "1000"]),
+], ids=["scheme5-run-R", "scheme5-comm-R", "scheme1-run-depth",
+        "scheme2-run-depth", "scheme2-comm-depth", "bob-trials"])
+def test_naming_a_default_changes_no_byte(tmp_path, argv, default):
+    """Each default is written once, in the CLI's table of points: naming
+    it gives the same report as leaving it out."""
+    outs = []
+    for extra in ([], default):
+        outs.append(tmp_path / f"r{len(outs)}.jsonl")
+        assert cli.main(argv + extra + ["--seed", "4",
+                                        "--output", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_readme_commands_are_accepted():
+    """Every `qhelab` line of the README's CLI examples passes the parser
+    and the grid check, so the README shows no command the CLI refuses;
+    no point runs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line.split()[1:] for block in readme.split("```sh")[1:]
+             for line in block.split("```")[0].splitlines()
+             if line.startswith("qhelab ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        args = cli._build_parser().parse_args(argv)
+        if args.command != "list-schemes":
+            assert cli._grid_points(args), argv
 
 
 @pytest.mark.parametrize("at", [1, 2])

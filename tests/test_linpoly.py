@@ -357,8 +357,7 @@ def test_scheme_correctness_sweep(runner, a, c):
                 assert out == poly.evaluate(bits)
 
 
-@pytest.mark.parametrize("runner", [lp.run_scheme4, lp.run_scheme8,
-                                    lp.run_scheme10])
+@pytest.mark.parametrize("runner", [lp.run_scheme4])
 def test_distributed_mode(runner):
     poly = lp.LinearPolynomial((1, 1), 1)
     rng = np.random.default_rng(5)
