@@ -45,7 +45,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class SchemeReport:
     provenance: str
 
     def to_json(self) -> str:
-        row = asdict(self)
+        row = dict(vars(self))  # params holds JSON values: no deep copy
         row["pass"] = row.pop("passed")
         return json.dumps(row, sort_keys=True)
 
@@ -239,13 +239,14 @@ def random_accircuit(scheme, n, depth, rng):
     layers = []
     for _ in range(depth):
         if rng.random() < 0.5:
-            ry = qsim.ry(float(rng.uniform(0, math.pi))).matrix
+            ry = qsim.ry(float(rng.uniform(0, math.pi)))
             layers.append(rebit_schemes.Layer("ydiag", tuple(range(n)),
                                               factors=(ry,) * n))
         else:
             q = 0 if scheme == "1" else int(rng.integers(n))
+            # the one draw rng.choice([1, 3]) makes, without its set-up
             layers.append(rebit_schemes.Layer("rz", (q,),
-                                              j=int(rng.choice([1, 3]))))
+                                              j=(1, 3)[int(rng.integers(2))]))
     return rebit_schemes.AlmostCommutingCircuit(n, layers)
 
 

@@ -126,13 +126,23 @@ class _Block:
                 for i, b in enumerate(self.bits)]
 
 
+_INT = frozenset((int,))
+_BITS = frozenset((0, 1))
+
+
+def _int_bits(bits) -> bool:
+    """Whether a sequence holds only ints 0 and 1 (no bool, Form or numpy
+    int), tested without building a set."""
+    return _INT.issuperset(map(type, bits)) and _BITS.issuperset(bits)
+
+
 def _clean_bits(sender, bits) -> list:
     """The payload as recorded: known bits as ints, a Form as it is, for
     a symbolic run that reads outputs and bit counts but never
     serializes.  Refuses an unknown sender, a secret and a non-bit."""
     if sender not in (ALICE, BOB):
         raise ProtocolError(f"unknown sender {sender!r}")
-    if set(map(type, bits)) <= {int} and set(bits) <= {0, 1}:
+    if _int_bits(bits):
         return list(bits)  # known bits only: nothing to convert
     clean = []
     for b in bits:
@@ -232,9 +242,15 @@ class RandomBits:
         """`count` bits in one generator call.  The generator hands out
         the same bits, and ends in the same state, as `count` calls of
         bit(); tests/test_harness.py pins this for the installed numpy.
-        A block of one is the scalar call, which costs a third as much."""
+        A block of one or two is that many scalar calls, each of which
+        costs a third of one sized call.  A negative count is refused."""
         if count == 1:
             return [int(self.rng.integers(2))]
+        if count == 2:
+            integers = self.rng.integers
+            return [int(integers(2)), int(integers(2))]
+        if count < 0:
+            raise ValueError(f"cannot draw {count} bits")
         return self.rng.integers(2, size=count).tolist() if count else []
 
     def outcome(self, p0: float) -> int:
@@ -244,7 +260,8 @@ class RandomBits:
 def as_source(rng):
     """A hidden-bit source as is, or a seed or generator wrapped in
     RandomBits."""
-    if all(hasattr(rng, name) for name in ("bit", "draw", "outcome")):
+    if (hasattr(rng, "bit") and hasattr(rng, "draw")
+            and hasattr(rng, "outcome")):
         return rng
     if hasattr(rng, "integers"):
         return RandomBits(rng)
@@ -276,6 +293,8 @@ class FixedBits:
         return int(b)
 
     def draw(self, count: int, tag: str = "") -> list:
+        if count < 0:
+            raise ValueError(f"cannot draw {count} bits")
         end = self.pos + count
         if end > len(self.bits):
             raise NeedMoreBits(f"FixedBits exhausted at {len(self.bits)}")
@@ -334,6 +353,8 @@ class SymbolicBits:
     def draw(self, count: int, tag: str = "") -> list:
         if tag in ("s", "t"):
             return self.fixed.draw(count, tag)
+        if count < 0:
+            raise ValueError(f"cannot draw {count} bits")
         first = self.vars + 1
         self.vars += count
         return [Form(1 << v) for v in range(first, self.vars + 1)]

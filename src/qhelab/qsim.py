@@ -31,6 +31,16 @@ class ZeroProbabilityBranch(Exception):
     """A measurement outcome was forced onto a zero-probability branch."""
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 1-D or two 2-D arrays without its Python set-up: the
+    same elementwise products a[i] * b[j], in the same order and dtype, so
+    the same bytes, signed zeros included."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 @dataclass
 class Gate:
     name: str
@@ -58,7 +68,7 @@ class Gate:
         passed."""
         matrix = np.array([[1.0 + 0j]])
         for f in factors:
-            matrix = np.kron(matrix, f.matrix)
+            matrix = _kron(matrix, f.matrix)
         gate = cls.__new__(cls)
         gate.name, gate.matrix = name, matrix
         gate.arity = sum(f.arity for f in factors)
@@ -237,7 +247,7 @@ def epr_extend(state: QuantumState):
     """
     n = state.num_qubits
     epr = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    return QuantumState(np.kron(epr, state.vec)), n, n + 1
+    return QuantumState(_kron(epr, state.vec)), n, n + 1
 
 
 def remove_qubit(state: QuantumState, qubit: int, bit: int) -> QuantumState:

@@ -14,6 +14,7 @@ Y eigenbasis convention: |y+-> = (|0> +- i|1>)/sqrt(2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,7 @@ def pauli_y_product(f: int, k: int) -> np.ndarray:
     """V(f) = tensor product of sigma_y^{f_i} over qubits, little-endian f."""
     out = np.array([[1.0 + 0j]])
     for q in range(k - 1, -1, -1):
-        out = np.kron(out, qsim._Y if (f >> q) & 1 else qsim._I)
+        out = qsim._kron(out, qsim._Y if (f >> q) & 1 else qsim._I)
     return out
 
 
@@ -77,13 +78,23 @@ class YDiagExpansion:
     c: np.ndarray  # length 2^k, c[f] indexed by the group element's bits
 
 
-def is_y_diagonal(u: np.ndarray) -> bool:
-    k = int(round(math.log2(u.shape[0])))
+@functools.lru_cache(maxsize=None)
+def _w_power(k: int) -> tuple:
+    """W^{kron k} and its adjoint, built once per k by the kron chain from
+    [[1]] and read-only, so no caller can change what the next one reads."""
     w = np.array([[1.0 + 0j]])
     for _ in range(k):
-        w = np.kron(w, _W)
-    d = w.conj().T @ u @ w
-    return bool(np.max(np.abs(d - np.diag(np.diag(d)))) < ATOL)
+        w = qsim._kron(w, _W)
+    w_dag = w.conj().T
+    w.setflags(write=False)
+    w_dag.setflags(write=False)
+    return w, w_dag
+
+
+def is_y_diagonal(u: np.ndarray) -> bool:
+    w, w_dag = _w_power(int(round(math.log2(u.shape[0]))))
+    d = w_dag @ u @ w
+    return bool(np.abs(d - np.diag(np.diag(d))).max() < ATOL)
 
 
 def ydiag_expand(u: np.ndarray) -> YDiagExpansion:

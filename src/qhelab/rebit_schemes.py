@@ -20,8 +20,8 @@ is one density on his gadget halves; the literal gadget and the literal
 view are the references in tests/test_rebit_schemes.py.
 
 Each `Layer` owns its `qsim.Gate`, checked once when the layer is built;
-an ry_product layer is checked factor by factor, so a register-wide layer
-never gets a dense check.
+an ry_product layer is given as its one-qubit gates and checked factor by
+factor, so a register-wide layer never gets a dense check.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ _RZ = {j: qsim.Gate("Rz", np.diag([1, 1j ** j]), 1) for j in (1, 3)}
 class Layer:
     """One circuit layer.  A ydiag layer is given as its dense unitary `u`
     or, for a product of one-qubit rotations (an ry_product layer), as its
-    2x2 `factors`, the first on the highest of its qubits; then `u` is set
-    to their kron.  The layer owns its `gate` and is checked once, at
+    one-qubit `factors`, each a `qsim.Gate` and so checked unitary when it
+    was built, the first on the highest of its qubits; then `u` is set to
+    their kron.  The layer owns its `gate` and is checked once, at
     construction: a dense `u` by the dense unitarity and Y-diagonal checks,
-    a product by its factors', since a kron of unitary, Y-diagonal (real)
-    factors is unitary, Y-diagonal (real)."""
+    a product by its factors' Y-diagonal and real checks, since a kron of
+    unitary, Y-diagonal (real) factors is unitary, Y-diagonal (real)."""
     kind: str                 # "ydiag" or "rz"
     qubits: tuple             # data qubits the layer touches
     u: np.ndarray | None = None   # ydiag: 2^K x 2^K unitary
     j: int | None = None          # rz: R_z(j*pi/2) with j in {1, 3}
-    factors: tuple | None = None  # ydiag: 2x2 factors whose kron is u
+    factors: tuple | None = None  # ydiag: one-qubit Gates whose kron is u
     gate: qsim.Gate | None = field(default=None, init=False, repr=False)
     real: bool = field(default=True, init=False, repr=False)
 
@@ -68,19 +69,19 @@ class Layer:
             self.gate = qsim.Gate("U", self.u, len(self.qubits))
             checked = [self.gate.matrix]
         else:
-            gates = {}  # one check per distinct factor; a product often repeats one
-            for f in self.factors:
-                if id(f) not in gates:
-                    gates[id(f)] = qsim.Gate("factor", f, 1)
-            self.gate = qsim.Gate.product(
-                "U", [gates[id(f)] for f in self.factors])
+            if not all(isinstance(f, qsim.Gate) and f.arity == 1
+                       for f in self.factors):
+                raise ValueError("layer factors must be one-qubit qsim.Gates")
+            self.gate = qsim.Gate.product("U", self.factors)
             if self.gate.arity != len(self.qubits):
                 raise ValueError("layer qubit count does not match its factors")
             self.u = self.gate.matrix
-            checked = [g.matrix for g in gates.values()]
+            # one check per distinct factor; a product often repeats one
+            distinct = {id(f): f for f in self.factors}.values()
+            checked = [f.matrix for f in distinct]
         if not all(rebit.is_y_diagonal(m) for m in checked):
             raise ValueError("layer unitary is not Y-diagonal")
-        self.real = max(np.max(np.abs(m.imag)) for m in checked) <= ATOL
+        self.real = max(np.abs(m.imag).max() for m in checked) <= ATOL
 
 
 @dataclass
@@ -117,18 +118,18 @@ def named_generator(name: str, k: int, theta: float) -> np.ndarray:
     if name == "ry_product":
         out = np.array([[1.0 + 0j]])
         for _ in range(k):
-            out = np.kron(out, qsim.ry(theta).matrix)
+            out = qsim._kron(out, qsim.ry(theta).matrix)
         return out
     if name == "cos_sin":
         # cos(theta) I + sin(theta) R_y(pi)^{ox k}; real and unitary for odd k
         ryp = np.array([[1.0 + 0j]])
         for _ in range(k):
-            ryp = np.kron(ryp, qsim.ry(math.pi).matrix)
+            ryp = qsim._kron(ryp, qsim.ry(math.pi).matrix)
         return math.cos(theta) * np.eye(2 ** k) + math.sin(theta) * ryp
     if name == "exp_yy":
         yy = np.array([[1.0 + 0j]])
         for _ in range(k):
-            yy = np.kron(yy, qsim._Y)
+            yy = qsim._kron(yy, qsim._Y)
         return math.cos(theta) * np.eye(2 ** k) - 1j * math.sin(theta) * yy
     raise ValueError(f"unknown generator {name!r}")
 
@@ -264,7 +265,7 @@ def bob_view(circuit, input_state, scheme=2):
     for layer in circuit.layers:
         if layer.kind == "ydiag":
             for q in layer.qubits:
-                st = qsim.QuantumState(np.kron(plus, st.vec))
+                st = qsim.QuantumState(qsim._kron(plus, st.vec))
                 st = qsim.apply_gate(st, qsim.C_IY, [st.num_qubits - 1, q])
         else:
             st = qsim.apply_gate(st, _CRY[layer.j], [layer.qubits[0], n])

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .harness import ALICE, BOB
+from .harness import ALICE, BOB, as_source
 # unused here, but the bench tracer's self-test checks this binding
 from .harness import measure_with  # noqa: F401
 from .linpoly import LinearPolynomial, _measure_eigenstate, run_scheme4
@@ -143,7 +143,7 @@ def bob_view(scheme, params, x) -> BobView:
     _check_entries(4 ** k, f"view on {k} qubits")
     # A = (Z + X)/2, real float64 so that view eigensolves stay on the
     # real LAPACK routine
-    a = functools.reduce(np.kron, [np.array([[0.5, 0.5], [0.5, -0.5]])] * k)
+    a = functools.reduce(qsim._kron, [np.array([[0.5, 0.5], [0.5, -0.5]])] * k)
     return BobView(scheme, k, x, (np.eye(2 ** k) + (-1) ** x * a) / 2 ** k)
 
 
@@ -228,7 +228,8 @@ def _pair_row(xbits, k, shared_s, with_s=False):
     of one-variable laws (variable 0 outermost); with shared_s one s serves
     them all, and with_s=True puts it first in the column index (s, c)."""
     if not (shared_s and (with_s or len(xbits) > 1)):
-        return functools.reduce(np.kron, [_variable_law(x, k) for x in xbits])
+        return functools.reduce(qsim._kron,
+                                [_variable_law(x, k) for x in xbits])
     if with_s:
         return _per_s_laws(xbits, k).reshape(-1) / 2 ** k
     # the sum over s of the kron of two halves' laws is one matrix product
@@ -256,8 +257,8 @@ def _oneway_law(k):
     step = (np.array([_C8, 1 - _C8]), np.array([1 - _C8, _C8]))
     q = step
     for _ in range(k - 1):
-        q = tuple((np.kron(q[b], step[0]) + np.kron(q[1 - b], step[1])) / 2
-                  for b in (0, 1))
+        q = tuple((qsim._kron(q[b], step[0])
+                   + qsim._kron(q[1 - b], step[1])) / 2 for b in (0, 1))
     return np.stack(q)
 
 
@@ -271,8 +272,8 @@ def _oneway_table(n, k):
     _check_entries(2 ** n * cols, "outcome table")
     q = _oneway_law(k)
     flat = np.full(2 ** k, 1.0 / 2 ** k)  # t_j outcome block
-    return np.fromiter((functools.reduce(np.kron, [q[x] for x in _bits(xv, n)]
-                                         + [flat])
+    return np.fromiter((functools.reduce(qsim._kron,
+                                         [q[x] for x in _bits(xv, n)] + [flat])
                         for xv in range(2 ** n)), (float, cols), 2 ** n)
 
 
@@ -390,13 +391,15 @@ class MeasuringBob:
     """Measure every received pair in the fixed Z-first/X-second basis,
     whose pad-bit guess rate bob_guess_rate gives exactly, then continue
     the protocol on the collapsed pair: of two Z/X eigenstates, one reads
-    x_ij and the other a uniform bit."""
+    x_ij and the other a uniform bit.  It keeps no state, so one serves
+    every run."""
 
     party = BOB
 
     def intercept(self, pair, source):
-        return tuple(_measure_eigenstate(qubit, basis, source)
-                     for qubit, basis in zip(pair, "ZX"))
+        first, second = pair
+        return (_measure_eigenstate(first, "Z", source),
+                _measure_eigenstate(second, "X", source))
 
 
 def wilson_interval(successes, trials):
@@ -426,13 +429,12 @@ def cheating_bob(scheme, params, rng, trials=10_000):
         raise ValueError("the measuring-Bob bench targets scheme 4")
     k = int(params["k"])
     n = int(params.get("n", 1))
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    source, bob = as_source(rng), MeasuringBob()
     errors = 0
     for _ in range(trials):
-        x = [int(b) for b in rng.integers(0, 2, size=n)]
-        poly = LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
-                                int(rng.integers(0, 2)))
-        out, _ = run_scheme4(x, poly, k, rng, bob_strategy=MeasuringBob())
+        x = source.draw(n)
+        poly = LinearPolynomial(tuple(source.draw(n)), source.bit())
+        out, _ = run_scheme4(x, poly, k, source, bob_strategy=bob)
         errors += int(out != poly.evaluate(x))
     lo, hi = wilson_interval(errors, trials)
     return {
@@ -455,18 +457,17 @@ def cheating_alice(scheme, strategy, params, rng, trials=10_000):
         raise ValueError(f"unknown Alice strategy {strategy!r}")
     k = int(params["k"])
     n = int(params.get("n", 1))
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    source = as_source(rng)
     identified = errors = 0
     for _ in range(trials):
-        x = [int(b) for b in rng.integers(0, 2, size=n)]
-        poly = LinearPolynomial(tuple(rng.integers(0, 2, size=n)),
-                                int(rng.integers(0, 2)))
+        x = source.draw(n)
+        poly = LinearPolynomial(tuple(source.draw(n)), source.bit())
         if strategy == "honest":  # no deviation: a coin-flip guess
-            out, _ = run_scheme4(x, poly, k, rng)
-            a_hat = int(rng.integers(0, 2))
+            out, _ = run_scheme4(x, poly, k, source)
+            a_hat = source.bit()
         else:
             strat = ProbeAlice()
-            out, _ = run_scheme4(x, poly, k, rng, alice_strategy=strat)
+            out, _ = run_scheme4(x, poly, k, source, alice_strategy=strat)
             a_hat = strat.identified[-1]
         identified += int(a_hat == poly.a[0])
         errors += int(out != poly.evaluate(x))
@@ -486,11 +487,11 @@ def scheme6_detection(circuit, input_state, k, traps, rng, trials,
                       strategy_factory=ProbeAlice):
     """Fraction of trap-augmented runs that abort when every distributed
     evaluation is probed by the given Alice strategy (None = honest)."""
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    source = as_source(rng)
     aborts = 0
     for _ in range(trials):
         strat = strategy_factory() if strategy_factory is not None else None
-        run = run_scheme6(circuit, input_state, k, traps, rng,
+        run = run_scheme6(circuit, input_state, k, traps, source,
                           alice_strategy=strat)
         aborts += int(run.aborted is not None)
     lo, hi = wilson_interval(aborts, trials)

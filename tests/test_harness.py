@@ -195,6 +195,26 @@ def test_random_bits_block_draw_is_the_scalar_stream(seed, count, before):
     assert block.outcome(0.3) == scalar.outcome(0.3)
 
 
+def test_every_source_refuses_a_negative_count():
+    """A negative block is refused, not read as an empty one, and draws
+    nothing: the generator's state, the replay position and the variable
+    count stay as they were."""
+    rnd = RandomBits(np.random.default_rng(0))
+    state = rnd.rng.bit_generator.state
+    fixed = FixedBits([0, 1, 1])
+    fixed.bit()
+    sym = SymbolicBits(FixedBits([1]))
+    for count in (-1, -2, -3, -8):
+        for src in (rnd, fixed, sym):
+            with pytest.raises(ValueError, match="cannot draw"):
+                src.draw(count, "pad")
+        with pytest.raises(ValueError, match="cannot draw"):
+            sym.draw(count, "s")
+    assert rnd.rng.bit_generator.state == state
+    assert fixed.pos == 1 and sym.vars == 0 and sym.fixed.pos == 0
+    assert rnd.draw(0) == fixed.draw(0) == sym.draw(0, "pad") == []
+
+
 def test_symbolic_bits_block_draws_match_scalar_draws():
     """SymbolicBits.draw replays tags s and t from the wrapped FixedBits
     and numbers every other variable as that many bit() calls would."""

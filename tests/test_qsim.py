@@ -119,6 +119,41 @@ def test_norm_check_is_linalg_norm(seed, n, scale):
         assert ok
 
 
+# entries with both signs of zero, whose products keep or flip the sign
+_KRON_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-4, 4, allow_subnormal=False))
+
+
+@st.composite
+def _kron_operand(draw, ndim):
+    """A real or complex array of ndim axes of 1-8 entries each, in C or
+    (2-D) transposed layout."""
+    shape = tuple(draw(st.integers(1, 8)) for _ in range(ndim))
+    size = math.prod(shape)
+    parts = [np.array(draw(st.lists(_KRON_ENTRY, min_size=size,
+                                    max_size=size))).reshape(shape)]
+    if draw(st.booleans()):
+        parts.append(np.array(draw(st.lists(_KRON_ENTRY, min_size=size,
+                                            max_size=size))).reshape(shape))
+    arr = parts[0]
+    if len(parts) == 2:  # set each part, so every signed zero is kept
+        arr = np.empty(shape, dtype=complex)
+        arr.real, arr.imag = parts
+    return arr.T if ndim == 2 and draw(st.booleans()) else arr
+
+
+@given(st.integers(1, 2).flatmap(
+    lambda ndim: st.tuples(_kron_operand(ndim), _kron_operand(ndim))))
+@settings(deadline=None, max_examples=300)
+def test_kron_is_np_kron(operands):
+    """_kron gives np.kron's dtype, shape and bytes, signed zeros
+    included, on 1-D and 2-D, real and complex operands."""
+    a, b = operands
+    got, want = qsim._kron(a, b), np.kron(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gate_product_is_the_kron_chain():
     factors = [qsim.ry(0.3), qsim.CNOT, qsim.T]
     gate = qsim.Gate.product("U", factors)

@@ -86,6 +86,32 @@ def test_pauli_y_product_little_endian():
     assert np.allclose(m, np.kron(np.eye(2), qsim._Y), atol=1e-12)
 
 
+def test_is_y_diagonal_reads_read_only_w_powers():
+    """W^{kron k} and its adjoint are built once per k, equal the kron
+    chain, and cannot be written; the check keeps nothing of its input,
+    so a caller that changes its own matrix gets the changed matrix's
+    answer, and the original's again once it is restored."""
+    for k in range(1, 4):
+        w, w_dag = rebit._w_power(k)
+        want = np.array([[1.0 + 0j]])
+        for _ in range(k):
+            want = np.kron(want, rebit._W)
+        assert w.tobytes() == want.tobytes()
+        assert w_dag.tobytes() == want.conj().T.tobytes()
+        for arr in (w, w_dag):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+        assert rebit._w_power(k)[0] is w
+    u = named_generator("ry_product", 2, 0.7)
+    before = u.copy()
+    assert rebit.is_y_diagonal(u)
+    assert u.tobytes() == before.tobytes()
+    u[0, 1] += 0.5
+    assert not rebit.is_y_diagonal(u)
+    u[...] = before
+    assert rebit.is_y_diagonal(u)
+
+
 @pytest.mark.parametrize("name,k,theta", [
     ("ry_product", 1, 0.4), ("ry_product", 2, 1.1), ("cos_sin", 1, 0.3),
     ("exp_yy", 2, 0.9),

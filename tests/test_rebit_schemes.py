@@ -204,11 +204,14 @@ def test_layer_validation():
 
 def test_layer_refuses_a_bad_factor():
     """An ry_product-style layer is checked factor by factor: a factor that
-    is not Y-diagonal, not real or not unitary is refused, wherever it
-    sits in the product."""
-    ry = qsim.ry(0.7).matrix
-    bad = [(qsim.H.matrix, "not Y-diagonal"), (1j * ry, "not real"),
-           (2 * ry, "not unitary")]
+    is not Y-diagonal or not real is refused, wherever it sits in the
+    product, and one that is not unitary is refused when its qsim.Gate is
+    built, before any layer sees it."""
+    ry = qsim.ry(0.7)
+    with pytest.raises(ValueError, match="not unitary"):
+        qsim.Gate("factor", 2 * ry.matrix, 1)
+    i_ry = qsim.Gate("factor", 1j * ry.matrix, 1)  # Y-diagonal, complex
+    bad = [(qsim.H, "not Y-diagonal"), (i_ry, "not real")]
     for (factor, message), pos in itertools.product(bad, range(3)):
         factors = [ry] * 3
         factors[pos] = factor
@@ -217,20 +220,29 @@ def test_layer_refuses_a_bad_factor():
                 rs.Layer("ydiag", (0, 1, 2), factors=tuple(factors))])
     # a complex Y-diagonal factor is allowed when require_real is off
     rs.AlmostCommutingCircuit(2, [rs.Layer("ydiag", (0, 1),
-                                           factors=(ry, 1j * ry))],
+                                           factors=(ry, i_ry))],
                               require_real=False)
     with pytest.raises(ValueError, match="qubit count"):
         rs.Layer("ydiag", (0, 1), factors=(ry,))
+    # a factor is a one-qubit Gate, not a bare matrix or a wider gate
+    for factor in (ry.matrix, qsim.Gate.product("U", (ry, ry))):
+        with pytest.raises(ValueError, match="one-qubit qsim.Gates"):
+            rs.Layer("ydiag", (0, 1), factors=(factor,) * 2)
+
+
+def _gate(matrix):
+    return qsim.Gate("factor", matrix, 1)
 
 
 _FACTORS = {
-    "ry": lambda t: qsim.ry(t).matrix,
-    "i*ry": lambda t: 1j * qsim.ry(t).matrix,       # Y-diagonal, complex
-    "exp_y": lambda t: rs.named_generator("exp_yy", 1, t),
-    "rx": lambda t: np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
-                              [-1j * math.sin(t / 2), math.cos(t / 2)]]),
-    "h": lambda t: qsim.H.matrix,
-    "t": lambda t: qsim.T.matrix,
+    "ry": qsim.ry,
+    "i*ry": lambda t: _gate(1j * qsim.ry(t).matrix),  # Y-diagonal, complex
+    "exp_y": lambda t: _gate(rs.named_generator("exp_yy", 1, t)),
+    "rx": lambda t: _gate(np.array(
+        [[math.cos(t / 2), -1j * math.sin(t / 2)],
+         [-1j * math.sin(t / 2), math.cos(t / 2)]])),
+    "h": lambda t: qsim.H,
+    "t": lambda t: qsim.T,
 }
 
 
@@ -245,7 +257,7 @@ def test_factor_checks_agree_with_the_dense_checks(spec):
     k = len(factors)
     dense = np.array([[1.0 + 0j]])
     for f in factors:
-        dense = np.kron(dense, f)
+        dense = np.kron(dense, f.matrix)
     try:
         layer = rs.Layer("ydiag", tuple(range(k)), factors=factors)
     except ValueError as err:
@@ -266,10 +278,26 @@ def test_factor_checks_agree_with_the_dense_checks(spec):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_ry_product_layer_has_the_dense_generator_bytes(k):
-    ry = qsim.ry(0.9).matrix
+    ry = qsim.ry(0.9)
     layer = rs.Layer("ydiag", tuple(range(k)), factors=(ry,) * k)
     assert layer.u.tobytes() == rs.named_generator("ry_product", k,
                                                    0.9).tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3))
+@settings(deadline=None, max_examples=200)
+def test_rz_draw_is_the_choice_stream(seed, before):
+    """cli.random_accircuit draws an rz layer's j as (1, 3)[integers(2)],
+    the one draw rng.choice([1, 3]) makes: the same j and the same
+    generator state after it, also behind a buffered half word.  Seeded
+    scheme-1/2 reports rely on this; a numpy release that breaks it fails
+    here first."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (a, b):
+        for _ in range(before):
+            rng.integers(2)
+    assert (1, 3)[int(a.integers(2))] == int(b.choice([1, 3]))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_validate_for_scheme_restrictions():
