@@ -288,16 +288,19 @@ def fidelity(a, b) -> float:
 
 def _entropy_bits(p) -> float:
     p = np.asarray(p, dtype=float)
+    # the filtered p is a copy: overwrite it with p * log2(p) in slices, so
+    # that no full-size log2 array is made
     p = p[p > 1e-12]
-    plogp = np.log2(p)
-    plogp *= p
-    return float(-np.sum(plogp))
+    for start in range(0, p.size, 2 ** 16):
+        part = p[start:start + 2 ** 16]
+        part *= np.log2(part)
+    return float(-np.sum(p))
 
 
 def mutual_information(joint) -> float:
     """I(X;Y) in bits from a joint probability table (rows X, columns Y)."""
     joint = np.asarray(joint, dtype=float)
-    if np.any(joint < -1e-12):
+    if joint.min() < -1e-12:
         raise ValueError("negative probability")
     if abs(joint.sum() - 1) > 1e-9:
         raise ValueError("joint table does not sum to 1")

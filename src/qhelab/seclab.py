@@ -32,9 +32,14 @@ Each view family has one route.  The round-trip schemes (4 and 7) share
 that eigenbasis, so every privacy quantity of theirs comes from rows and
 tables of the lumped outcome classes, whose outcomes have equal
 likelihoods (lumping changes no distance, information or guess rate).  A
-row is a tensor product of closed-form one-variable laws
-(`_variable_law`), and a trace distance is the total-variation distance
-of two rows.  The one-way scheme (8) has views that do not commute, so
+row is a tensor product of closed-form one-variable laws, and a trace
+distance is the total-variation distance of two rows.  A variable with
+its own basis bits, or alone in its row, has its law averaged over s
+(`_variable_law`).  Where one s serves two or more variables, or s is
+kept as a column, every law is read per s from one closed-form array
+(`_shared_laws`: 0/1 in uint8, every s at once), which each public call
+builds once and hands down; it is never built off that route, where a
+row is at least as large as it.  The one-way scheme (8) has views that do not commute, so
 its per-variable distance compares two dense k-qubit densities
 (`bob_view`); its tables are tensor products of one-variable laws too, the
 lumped law for its Z/X pairing attack.  A pad b in basis s has density
@@ -43,7 +48,9 @@ own uniform basis bit, so k pads that XOR to x average to
 (I + (-1)^x A^{kron k})/2^k with A = (Z + X)/2.  Dense views exist per
 variable only: no audit reads a joint or uniform scheme-8 view, and the
 tests keep those as a reference.  Every view, row and table is refused
-past 2^24 entries before it is built.
+past 2^24 entries before it is built, and an input bit other than 0 or 1
+or an n or k that is not a positive integer is refused before anything
+is built.
 """
 
 from __future__ import annotations
@@ -77,6 +84,21 @@ def _check_entries(entries, what):
                          f"{_ENTRY_CAP}")
 
 
+def _positive(name, value):
+    """A variable count n or pad count k as an int; anything but a
+    positive integer is refused."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
+
+
+def _bit(b):
+    """An input bit as an int; anything but 0 or 1 is refused."""
+    if not isinstance(b, (int, np.integer)) or b not in (0, 1):
+        raise ValueError(f"input bits are 0 or 1, not {b!r}")
+    return int(b)
+
+
 def _bits(value, n):
     return [(value >> i) & 1 for i in range(n)]
 
@@ -88,8 +110,8 @@ def _inputs(x, n):
     if x == "uniform":
         return [_bits(v, n) for v in range(2 ** n)]
     if isinstance(x, (int, np.integer)):
-        return [[int(x) & 1]]
-    xbits = [int(b) & 1 for b in x]
+        return [[_bit(x)]]
+    xbits = [_bit(b) for b in x]
     if len(xbits) != n:
         raise ValueError(f"input length {len(xbits)} != n={n}")
     return [xbits]
@@ -121,6 +143,17 @@ class BobView:
             raise ValueError("view density has trace != 1")
 
 
+def _view_bit(scheme, x):
+    """x as the input bit of a per-variable view; only the one-way scheme
+    (8) has views, and joint inputs and non-bits are refused."""
+    if scheme != "8":
+        raise ValueError(f"no view construction for scheme {scheme!r}")
+    if not isinstance(x, (int, np.integer)):
+        raise ValueError("scheme-8 views are built per variable only; "
+                         f"got input {x!r}")
+    return _bit(x)
+
+
 def bob_view(scheme, params, x) -> BobView:
     """Exact average of Bob's k received qubits of one variable in the
     one-way scheme (8) over Alice's hidden randomness, for the input bit
@@ -133,13 +166,8 @@ def bob_view(scheme, params, x) -> BobView:
     the tests keep them as a reference.
     """
     scheme = str(scheme)
-    if scheme != "8":
-        raise ValueError(f"no view construction for scheme {scheme!r}")
-    if not isinstance(x, (int, np.integer)):
-        raise ValueError("scheme-8 views are built per variable only; "
-                         f"got input {x!r}")
-    k = int(params["k"])
-    x = int(x) & 1
+    x = _view_bit(scheme, x)
+    k = _positive("k", params["k"])
     _check_entries(4 ** k, f"view on {k} qubits")
     # A = (Z + X)/2, real float64 so that view eigensolves stay on the
     # real LAPACK routine
@@ -147,17 +175,16 @@ def bob_view(scheme, params, x) -> BobView:
     return BobView(scheme, k, x, (np.eye(2 ** k) + (-1) ** x * a) / 2 ** k)
 
 
-def _view_row(scheme, params, x):
+def _view_row(scheme, k, inputs):
     """Law of Bob's outcome classes in a round-trip scheme: the diagonal of
-    his view in the pair basis, summed over each class."""
-    k = int(params["k"])
-    n = int(params.get("n", 1))
-    inputs = _inputs(x, n)
+    his view in the pair basis, summed over each class, averaged over the
+    input bit lists from _inputs."""
     bits = len(inputs[0]) * (k + 1)
     _check_entries(2 ** bits, f"outcome row over {bits} class bits")
-    row = _pair_row(inputs[0], k, shared_s=(scheme == "7"))
+    laws = _route_laws(len(inputs[0]), k, shared_s=(scheme == "7"))
+    row = _pair_row(inputs[0], k, laws)
     for xbits in inputs[1:]:  # in place: a row may near the entry cap
-        row += _pair_row(xbits, k, shared_s=(scheme == "7"))
+        row += _pair_row(xbits, k, laws)
     row /= len(inputs)
     if row.min() < -1e-9 or abs(row.sum() - 1.0) > 1e-9:
         raise ValueError("outcome row is not a probability distribution")
@@ -174,8 +201,12 @@ def privacy_distance(scheme, params, input_a, input_b) -> float:
     """
     scheme = str(scheme)
     if scheme in ("4", "7"):
-        return qsim.trace_distance(_view_row(scheme, params, input_a),
-                                   _view_row(scheme, params, input_b))
+        k = _positive("k", params["k"])
+        n = _positive("n", params.get("n", 1))
+        a, b = (_inputs(x, n) for x in (input_a, input_b))
+        return qsim.trace_distance(_view_row(scheme, k, a),
+                                   _view_row(scheme, k, b))
+    _view_bit(scheme, input_b)  # refused before the first view is built
     va = bob_view(scheme, params, input_a)
     vb = bob_view(scheme, params, input_b)
     return qsim.trace_distance(va.density, vb.density)
@@ -185,57 +216,79 @@ def theorem6_constants(n, k, inputs=None):
     """Pairwise view distances of the shared-basis scheme from the all-zero
     string to other inputs (default: every nonzero string); they should all
     agree.  Each distance compares two outcome rows."""
-    params = {"n": n, "k": k}
-    zero = _view_row("7", params, tuple([0] * n))
+    n, k = _positive("n", n), _positive("k", k)
     if inputs is None:
-        inputs = [tuple(_bits(v, n)) for v in range(1, 2 ** n)]
-    vals = [qsim.trace_distance(zero, _view_row("7", params, tuple(other)))
-            for other in inputs]
+        inputs = [_bits(v, n) for v in range(1, 2 ** n)]
+    elif not inputs:
+        raise ValueError("theorem6_constants needs at least one input")
+    # every input is checked before any row is built
+    others = [_inputs(tuple(other), n) for other in inputs]
+    zero = _view_row("7", k, [[0] * n])
+    vals = [qsim.trace_distance(zero, _view_row("7", k, other))
+            for other in others]
     return {"values": vals, "spread": max(vals) - min(vals), "c0": vals[0]}
 
 
 # --- fixed-measurement outcome tables ------------------------------------
 
-def _variable_law(x, k, s=None):
-    """Law of one variable's class c = alpha * 2^k + beta for input bit x
-    and basis bits s: beta is uniform and alpha = x ^ (beta . s), mass 2^-k
-    each.  Averaged over s (s=None), the class (x, 0) keeps 2^-k and every
+def _variable_law(x, k):
+    """Law of one variable's class c = alpha * 2^k + beta for input bit x,
+    averaged over its basis bits s: the class (x, 0) keeps 2^-k and every
     class with beta != 0 has 2^-(k+1)."""
     law = np.zeros((2, 2 ** k))
-    if s is None:
-        law[:, 1:] = 2.0 ** -(k + 1)
-        law[x, 0] = 2.0 ** -k
-    else:  # alpha[beta] by doubling over the bits of s, lowest first
-        alpha = np.array([x])
-        for j in range(k):
-            alpha = np.concatenate([alpha, alpha ^ ((s >> j) & 1)])
-        law[alpha, np.arange(2 ** k)] = 2.0 ** -k
+    law[:, 1:] = 2.0 ** -(k + 1)
+    law[x, 0] = 2.0 ** -k
     return law.reshape(-1)
 
 
-def _per_s_laws(xbits, k):
+def _shared_laws(k):
+    """laws[x][s, c]: 1 where one variable with input bit x has class
+    c = alpha * 2^k + beta at basis bits s, else 0.  Beta is uniform (mass
+    2^-k each) and alpha = x ^ parity(s & beta), built by doubling over the
+    bits of s, lowest first, for every s at once."""
+    s = np.arange(2 ** k)
+    parity = np.zeros((2 ** k, 1), np.uint8)
+    for j in range(k):
+        sj = ((s >> j) & 1).astype(np.uint8)[:, None]
+        parity = np.concatenate([parity, parity ^ sj], axis=1)
+    other = 1 - parity
+    return np.stack([np.concatenate([other, parity], axis=1),
+                     np.concatenate([parity, other], axis=1)])
+
+
+def _per_s_laws(xbits, laws):
     """m[s, c]: the kron of the laws of the variables with input bits xbits
-    at basis bits s (variable 0 outermost), one row per s."""
-    m = np.ones((2 ** k, 1))
+    at basis bits s (variable 0 outermost), one row per s; laws comes from
+    _shared_laws, and each variable's mass 2^-k is in the starting column."""
+    count = laws.shape[1]
+    m = np.full((count, 1), 1.0 / count ** len(xbits))
     for x in xbits:
-        law = np.stack([_variable_law(x, k, s) for s in range(2 ** k)])
-        m = (m[:, :, None] * law[:, None, :]).reshape(2 ** k, -1)
+        m = (m[:, :, None] * laws[x][:, None, :]).reshape(count, -1)
     return m
 
 
-def _pair_row(xbits, k, shared_s, with_s=False):
+def _route_laws(width, k, shared_s, with_s=False):
+    """The per-s law array where a row reads it (one s shared by two or
+    more variables, or kept as a column), else None.  A row on that route
+    has at least 2^(2k+1) entries, so the row's entry check bounds it."""
+    return _shared_laws(k) if shared_s and (with_s or width > 1) else None
+
+
+def _pair_row(xbits, k, laws, with_s=False):
     """Law of the classes of all variables for input bits xbits, the kron
-    of one-variable laws (variable 0 outermost); with shared_s one s serves
-    them all, and with_s=True puts it first in the column index (s, c)."""
-    if not (shared_s and (with_s or len(xbits) > 1)):
+    of one-variable laws (variable 0 outermost).  With laws (from
+    _route_laws) one s serves them all, and with_s=True puts it first in
+    the column index (s, c); with None, each variable's s is averaged
+    out."""
+    if laws is None:
         return functools.reduce(qsim._kron,
                                 [_variable_law(x, k) for x in xbits])
     if with_s:
-        return _per_s_laws(xbits, k).reshape(-1) / 2 ** k
+        return _per_s_laws(xbits, laws).reshape(-1) / 2 ** k
     # the sum over s of the kron of two halves' laws is one matrix product
     half = len(xbits) // 2
-    return (_per_s_laws(xbits[:half], k).T
-            @ _per_s_laws(xbits[half:], k)).reshape(-1) / 2 ** k
+    return (_per_s_laws(xbits[:half], laws).T
+            @ _per_s_laws(xbits[half:], laws)).reshape(-1) / 2 ** k
 
 
 def _pair_table(n, k, shared_s, with_s=False):
@@ -244,7 +297,8 @@ def _pair_table(n, k, shared_s, with_s=False):
     is a plain mutual-information computation."""
     cols = (2 ** k if with_s else 1) * 2 ** (n * (k + 1))
     _check_entries(2 ** n * cols, "outcome table")
-    return np.fromiter((_pair_row(_bits(xv, n), k, shared_s, with_s)
+    laws = _route_laws(n, k, shared_s, with_s)
+    return np.fromiter((_pair_row(_bits(xv, n), k, laws, with_s)
                         for xv in range(2 ** n)), (float, cols), 2 ** n)
 
 
@@ -281,12 +335,11 @@ def cmi_uniform(scheme, n, k) -> float:
     """Classical mutual information, in bits, between a uniform input and
     Bob's outcomes under his reference measurement."""
     scheme = str(scheme)
-    if scheme == "7":
-        table = _pair_table(n, k, shared_s=True)
-    elif scheme == "8":
-        table = _oneway_table(n, k)
-    else:
+    if scheme not in ("7", "8"):
         raise ValueError(f"cmi_uniform supports schemes 7 and 8, not {scheme!r}")
+    n, k = _positive("n", n), _positive("k", k)
+    table = (_pair_table(n, k, shared_s=True) if scheme == "7"
+             else _oneway_table(n, k))
     table /= 2 ** n
     return qsim.mutual_information(table)
 
@@ -301,6 +354,7 @@ def per_bit_information(scheme, k) -> float:
     scheme = str(scheme)
     if scheme not in ("4", "7", "8"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    k = _positive("k", k)
     _check_entries(2 ** (k + (1 if scheme == "8" else 2)), "outcome table")
     law = (_oneway_law(k) if scheme == "8"
            else np.stack([_variable_law(x, k) for x in (0, 1)]))
@@ -319,13 +373,14 @@ def conditioned_information(scheme, n, k) -> float:
     odd n the last variable with its t_j reveals x_{n-1}: ceil(n/2) bits.
     """
     scheme = str(scheme)
-    if scheme == "7":
-        table = _pair_table(n, k, shared_s=True, with_s=True)
-        table /= 2 ** n
-        return qsim.mutual_information(table)
+    if scheme not in ("7", "8"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    n, k = _positive("n", n), _positive("k", k)
     if scheme == "8":
         return _oneway_pairing_information(n, k)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    table = _pair_table(n, k, shared_s=True, with_s=True)
+    table /= 2 ** n
+    return qsim.mutual_information(table)
 
 
 def _oneway_pairing_information(n, k):
@@ -344,14 +399,15 @@ def _oneway_pairing_information(n, k):
     count, cols = 2 ** k, 2 ** (odd + (len(pairs) + odd) * (k + 1))
     _check_entries(2 ** n * count * cols, "outcome table")
     table = np.empty((2 ** n, count, cols))
+    laws = _shared_laws(k)
     for xv in range(2 ** n):
         x = _bits(xv, n)
         groups = [x[a] ^ x[b] for a, b in pairs]
         tails = [[x[-1] ^ t] for t in (0, 1)] if odd else [[]]
-        laws = np.concatenate([_per_s_laws(groups + tail, k)
-                               for tail in tails], axis=1)
-        # row si of laws[::-1] is at basis bits 1 - s; sum t is uniform
-        table[xv] = laws[::-1] / (len(tails) * 2 ** (n + k))
+        per_s = np.concatenate([_per_s_laws(groups + tail, laws)
+                                for tail in tails], axis=1)
+        # row si of per_s[::-1] is at basis bits 1 - s; sum t is uniform
+        table[xv] = per_s[::-1] / (len(tails) * 2 ** (n + k))
     return qsim.mutual_information(table.reshape(2 ** n, -1))
 
 
@@ -418,7 +474,7 @@ def wilson_interval(successes, trials):
 def bob_guess_rate(k) -> float:
     """Exact success probability of the fixed pair measurement guessing a
     uniformly random variable encoded in k pad pairs."""
-    joint = _pair_table(1, k, shared_s=False) / 2
+    joint = _pair_table(1, _positive("k", k), shared_s=False) / 2
     return float(np.max(joint, axis=0).sum())
 
 

@@ -353,6 +353,45 @@ def test_pair_table_equals_joint_enumeration(n, k):
         assert np.array_equal(got, want), (shared_s, with_s)
 
 
+def variable_law_at_s(x, k, s):
+    """Reference law of one variable's class alpha * 2^k + beta at basis
+    bits s, one setting at a time: alpha[beta] by doubling over the bits of
+    s, lowest first, mass 2^-k each."""
+    law = np.zeros((2, 2 ** k))
+    alpha = np.array([x])
+    for j in range(k):
+        alpha = np.concatenate([alpha, alpha ^ ((s >> j) & 1)])
+    law[alpha, np.arange(2 ** k)] = 2.0 ** -k
+    return law.reshape(-1)
+
+
+def per_s_laws_literal(xbits, k):
+    """Reference m[s, c]: the kron of the per-setting laws of the
+    variables, variable 0 outermost, one row per s."""
+    m = np.ones((2 ** k, 1))
+    for x in xbits:
+        law = np.stack([variable_law_at_s(x, k, s) for s in range(2 ** k)])
+        m = (m[:, :, None] * law[:, None, :]).reshape(2 ** k, -1)
+    return m
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_shared_laws_equal_the_per_setting_doubling(k):
+    """The closed-form law array, built for every s at once, is the
+    one-setting doubling at each s, byte for byte, and so are the per-s
+    krons built from it."""
+    laws = seclab._shared_laws(k)
+    assert laws.dtype == np.uint8 and laws.shape == (2, 2 ** k, 2 ** (k + 1))
+    for x in (0, 1):
+        want = np.stack([variable_law_at_s(x, k, s) for s in range(2 ** k)])
+        assert (laws[x] * 2.0 ** -k).tobytes() == want.tobytes(), x
+    for width in range(1, 4 if k <= 3 else 2):
+        for xbits in itertools.product((0, 1), repeat=width):
+            got = seclab._per_s_laws(list(xbits), laws)
+            want = per_s_laws_literal(xbits, k)
+            assert got.tobytes() == want.tobytes(), xbits
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_pad_average_matches_split_enumeration(k):
     """Outcome vectors, densities and (s, m) tables, with a different step
@@ -400,7 +439,7 @@ def test_views_match_split_enumeration(scheme, n, k):
                     / 2 ** (n * k))
             diag = np.diag(want)
             assert np.array_equal(want, np.diag(diag)), x
-            row = seclab._view_row(scheme, {"n": n, "k": k}, x)
+            row = seclab._view_row(scheme, k, seclab._inputs(x, n))
             assert np.array_equal(lump_literal(diag, n, k), row), x
         with pytest.raises(ValueError):
             seclab.bob_view(scheme, {"n": n, "k": k}, inputs[0])
@@ -460,6 +499,7 @@ def test_table_size_guard(monkeypatch):
 
     monkeypatch.setattr(seclab, "_oneway_law", no_build)
     monkeypatch.setattr(seclab, "_variable_law", no_build)
+    monkeypatch.setattr(seclab, "_shared_laws", no_build)
     for call in (lambda: seclab.cmi_uniform("8", 5, 4),
                  lambda: seclab.cmi_uniform("7", 5, 4),
                  lambda: seclab.conditioned_information("8", 5, 4),
@@ -468,6 +508,13 @@ def test_table_size_guard(monkeypatch):
                  lambda: seclab.bob_guess_rate(23)):
         with pytest.raises(ValueError):
             call()
+    monkeypatch.undo()
+    # one variable averages s out whatever k: the per-s law array, 2^(2k+2)
+    # entries, is built only where a row is at least that large
+    monkeypatch.setattr(seclab, "_shared_laws", no_build)
+    assert seclab.cmi_uniform("7", 1, 11) == 2.0 ** -11
+    assert seclab.cmi_uniform("7", 1, 20) == 2.0 ** -20
+    assert seclab.privacy_distance("7", {"k": 20}, 0, 1) == 2.0 ** -20
     monkeypatch.undo()
     # lumped tables below the cap: values, not refusals
     assert seclab.cmi_uniform("7", 5, 2) == float(cmi7_oracle(5, 2))
@@ -518,6 +565,7 @@ def test_view_row_size_guard_and_validation(monkeypatch):
         raise AssertionError("row built past the cap")
 
     monkeypatch.setattr(seclab, "_variable_law", no_build)
+    monkeypatch.setattr(seclab, "_shared_laws", no_build)
     with pytest.raises(ValueError):
         seclab.privacy_distance("4", {"k": 24}, 0, 1)
     with pytest.raises(ValueError):
@@ -628,6 +676,30 @@ def test_cmi_uniform_equals_the_rank_law(n, k, want):
     assert seclab.cmi_uniform("7", n, k) == float(want)
 
 
+def admitted_or_refused(call, entries):
+    """call()'s value when its table of `entries` entries is within the
+    2^24-entry cap; past the cap, assert that it is refused and return
+    None."""
+    if entries <= 2 ** 24:
+        return call()
+    with pytest.raises(ValueError, match="more than the cap"):
+        call()
+    return None
+
+
+def test_cmi_uniform_equals_the_rank_law_at_every_admitted_point():
+    """Exactly, at each of the 28 points with n <= 5 and k <= 8 whose
+    2^(n(k+2))-entry table the cap admits; the others are refused."""
+    admitted = 0
+    for n, k in itertools.product(range(1, 6), range(1, 9)):
+        got = admitted_or_refused(lambda: seclab.cmi_uniform("7", n, k),
+                                  2 ** (n * (k + 2)))
+        if got is not None:
+            assert got == float(cmi7_oracle(n, k)), (n, k)
+            admitted += 1
+    assert admitted == 28
+
+
 @pytest.mark.parametrize("n,k", [(3, 4), (4, 3), (2, 8)])
 def test_scheme4_joint_distance_closed_form(n, k):
     """With independent basis bits each variable is revealed with
@@ -678,6 +750,57 @@ def test_bob_view_validation_and_caps():
         seclab.BobView("8", 2, 0, np.eye(2) / 2)  # 1 qubit, not k = 2
     with pytest.raises(ValueError, match="positive"):  # the tests' check
         seclab.BobView("8", 1, 0, np.diag([1.5, -0.5]))
+
+
+_SIZE = "positive integer"
+_BIT = "0 or 1"
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: seclab.privacy_distance("4", {"k": 2}, 0, 2), _BIT,
+                 id="distance-bit-2"),
+    pytest.param(lambda: seclab.privacy_distance(
+        "7", {"n": 2, "k": 1}, (0, 0), (1, 2)), _BIT, id="distance-tuple-2"),
+    pytest.param(lambda: seclab.privacy_distance("8", {"k": 1}, 0, 2), _BIT,
+                 id="view-bit-2"),
+    pytest.param(lambda: seclab.theorem6_constants(2, 1, inputs=[(1, 2)]),
+                 _BIT, id="theorem6-tuple-2"),
+    pytest.param(lambda: seclab.theorem6_constants(2, 1, inputs=[]),
+                 "at least one input", id="theorem6-no-inputs"),
+    pytest.param(lambda: seclab.theorem6_constants(0, 1), _SIZE,
+                 id="theorem6-n0"),
+    pytest.param(lambda: seclab.per_bit_information("4", 0), _SIZE,
+                 id="per-bit-k0"),
+    pytest.param(lambda: seclab.per_bit_information("4", -1), _SIZE,
+                 id="per-bit-k-1"),
+    pytest.param(lambda: seclab.cmi_uniform("8", 3, 0), _SIZE,
+                 id="cmi8-k0"),
+    pytest.param(lambda: seclab.cmi_uniform("7", 0, 2), _SIZE, id="cmi7-n0"),
+    pytest.param(lambda: seclab.cmi_uniform("7", 2, 1.5), _SIZE,
+                 id="cmi7-k1.5"),
+    pytest.param(lambda: seclab.privacy_distance("8", {"k": 0}, 0, 1), _SIZE,
+                 id="view-k0"),
+    pytest.param(lambda: seclab.privacy_distance(
+        "7", {"n": 0, "k": 1}, "uniform", "uniform"), _SIZE,
+                 id="distance-n0"),
+    pytest.param(lambda: seclab.conditioned_information("7", 2, 0), _SIZE,
+                 id="conditioned7-k0"),
+    pytest.param(lambda: seclab.conditioned_information("8", 0, 2), _SIZE,
+                 id="conditioned8-n0"),
+    pytest.param(lambda: seclab.bob_guess_rate(0), _SIZE, id="guess-k0"),
+])
+def test_bad_sizes_and_inputs_are_refused(monkeypatch, call, match):
+    """Input bits other than 0 or 1, n or k below 1 (or not an integer)
+    and an empty input list are each refused with a ValueError before any
+    law, row, view or table is sized or built."""
+    def no_build(*args):
+        raise AssertionError("sized or built before the refusal")
+
+    for name in ("_check_entries", "_variable_law", "_shared_laws",
+                 "_oneway_law"):
+        monkeypatch.setattr(seclab, name, no_build)
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_bob_view_uniform_mixes_inputs():
@@ -780,8 +903,13 @@ def test_per_bit_information_closed_forms(k):
 
 
 def test_conditioned_information_pair_scheme_reveals_everything():
-    assert abs(seclab.conditioned_information("7", 2, 1) - 2) < 1e-9
-    assert abs(seclab.conditioned_information("7", 1, 2) - 1) < 1e-9
+    """Exactly n bits at every n <= 5 and k <= 6 whose (x, s, c) table the
+    cap admits."""
+    for n, k in itertools.product(range(1, 6), range(1, 7)):
+        got = admitted_or_refused(
+            lambda: seclab.conditioned_information("7", n, k),
+            2 ** (n + k + n * (k + 1)))
+        assert got in (None, n), (n, k)
 
 
 def _binary_entropy(p):
@@ -798,13 +926,18 @@ def test_oneway_cmi_closed_form(n, k):
     assert abs(seclab.cmi_uniform("8", n, k) - want) < 1e-12
 
 
-@pytest.mark.parametrize("n,want", [(2, 1), (3, 2), (4, 2), (5, 3)])
+@pytest.mark.parametrize("n,want", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3),
+                                    (6, 3), (7, 4), (8, 4)])
 def test_conditioned_information_oneway_pairing(n, want):
-    """Each CNOT group reveals one parity: ceil(n/2) bits at every k."""
+    """Each CNOT group reveals one parity: exactly ceil(n/2) bits at every
+    k <= 3 whose (x, s, sum t, groups) table the cap admits."""
     assert want == math.ceil(n / 2)
-    for k in (1, 2, 3) if n <= 4 else (1, 2):
-        got = seclab.conditioned_information("8", n, k)
-        assert abs(got - want) < 1e-9, k
+    odd = n % 2
+    for k in (1, 2, 3):
+        got = admitted_or_refused(
+            lambda: seclab.conditioned_information("8", n, k),
+            2 ** (n + k + odd + (n // 2 + odd) * (k + 1)))
+        assert got in (None, want), k
 
 
 def holevo_crosscheck(n, k):
